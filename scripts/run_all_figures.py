@@ -3,6 +3,8 @@
 
 The heavy noise scans take tens of minutes in total; pass manifest names to
 run a subset, e.g. ``python scripts/run_all_figures.py splitting_curve``.
+Every selected manifest runs even when an earlier one fails; the failures
+are listed at the end and the exit code is the first nonzero one.
 """
 import pathlib
 import sys
@@ -17,6 +19,7 @@ ORDER = ["splitting_curve", "rz_angle_curve", "hprime_dump", "rz_noise",
 
 def run(selected=None):
     (ROOT / "out").mkdir(exist_ok=True)
+    failures = []
     for name in selected or ORDER:
         manifest = ROOT / "manifests" / f"{name}.txt"
         if not manifest.exists():
@@ -26,8 +29,10 @@ def run(selected=None):
         code = main(["run", str(manifest)])
         print(f"  -> exit {code} in {time.time() - t0:.1f}s")
         if code != 0:
-            return code
-    return 0
+            failures.append((name, code))
+    for name, code in failures:
+        print(f"FAILED {name} (exit {code})")
+    return failures[0][1] if failures else 0
 
 
 if __name__ == "__main__":

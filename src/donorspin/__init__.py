@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 from .model import (PhysicalConstants, SystemParams, charge_splitting,
                     hyperfine_expectation, qubit_splitting_approx,
                     dephasing_sensitivity, transition_energies)
-from .operators import BASIS, BasisConvention, orbital_transform
-from .pulses import (PulseSchedule, window, ramp, make_rz_schedule,
+from .operators import orbital_transform
+from .pulses import (PulseSchedule, make_rz_schedule,
                      make_rx_sweep_schedule, make_naive_rx_schedule,
                      make_cphase_schedule, make_echo_rz_schedule)
 from .propagation import (OperatorMatrix, EvolutionResult, evolve, leakage,

@@ -2,15 +2,11 @@
 emits columnar data with full provenance.
 
 Verbs: run <manifest>, validate <manifest>, dump-hprime, list-experiments.
-Grid points can execute concurrently; set DONORSPIN_THREADS to override the
-worker count (default 1).
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -19,8 +15,8 @@ from .io import (ManifestError, parse_keyvalues, parse_quantity, parse_angle,
                  parse_list, load_params, format_params, write_columns,
                  _TIME_UNITS, _EFIELD_UNITS, _FREQ_UNITS, _LENGTH_UNITS)
 from .model import (TWO_PI, SystemParams, qubit_splitting_approx)
-from .pulses import make_rz_schedule, make_cphase_schedule, idle_frequencies
-from .propagation import evolve, lab_hamiltonian
+from .pulses import make_rz_schedule, idle_frequencies
+from .propagation import lab_hamiltonian
 from .gates import (predict_rz_angle, simulate_rz_angle, rz_duration_for_angle,
                     NoiseModel, run_noise_monte_carlo, rz_matrix,
                     calibrate_lambda, build_corrected_rx, build_sweep_echo_rx)
@@ -36,18 +32,6 @@ def experiment(kind, required, optional=()):
         EXPERIMENTS[kind] = (fn, tuple(required), tuple(optional))
         return fn
     return wrap
-
-
-def _threads() -> int:
-    return max(1, int(os.environ.get("DONORSPIN_THREADS", "1")))
-
-
-def _pmap(fn, items):
-    n = _threads()
-    if n == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 class Manifest:
@@ -72,7 +56,7 @@ class Manifest:
         if "output" not in raw:
             raise ManifestError("manifest is missing required field 'output'")
         self.output = raw["output"]
-        self.seed = int(raw.get("seed", "0"))
+        self.seed = self.integer("seed", 0)
         self.params = (load_params(raw["params_file"])
                        if "params_file" in raw else SystemParams())
 
@@ -91,7 +75,11 @@ class Manifest:
     def integer(self, key, default=None):
         if key not in self.raw:
             return default
-        return int(self.raw[key])
+        try:
+            return int(self.raw[key])
+        except ValueError as exc:
+            raise ManifestError(f"field {key!r}: expected an integer, got "
+                                f"{self.raw[key]!r}") from exc
 
     def provenance(self) -> dict:
         out = {"donorspin_version": __version__}
@@ -120,7 +108,7 @@ def run_splitting_curve(m: Manifest):
         ev = np.linalg.eigvalsh(H)
         return dE, ev[1] - ev[0], float(qubit_splitting_approx(params, dE))
 
-    rows = _pmap(one, grid)
+    rows = [one(dE) for dE in grid]
     write_columns(m.output, m.provenance(),
                   ("dE_V_per_m", "dq_exact_rad_s", "dq_approx_rad_s"), rows)
     gap = max(abs(r[1] - r[2]) for r in rows)
@@ -141,7 +129,7 @@ def run_rz_angle_curve(m: Manifest):
         sim = simulate_rz_angle(params, T, frame=frame)
         return T, sim, pred
 
-    rows = _pmap(one, grid)
+    rows = [one(T) for T in grid]
     write_columns(m.output, m.provenance(),
                   ("T_s", "theta_sim_rad", "theta_pred_rad"), rows)
     gap = max(min(abs(r[1] - r[2]), 2 * np.pi - abs(r[1] - r[2])) for r in rows)
@@ -156,9 +144,15 @@ def run_rz_noise(m: Manifest):
     samples = m.integer("samples", 200)
     frame = m.raw.get("frame", "effective")
     params = m.params
+    if 0.0 in angles:
+        raise ManifestError("field 'angles': an angle of 0 has no Rz pulse")
     rows = []
     for theta in angles:
         T = rz_duration_for_angle(params, theta, frame=frame)
+        if T == 0.0:
+            # a nonzero multiple of 2pi: one physical full turn, not T = 0
+            T = rz_duration_for_angle(params, -2 * np.pi, frame=frame,
+                                      unreduced=True)
         sched = make_rz_schedule(params, T)
         target = rz_matrix(theta)
         for sigma in sigmas:
@@ -240,7 +234,7 @@ def run_cphase_curve(m: Manifest):
         rep = cphase_angle(layout, sched)
         return T, abs(rep.phi), rep.nonadiabaticity
 
-    rows = _pmap(one, grid)
+    rows = [one(T) for T in grid]
     write_columns(m.output, m.provenance(),
                   ("T_s", "abs_phi_rad", "nonadiabaticity"), rows)
     note = f"{len(rows)} durations"

@@ -16,13 +16,12 @@ from scipy.optimize import brentq
 
 from .model import SystemParams, qubit_splitting_approx, dephasing_sensitivity
 from .operators import QUBIT_UP_INDEX, QUBIT_DN_INDEX, frame_generator_diag
-from .propagation import EvolutionResult, evolve, to_lab_orbital, leakage as _leakage
+from .propagation import (EvolutionResult, evolve, lab_hamiltonian,
+                          to_lab_orbital)
 from .pulses import (PulseSchedule, make_rz_schedule, make_rx_sweep_schedule,
                      make_naive_rx_schedule, make_echo_rz_schedule,
                      make_idle_schedule, sweep_drive_frequencies,
                      SWEEP_EA_PEAK, SWEEP_BA_PEAK)
-
-_QIDX = [QUBIT_UP_INDEX, QUBIT_DN_INDEX]
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -101,35 +100,39 @@ def _fix_gauge(vec, index):
     return vec * np.exp(-1j * np.angle(vec[index]))
 
 
-def _idle_qubit_basis(params: SystemParams, result_frame: str,
-                      schedule: PulseSchedule):
+def idle_qubit_frame(params: SystemParams, frame: str,
+                     schedule: PulseSchedule):
     """Exact qubit eigenstates and lab energies at the nominal idle point.
 
     Gates are defined on the dressed idle eigenstates (not the bare basis
-    states), so idling extracts to the identity in every frame. Returns
-    (energies[2], vectors 8x2) with energies in the lab frame.
+    states), so idling extracts to the identity in every frame. In the
+    effective frame they are the eigenstates of H' at the schedule's drive
+    frequencies, in the lab frames those of the orbital-basis Hamiltonian.
+    Returns (energies[2], vectors 8x2) with energies in the lab frame.
     """
-    if result_frame == "effective":
+    if frame == "effective":
         from .effective import effective_hamiltonian
-        Hp = effective_hamiltonian(params, params.dE_idle, 0.0, 0.0,
-                                   schedule.omega_E, schedule.omega_B)
-        ev, vec = np.linalg.eigh(Hp)
+        H = effective_hamiltonian(params, params.dE_idle, 0.0, 0.0,
+                                  schedule.omega_E, schedule.omega_B)
         g = frame_generator_diag(params, schedule.omega_E, schedule.omega_B)
-        iu = int(np.argmax(np.abs(vec[QUBIT_UP_INDEX, :])))
-        idn = int(np.argmax(np.abs(vec[QUBIT_DN_INDEX, :])))
-        energies = np.array([ev[iu] - g[QUBIT_UP_INDEX],
-                             ev[idn] - g[QUBIT_DN_INDEX]])
     else:
-        from .propagation import lab_hamiltonian
         idle = make_idle_schedule(params, 1.0)
         H = lab_hamiltonian(params, idle, 0.0, basis="orbital").matrix
-        ev, vec = np.linalg.eigh(H)
-        iu = int(np.argmax(np.abs(vec[QUBIT_UP_INDEX, :])))
-        idn = int(np.argmax(np.abs(vec[QUBIT_DN_INDEX, :])))
-        energies = np.array([ev[iu], ev[idn]])
+        g = np.zeros(H.shape[0])
+    ev, vec = np.linalg.eigh(H)
+    iu = int(np.argmax(np.abs(vec[QUBIT_UP_INDEX, :])))
+    idn = int(np.argmax(np.abs(vec[QUBIT_DN_INDEX, :])))
+    energies = np.array([ev[iu] - g[QUBIT_UP_INDEX],
+                         ev[idn] - g[QUBIT_DN_INDEX]])
     basis = np.stack([_fix_gauge(vec[:, iu], QUBIT_UP_INDEX),
                       _fix_gauge(vec[:, idn], QUBIT_DN_INDEX)], axis=1)
     return energies, basis
+
+
+def idle_frame_block(U: np.ndarray, energies, basis, T: float) -> np.ndarray:
+    """exp(i E T) basis^H U basis: the block of lab-orbital propagator(s) U
+    on `basis` with the idle phases over T divided out; U may be a batch."""
+    return np.exp(1j * energies * T)[:, None] * (basis.conj().T @ U @ basis)
 
 
 def extract_qubit_gate(result: EvolutionResult, params: SystemParams,
@@ -139,22 +142,14 @@ def extract_qubit_gate(result: EvolutionResult, params: SystemParams,
     Returns (QubitGate, leakage) for scalar-noise results or lists for
     batched ones.
     """
-    U = to_lab_orbital(result, params)
-    energies, basis = _idle_qubit_basis(params, result.frame, result.schedule)
-    T = result.schedule.total_time
-    corr = np.diag(np.exp(1j * energies * T))
-    if U.ndim == 3:
-        gates, leaks = [], []
-        for Ui in U:
-            g, lk = _extract_single(Ui, corr, basis, max_leakage)
-            gates.append(g)
-            leaks.append(lk)
-        return gates, np.array(leaks)
-    return _extract_single(U, corr, basis, max_leakage)
+    blocks = extract_qubit_block(result, params)
+    if blocks.ndim == 3:
+        pairs = [_gate_from_block(b, max_leakage) for b in blocks]
+        return [g for g, _ in pairs], np.array([lk for _, lk in pairs])
+    return _gate_from_block(blocks, max_leakage)
 
 
-def _extract_single(U, corr, basis, max_leakage):
-    block = corr @ (basis.conj().T @ U @ basis)
+def _gate_from_block(block, max_leakage):
     lk = float(1 - (np.abs(block) ** 2).sum() / 2)
     if lk > max_leakage:
         raise ValueError(f"leakage {lk:.3e} exceeds {max_leakage}; "
@@ -164,13 +159,9 @@ def _extract_single(U, corr, basis, max_leakage):
 
 def extract_qubit_block(result: EvolutionResult, params: SystemParams):
     """Subnormalized 2x2 idle-frame block(s), for fidelity accounting."""
-    U = to_lab_orbital(result, params)
-    energies, basis = _idle_qubit_basis(params, result.frame, result.schedule)
-    corr = np.diag(np.exp(1j * energies * result.schedule.total_time))
-    if U.ndim == 3:
-        return np.einsum("ij,njk->nik", corr,
-                         basis.conj().T @ U @ basis)
-    return corr @ (basis.conj().T @ U @ basis)
+    energies, basis = idle_qubit_frame(params, result.frame, result.schedule)
+    return idle_frame_block(to_lab_orbital(result, params), energies, basis,
+                            result.schedule.total_time)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +294,9 @@ def composite_qubit_block(params: SystemParams, segments, noise_dE=0.0,
                           frame: str = "effective", dt: float | None = None):
     """Idle-frame qubit block(s) of a schedule sequence."""
     U = evolve_segments(params, segments, noise_dE, frame, dt)
-    energies, basis = _idle_qubit_basis(
-        params, frame if frame == "effective" else "lab-orbital", segments[0])
+    energies, basis = idle_qubit_frame(params, frame, segments[0])
     T = sum(seg.total_time for seg in segments)
-    corr = np.diag(np.exp(1j * energies * T))
-    if U.ndim == 3:
-        return np.einsum("ij,njk->nik", corr, basis.conj().T @ U @ basis)
-    return corr @ (basis.conj().T @ U @ basis)
+    return idle_frame_block(U, energies, basis, T)
 
 
 @dataclass
@@ -624,7 +611,7 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
         # the x-rotations add exactly when each junction Rz cancels z2 of
         # the previous segment, z1 of the next, and the idle-frame phase
         # advanced over one (T_seg + t_mid) period; fixed point in t_mid
-        energies, _ = _idle_qubit_basis(params, frame, seg)
+        energies, _ = idle_qubit_frame(params, frame, seg)
         dq0 = energies[1] - energies[0]
         t_mid = 0.0
         for _ in range(4):

@@ -7,8 +7,6 @@ spin {Dn,Up}. The qubit is |up~> ~ |g,dn,Up> (index 1) and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import SystemParams, charge_splitting, orbital_mixing
@@ -26,14 +24,6 @@ QUBIT_UP_INDEX = 1   # |g dn Up>
 QUBIT_DN_INDEX = 0   # |g dn Dn>
 QUBIT_INDICES = (QUBIT_UP_INDEX, QUBIT_DN_INDEX)
 
-
-@dataclass(frozen=True)
-class BasisConvention:
-    ordering: tuple = BASIS_LABELS
-    qubit_subspace: tuple = QUBIT_INDICES
-
-
-BASIS = BasisConvention()
 
 _I2 = np.eye(2, dtype=complex)
 _PZ = np.array([[1, 0], [0, -1]], dtype=complex)      # +1 on first basis state
@@ -99,10 +89,11 @@ def basis_change_correction(params: SystemParams, dE, dE_rate):
 
     Equals -(d e Vt / 2 hbar eps0^2) * (d dE/dt) * sigma_y on the orbital
     factor; maximal in magnitude at dE = 0 and zero for a static field.
+    Array-valued dE and dE_rate broadcast to a stack of 8x8 matrices.
     """
     e0 = charge_splitting(params, dE)
     coeff = -params.de_over_hbar * params.Vt / (2 * e0**2) * dE_rate
-    return coeff * TAU_Y
+    return np.asarray(coeff)[..., None, None] * TAU_Y
 
 
 def frame_generator_diag(params: SystemParams, omega_E: float, omega_B: float):

@@ -1,19 +1,21 @@
 """Time-ordered propagation of the lab-frame and effective Hamiltonians.
 
 The integrator is piecewise-constant with midpoint sampling and an exact
-matrix exponential per step (Hermitian eigendecomposition). Lab-frame steps
-are processed in vectorized chunks; a whole batch of quasi-static noise
-offsets can be propagated at once.
+matrix exponential per step (Hermitian eigendecomposition). One step loop,
+`propagate`, serves every frame and the 64-dim two-qubit simulation: a
+frame only supplies its Hamiltonian stack, and steps are processed in
+vectorized chunks, so a whole batch of quasi-static noise offsets can be
+propagated at once.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import SystemParams, charge_splitting, orbital_mixing
-from .operators import (DIM, IDENT, TAU_Z, TAU_X, TAU_Y, S_Z, S_X, I_Z, I_X,
+from .operators import (DIM, IDENT, TAU_Z, TAU_X, S_Z, S_X, I_Z, I_X,
                         S_DOT_I, QUBIT_INDICES, orbital_transform,
                         basis_change_correction, frame_generator_diag)
 from .pulses import PulseSchedule
@@ -67,47 +69,15 @@ def lab_hamiltonian(params: SystemParams, schedule: PulseSchedule, t: float,
                     noise_dE: float = 0.0, basis: str = "position",
                     include_correction: bool = False) -> OperatorMatrix:
     """Sample the lab-frame Hamiltonian of a schedule at time t."""
-    dE, Ea, Ba = schedule.sample(t)
-    dEn = float(dE) + noise_dE
-    drive_E = float(Ea) * np.cos(schedule.omega_E * t)
-    drive_B = float(Ba) * np.cos(schedule.omega_B * t)
+    tmid = np.array([float(t)])
     if basis == "position":
-        H = _h_position(params, dEn + drive_E, drive_B)
+        H = _position_h_stack(params, schedule, tmid, noise_dE)
     elif basis == "orbital":
-        H = _h_orbital(params, dEn, drive_E, drive_B)
-        if include_correction:
-            rate = float(schedule.dE_envelope.derivative(t))
-            H = H + basis_change_correction(params, dEn, rate)
+        H = _orbital_h_stack(params, schedule, tmid, noise_dE,
+                             include_correction)
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    return OperatorMatrix(H, basis=basis, frame="lab")
-
-
-def _h_position(params: SystemParams, field_total, drive_B):
-    """Position-basis lab Hamiltonian; field_total includes dE, noise and
-    the instantaneous AC electric field."""
-    donor = (IDENT - TAU_Z) / 2
-    H = (-params.de_over_hbar * field_total / 2 * TAU_Z + params.Vt / 2 * TAU_X
-         + params.B0 * params.gamma_e * (S_Z + params.delta_gamma * donor @ S_Z)
-         - params.B0 * params.gamma_n * I_Z
-         + drive_B * (params.gamma_e * S_X - params.gamma_n * I_X)
-         + params.hyperfine_A * donor @ S_DOT_I)
-    return H
-
-
-def _h_orbital(params: SystemParams, dEn, drive_E, drive_B):
-    """Orbital-basis lab Hamiltonian at static field dEn (the orbital basis
-    is defined by the DC field; the AC drive is expanded in it)."""
-    e0 = charge_splitting(params, dEn)
-    c, s = orbital_mixing(params, dEn)
-    tz_id = c * TAU_Z + s * TAU_X
-    donor = (IDENT - tz_id) / 2
-    H = (-e0 / 2 * TAU_Z - params.de_over_hbar * drive_E / 2 * tz_id
-         + params.B0 * params.gamma_e * (S_Z + params.delta_gamma * donor @ S_Z)
-         - params.B0 * params.gamma_n * I_Z
-         + drive_B * (params.gamma_e * S_X - params.gamma_n * I_X)
-         + params.hyperfine_A * donor @ S_DOT_I)
-    return H
+    return OperatorMatrix(H[0, 0], basis=basis, frame="lab")
 
 
 def _position_h_stack(params: SystemParams, schedule, tmid, noise_dE):
@@ -131,13 +101,13 @@ def _position_h_stack(params: SystemParams, schedule, tmid, noise_dE):
 
 def _orbital_h_stack(params: SystemParams, schedule, tmid, noise_dE,
                      include_correction):
+    """(n, S, 8, 8) orbital-basis stack: the orbital basis follows the DC
+    field dE + noise, and the AC drive is expanded in it."""
     dE, Ea, Ba = schedule.sample(tmid)
     noise = np.atleast_1d(np.asarray(noise_dE, dtype=float))
     dEn = dE[:, None] + noise[None, :]
     e0 = charge_splitting(params, dEn)
-    x = params.de_over_hbar * dEn
-    c = x / e0
-    s = params.Vt / e0
+    c, s = orbital_mixing(params, dEn)
     drive_E = (Ea * np.cos(schedule.omega_E * tmid))[:, None]
     drive_B = (Ba * np.cos(schedule.omega_B * tmid))[:, None]
     donorz = c / 2
@@ -155,15 +125,15 @@ def _orbital_h_stack(params: SystemParams, schedule, tmid, noise_dE,
                                  - (s / 2)[..., None, None] * (TAU_X @ S_DOT_I)))
     if include_correction:
         rate = schedule.dE_envelope.derivative(tmid)[:, None]
-        coeff = -params.de_over_hbar * params.Vt / (2 * e0**2) * rate
-        H = H + coeff[..., None, None] * TAU_Y
+        H = H + basis_change_correction(params, dEn, rate)
     return H
 
 
 def _step_unitaries(H, dt):
     ev, V = np.linalg.eigh(H)
-    phases = np.exp(-1j * ev * dt)
-    return (V * phases[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    W = V * np.exp(-1j * ev * dt)[..., None, :]
+    # conjugating in place keeps one chunk-sized array fewer alive
+    return W @ np.conjugate(V, out=V).swapaxes(-1, -2)
 
 
 def _ordered_product(Us):
@@ -175,6 +145,35 @@ def _ordered_product(Us):
         else:
             Us = np.matmul(Us[1::2], Us[0::2])
     return Us[0]
+
+
+def propagate(h_stack, t0: float, dt: float, n: int, nbatch: int,
+              dim: int = DIM, record_every: int = 0):
+    """Time-ordered product of n exact steps exp(-i H dt) from t0.
+
+    h_stack(tmid) returns the (m, nbatch, dim, dim) Hamiltonians at the
+    step midpoints tmid. Steps run in chunks of at most 2**20 matrix
+    elements. With record_every > 0 a chunk also ends after every
+    record_every-th step, where the mean qubit-subspace leakage is
+    recorded. Returns (U of shape (nbatch, dim, dim), its largest
+    unitarity defect over the batch, (t, leakage) rows or None).
+    """
+    chunk = max(1, 2**20 // (nbatch * dim**2))
+    U = np.broadcast_to(np.eye(dim, dtype=complex), (nbatch, dim, dim)).copy()
+    rows = []
+    i = 0
+    while i < n:
+        m = min(chunk, n - i)
+        if record_every:
+            m = min(m, record_every - i % record_every)
+        tmid = t0 + (np.arange(i, i + m) + 0.5) * dt
+        Us = _step_unitaries(h_stack(tmid), dt)
+        U = np.matmul(_ordered_product(Us), U)
+        i += m
+        if record_every and i % record_every == 0:
+            rows.append((t0 + i * dt, _mean_leakage(U)))
+    trace = np.array(rows) if rows else None
+    return U, _max_unitarity_defect(U), trace
 
 
 def check_two_photon_resonance(params: SystemParams, schedule: PulseSchedule,
@@ -201,7 +200,7 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
            frame: str = "lab-position", dt: float | None = None,
            include_correction: bool = True, t0: float = 0.0,
            t1: float | None = None, record_leakage: int = 0,
-           check_resonance: bool = False, chunk: int = 16384) -> EvolutionResult:
+           check_resonance: bool = False) -> EvolutionResult:
     """Propagate a schedule from t0 to t1 (default: its full duration).
 
     noise_dE may be a scalar or a 1-D array of quasi-static offsets; with an
@@ -226,75 +225,38 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
 
     n = max(1, int(round((t1 - t0) / dt)))
     dt_eff = (t1 - t0) / n
-    noise = np.asarray(noise_dE, dtype=float)
-    batched = noise.ndim > 0
-    nbatch = noise.size if batched else 1
+    noise = np.atleast_1d(np.asarray(noise_dE, dtype=float))
 
     if frame == "effective":
         from .effective import effective_hamiltonian_batch
-        U = np.broadcast_to(np.eye(DIM, dtype=complex), (nbatch, DIM, DIM)).copy()
-        leak_rows = []
-        sample_every = max(1, n // record_leakage) if record_leakage else 0
-        step = max(1, min(n, 50_000 // nbatch))
-        i = 0
-        while i < n:
-            m = min(step, n - i)
-            tmid = t0 + (np.arange(i, i + m) + 0.5) * dt_eff
-            dE, Ea, Ba = schedule.sample(tmid)
-            dEn = dE[:, None] + np.atleast_1d(noise)[None, :]
-            H = effective_hamiltonian_batch(params, dEn, Ea[:, None], Ba[:, None],
-                                            schedule.omega_E, schedule.omega_B)
-            Us = _step_unitaries(H, dt_eff)
-            if record_leakage:
-                for k in range(m):
-                    U = np.matmul(Us[k], U)
-                    if (i + k + 1) % sample_every == 0:
-                        leak_rows.append((t0 + (i + k + 1) * dt_eff,
-                                          _mean_leakage(U)))
-            else:
-                U = np.matmul(_ordered_product(Us), U)
-            i += m
-        trace = np.array(leak_rows) if leak_rows else None
-        Umat = U if batched else U[0]
-        defect = _max_unitarity_defect(U)
-        return EvolutionResult(OperatorMatrix(Umat, "orbital", "rotating"),
-                               frame, n, defect, schedule, noise_dE, trace)
 
-    # lab frames: chunked vectorized exponentials
-    U = np.broadcast_to(np.eye(DIM, dtype=complex), (nbatch, DIM, DIM)).copy()
-    leak_rows = []
-    sample_every = max(1, n // record_leakage) if record_leakage else 0
-    chunk = max(1, min(chunk, 300_000 // nbatch))
-    i = 0
-    while i < n:
-        m = min(chunk, n - i)
-        tmid = t0 + (np.arange(i, i + m) + 0.5) * dt_eff
-        if frame == "lab-position":
-            H = _position_h_stack(params, schedule, tmid, noise)
-        else:
-            H = _orbital_h_stack(params, schedule, tmid, noise,
-                                 include_correction)
-        Us = _step_unitaries(H, dt_eff)          # (m, S, 8, 8)
-        if record_leakage:
-            for k in range(m):
-                U = np.matmul(Us[k], U)
-                if (i + k + 1) % sample_every == 0:
-                    leak_rows.append((t0 + (i + k + 1) * dt_eff,
-                                      _mean_leakage(U)))
-        else:
-            U = np.matmul(_ordered_product(Us), U)
-        i += m
-    trace = np.array(leak_rows) if leak_rows else None
-    Umat = U if batched else U[0]
-    defect = _max_unitarity_defect(U)
-    basis = "position" if frame == "lab-position" else "orbital"
-    return EvolutionResult(OperatorMatrix(Umat, basis, "lab"),
+        def h_stack(tmid):
+            dE, Ea, Ba = schedule.sample(tmid)
+            return effective_hamiltonian_batch(
+                params, dE[:, None] + noise[None, :], Ea[:, None], Ba[:, None],
+                schedule.omega_E, schedule.omega_B)
+        basis, kind = "orbital", "rotating"
+    elif frame == "lab-position":
+        def h_stack(tmid):
+            return _position_h_stack(params, schedule, tmid, noise)
+        basis, kind = "position", "lab"
+    else:
+        def h_stack(tmid):
+            return _orbital_h_stack(params, schedule, tmid, noise,
+                                    include_correction)
+        basis, kind = "orbital", "lab"
+
+    record_every = max(1, n // record_leakage) if record_leakage else 0
+    U, defect, trace = propagate(h_stack, t0, dt_eff, n, noise.size,
+                                 record_every=record_every)
+    Umat = U if np.ndim(noise_dE) > 0 else U[0]
+    return EvolutionResult(OperatorMatrix(Umat, basis, kind),
                            frame, n, defect, schedule, noise_dE, trace)
 
 
 def _max_unitarity_defect(U):
     prod = np.matmul(np.conj(np.swapaxes(U, -1, -2)), U)
-    return float(np.abs(prod - np.eye(DIM)).max())
+    return float(np.abs(prod - np.eye(U.shape[-1])).max())
 
 
 def _mean_leakage(Ubatch):
@@ -327,14 +289,6 @@ def to_lab_orbital(result: EvolutionResult, params: SystemParams) -> np.ndarray:
     g = frame_generator_diag(params, sched.omega_E, sched.omega_B)
     phase = np.exp(1j * sched.total_time * g)
     return phase[..., :, None] * U
-
-
-def convergence_check(params: SystemParams, schedule: PulseSchedule,
-                      frame: str, dt: float, **kw) -> float:
-    """Operator-norm change of the propagator under dt halving."""
-    r1 = evolve(params, schedule, frame=frame, dt=dt, **kw)
-    r2 = evolve(params, schedule, frame=frame, dt=dt / 2, **kw)
-    return float(np.linalg.norm(r1.propagator.matrix - r2.propagator.matrix, 2))
 
 
 def write_trace(result: EvolutionResult, path) -> None:

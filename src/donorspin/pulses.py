@@ -212,16 +212,6 @@ class Sum(Envelope):
 ZERO = Constant(0.0)
 
 
-def window(t, tau, T):
-    """Cosine window value; functional form of the Window primitive."""
-    return Window(tau, T).value(t)
-
-
-def ramp(t, tau1, y1, tau2, y2, T):
-    """Piecewise-linear ramp value; functional form of the Ramp primitive."""
-    return Ramp(tau1, y1, tau2, y2, T).value(t)
-
-
 # ---------------------------------------------------------------------------
 # envelope (de)serialization: name(arg, ...) with nested envelopes
 _TOKEN = re.compile(r"\s*([a-z]+)\s*\(")

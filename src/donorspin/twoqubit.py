@@ -22,12 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import SystemParams, charge_splitting, orbital_mixing
+from .model import SystemParams, orbital_mixing
 from .operators import (DIM, IDENT, TAU_Z, TAU_P, TAU_M, QUBIT_UP_INDEX,
                         QUBIT_DN_INDEX, frame_generator_diag,
                         interface_projector)
 from .pulses import PulseSchedule, make_cphase_schedule, cphase_drive_frequency, CPHASE_DETUNING
 from .effective import effective_hamiltonian, effective_hamiltonian_batch
+from .gates import idle_frame_block, idle_qubit_frame
+from .propagation import propagate
 
 TWO_PI = 2 * np.pi
 
@@ -251,21 +253,31 @@ def make_coupled_cphase_schedule(layout: TwoQubitLayout, T: float,
                                 omega_E=wE)
 
 
+def _kron(a, b):
+    """Kronecker product of the trailing matrices of a and b, broadcast
+    over their leading axes."""
+    k = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return k.reshape(k.shape[:-4] + (k.shape[-4] * k.shape[-3],
+                                     k.shape[-2] * k.shape[-1]))
+
+
+_EXCHANGE = _kron(TAU_P, TAU_M) + _kron(TAU_M, TAU_P)
+
+
 def _dipole_interaction_rwa(layout: TwoQubitLayout, dEn1, dEn2,
                             include_exchange: bool = True) -> np.ndarray:
     """Rotating-wave-filtered V_dip on the 64-dim product space.
 
     Keeps the static projector parts and, for shared drive frequency, the
     orbital excitation-exchange terms; single-dipole oscillating terms drop.
+    Array-valued fields give a stack of 64x64 matrices.
     """
     V = dipole_coupling_strength(layout)
-    c1, s1 = orbital_mixing(layout.params_1, dEn1)
-    c2, s2 = orbital_mixing(layout.params_2, dEn2)
-    pbar1 = (IDENT + c1 * TAU_Z) / 2
-    pbar2 = (IDENT + c2 * TAU_Z) / 2
-    H = np.kron(pbar1, pbar2)
+    c1, s1 = orbital_mixing(layout.params_1, np.asarray(dEn1)[..., None, None])
+    c2, s2 = orbital_mixing(layout.params_2, np.asarray(dEn2)[..., None, None])
+    H = _kron((IDENT + c1 * TAU_Z) / 2, (IDENT + c2 * TAU_Z) / 2)
     if include_exchange:
-        H = H + (s1 * s2 / 4) * (np.kron(TAU_P, TAU_M) + np.kron(TAU_M, TAU_P))
+        H += (s1 * s2 / 4) * _EXCHANGE
     return V * H
 
 
@@ -275,16 +287,6 @@ class TwoQubitResult:
     report: CphaseReport
     computational_block: np.ndarray  # 4x4 idle-frame block
     unitarity_defect: float
-
-
-def _idle_energies_effective(params, omega_E, omega_B):
-    Hp = effective_hamiltonian(params, params.dE_idle, 0.0, 0.0,
-                               omega_E, omega_B)
-    ev, vec = np.linalg.eigh(Hp)
-    iu = int(np.argmax(np.abs(vec[QUBIT_UP_INDEX, :])))
-    idn = int(np.argmax(np.abs(vec[QUBIT_DN_INDEX, :])))
-    g = frame_generator_diag(params, omega_E, omega_B)
-    return (ev[iu] - g[QUBIT_UP_INDEX], ev[idn] - g[QUBIT_DN_INDEX])
 
 
 def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
@@ -299,14 +301,10 @@ def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
     if abs(schedule_2.total_time - T) > 1e-15:
         raise ValueError("both schedules must share the total time")
     n = max(1, int(round(T / dt)))
-    dt_eff = T / n
-    U = np.eye(64, dtype=complex)
     p1, p2 = layout.params_1, layout.params_2
-    step = 256
-    i = 0
-    while i < n:
-        m = min(step, n - i)
-        tmid = (np.arange(i, i + m) + 0.5) * dt_eff
+    eye = np.eye(DIM)
+
+    def h_stack(tmid):
         dE1, Ea1, Ba1 = schedule_1.sample(tmid)
         dE2, Ea2, Ba2 = schedule_2.sample(tmid)
         H1 = effective_hamiltonian_batch(p1, dE1[:, None] + noise_dE[0],
@@ -315,34 +313,23 @@ def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
         H2 = effective_hamiltonian_batch(p2, dE2[:, None] + noise_dE[1],
                                          Ea2[:, None], Ba2[:, None],
                                          schedule_2.omega_E, schedule_2.omega_B)[:, 0]
-        Hs = np.zeros((m, 64, 64), dtype=complex)
-        eye = np.eye(DIM)
-        for k in range(m):
-            Hs[k] = (np.kron(H1[k], eye) + np.kron(eye, H2[k])
-                     + _dipole_interaction_rwa(layout,
-                                               float(dE1[k] + noise_dE[0]),
-                                               float(dE2[k] + noise_dE[1]),
-                                               include_exchange))
-        ev, Vv = np.linalg.eigh(Hs)
-        Us = np.einsum("nij,nj,nkj->nik", Vv, np.exp(-1j * ev * dt_eff), Vv.conj())
-        for k in range(m):
-            U = Us[k] @ U
-        i += m
+        H = _kron(H1, eye)
+        H += _kron(eye, H2)
+        H += _dipole_interaction_rwa(layout, dE1 + noise_dE[0],
+                                     dE2 + noise_dE[1], include_exchange)
+        return H[:, None]
 
-    defect = float(np.abs(U.conj().T @ U - np.eye(64)).max())
-    # back to the lab frame and the per-qubit idle frames
+    U, defect, _ = propagate(h_stack, 0.0, T / n, n, 1, dim=DIM * DIM)
+    U = U[0]
+    # back to the lab frame and the product of the per-qubit idle frames
     g1 = frame_generator_diag(p1, schedule_1.omega_E, schedule_1.omega_B)
     g2 = frame_generator_diag(p2, schedule_2.omega_E, schedule_2.omega_B)
     g12 = (g1[:, None] + g2[None, :]).ravel()
     U_lab = np.exp(1j * T * g12)[:, None] * U
-    eu1, ed1 = _idle_energies_effective(p1, schedule_1.omega_E, schedule_1.omega_B)
-    eu2, ed2 = _idle_energies_effective(p2, schedule_2.omega_E, schedule_2.omega_B)
-    comp = [QUBIT_UP_INDEX * DIM + QUBIT_UP_INDEX,
-            QUBIT_UP_INDEX * DIM + QUBIT_DN_INDEX,
-            QUBIT_DN_INDEX * DIM + QUBIT_UP_INDEX,
-            QUBIT_DN_INDEX * DIM + QUBIT_DN_INDEX]
-    idle_e = np.array([eu1 + eu2, eu1 + ed2, ed1 + eu2, ed1 + ed2])
-    block = np.diag(np.exp(1j * idle_e * T)) @ U_lab[np.ix_(comp, comp)]
+    e1, b1 = idle_qubit_frame(p1, "effective", schedule_1)
+    e2, b2 = idle_qubit_frame(p2, "effective", schedule_2)
+    block = idle_frame_block(U_lab, (e1[:, None] + e2[None, :]).ravel(),
+                             _kron(b1, b2), T)
     diag = np.diag(block)
     alpha, beta, gamma, delta = np.angle(diag)
     phi = alpha - beta - gamma + delta

@@ -141,6 +141,31 @@ class TestCliRuns:
         assert self._run(["validate", str(man)]) == 2
         assert "manifest error" in capsys.readouterr().err
 
+    def test_non_integer_field_exit_code(self, tmp_path, capsys):
+        man = tmp_path / "m.txt"
+        man.write_text(f"kind = splitting-curve\npoints = 2.5\n"
+                       f"output = {tmp_path / 'curve.txt'}\n")
+        assert self._run(["run", str(man)]) == 2
+        assert "'points'" in capsys.readouterr().err
+
+    def test_rz_noise_full_turn_runs(self, tmp_path):
+        # 2pi reduces to a zero-length pulse; the run makes one full turn
+        man = tmp_path / "m.txt"
+        out = tmp_path / "rzn.txt"
+        man.write_text(f"kind = rz-noise\nangles = 2pi\nsigmas = 10 V/m\n"
+                       f"samples = 2\noutput = {out}\n")
+        assert main(["run", str(man)]) == 0
+        _, data = read_columns(out)
+        assert data.shape == (1, 3)
+        assert 0 <= data[0, 2] < 1e-2
+
+    def test_rz_noise_zero_angle_exit_code(self, tmp_path, capsys):
+        man = tmp_path / "m.txt"
+        man.write_text(f"kind = rz-noise\nangles = 0, pi\nsigmas = 10 V/m\n"
+                       f"output = {tmp_path / 'rzn.txt'}\n")
+        assert self._run(["run", str(man)]) == 2
+        assert "'angles'" in capsys.readouterr().err
+
     def test_rz_angle_curve_runs(self, tmp_path):
         man = tmp_path / "m.txt"
         out = tmp_path / "rz.txt"

@@ -214,6 +214,11 @@ def test_leakage_trace_and_dump(tmp_path):
     assert res.leakage_trace is not None
     assert res.leakage_trace.shape[1] == 2
     assert np.all(res.leakage_trace[:, 1] < 0.6)
+    # each row is the leakage of the propagator evolved up to its time
+    for t_k, lk in res.leakage_trace[[0, len(res.leakage_trace) // 2, -1]]:
+        U = evolve(P, sched, frame="effective", dt=0.1e-9,
+                   t1=t_k).propagator.matrix
+        assert abs(lk - leakage(U, QUBIT_INDICES)) < 1e-12
     from donorspin.propagation import write_trace
     out = tmp_path / "trace.txt"
     write_trace(res, out)

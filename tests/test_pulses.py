@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from donorspin.model import TWO_PI, SystemParams, charge_splitting
 from donorspin.pulses import (Window, Ramp, Constant, Scaled, Squared,
-                              Shifted, Sum, window, ramp, parse_envelope,
+                              Shifted, Sum, parse_envelope,
                               PulseSchedule, make_rz_schedule,
                               make_rx_sweep_schedule, make_naive_rx_schedule,
                               make_cphase_schedule, make_echo_rz_schedule,
@@ -16,16 +16,16 @@ P = SystemParams()
 
 class TestWindow:
     def test_case_boundaries(self):
-        assert window(0.0, 1.0, 10.0) == 0.0
-        assert window(1.0, 1.0, 10.0) == 1.0
-        assert window(10.0, 1.0, 10.0) == 0.0
+        assert Window(1.0, 10.0)(0.0) == 0.0
+        assert Window(1.0, 10.0)(1.0) == 1.0
+        assert Window(1.0, 10.0)(10.0) == 0.0
 
     def test_half_rise(self):
-        assert window(0.5, 1.0, 10.0) == pytest.approx(0.5)
+        assert Window(1.0, 10.0)(0.5) == pytest.approx(0.5)
 
     def test_outside_support(self):
-        assert window(-0.1, 1.0, 10.0) == 0.0
-        assert window(10.1, 1.0, 10.0) == 0.0
+        assert Window(1.0, 10.0)(-0.1) == 0.0
+        assert Window(1.0, 10.0)(10.1) == 0.0
 
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
@@ -35,7 +35,7 @@ class TestWindow:
 
     @given(st.floats(-1, 11))
     def test_bounded(self, t):
-        assert 0.0 <= window(t, 2.0, 10.0) <= 1.0
+        assert 0.0 <= Window(2.0, 10.0)(t) <= 1.0
 
     def test_smooth_junctions(self):
         # continuously differentiable where the cosine ramps meet the flat top
@@ -57,15 +57,15 @@ class TestWindow:
 
 class TestRamp:
     def test_segment_endpoints(self):
-        assert ramp(2.0, 2.0, 5.0, 7.0, -3.0, 10.0) == pytest.approx(5.0)
-        assert ramp(7.0, 2.0, 5.0, 7.0, -3.0, 10.0) == pytest.approx(-3.0)
+        assert Ramp(2.0, 5.0, 7.0, -3.0, 10.0)(2.0) == pytest.approx(5.0)
+        assert Ramp(2.0, 5.0, 7.0, -3.0, 10.0)(7.0) == pytest.approx(-3.0)
 
     def test_midpoint_linear(self):
-        assert ramp(4.5, 2.0, 5.0, 7.0, -3.0, 10.0) == pytest.approx(1.0)
+        assert Ramp(2.0, 5.0, 7.0, -3.0, 10.0)(4.5) == pytest.approx(1.0)
 
     def test_boundaries_zero(self):
-        assert ramp(0.0, 2.0, 5.0, 7.0, -3.0, 10.0) == 0.0
-        assert ramp(10.0, 2.0, 5.0, 7.0, -3.0, 10.0) == pytest.approx(0.0)
+        assert Ramp(2.0, 5.0, 7.0, -3.0, 10.0)(0.0) == 0.0
+        assert Ramp(2.0, 5.0, 7.0, -3.0, 10.0)(10.0) == pytest.approx(0.0)
 
     def test_rejects_nonmonotone_breakpoints(self):
         with pytest.raises(ValueError):

@@ -182,6 +182,15 @@ class TestTwoQubitSimulation:
         wrapped = (np.angle(diag[3]) - rep.phi + np.pi) % (2 * np.pi) - np.pi
         assert abs(wrapped) < 1e-6
 
+    def test_oracle_phase_at_cz_root(self):
+        # the 64-dim oracle at the 500 nm quadrature root, zero offsets; it
+        # flags its nonadiabaticity there
+        sched = make_cphase_schedule(P, 414.0648784801715e-9)
+        with pytest.warns(UserWarning, match="nonadiabaticity"):
+            sim = simulate_two_qubit(LAYOUT, sched, dt=0.1e-9)
+        assert sim.report.phi == pytest.approx(-3.753216686320, abs=1e-9)
+        assert sim.unitarity_defect < 1e-10
+
 
 def test_cz_duration_search_brackets():
     t_cz = cz_duration_search(LAYOUT, 120e-9, 740e-9, n_samples=200)
