@@ -12,7 +12,6 @@ from .pulses import (PulseSchedule, make_rz_schedule,
 from .propagation import (OperatorMatrix, EvolutionResult, evolve, leakage,
                           lab_hamiltonian)
 from .effective import (rwa_hamiltonian, frequency_components,
-                        floquet_hamiltonian, schrieffer_wolff,
                         effective_hamiltonian, NearDegeneracyError)
 from .gates import (QubitGate, EulerAngles, euler_decompose, gate_infidelity,
                     extract_qubit_gate, predict_rz_angle, NoiseModel,

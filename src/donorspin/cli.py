@@ -15,26 +15,97 @@ from .io import (ManifestError, parse_keyvalues, parse_quantity, parse_angle,
                  parse_list, load_params, format_params, write_columns,
                  _TIME_UNITS, _EFIELD_UNITS, _FREQ_UNITS, _LENGTH_UNITS)
 from .model import (TWO_PI, SystemParams, qubit_splitting_approx)
-from .pulses import make_rz_schedule, idle_frequencies
-from .propagation import lab_hamiltonian
+from .pulses import make_cphase_schedule, make_rz_schedule, idle_frequencies
+from .propagation import FRAMES, lab_hamiltonian
 from .gates import (predict_rz_angle, simulate_rz_angle, rz_duration_for_angle,
                     NoiseModel, run_noise_monte_carlo, rz_matrix,
                     calibrate_lambda, build_corrected_rx, build_sweep_echo_rx)
 from .effective import hprime_text
-from .twoqubit import (TwoQubitLayout, cphase_angle, cz_duration_search,
-                       make_coupled_cphase_schedule)
+from .twoqubit import TwoQubitLayout, cphase_angle, cz_duration_search
 
 EXPERIMENTS = {}
+REQUIRED = object()         # default of a field the manifest must set
 
 
-def experiment(kind, required, optional=()):
+# field parsers: (text, field name) -> value, raising ManifestError
+
+def _integer(minimum):
+    def parse(text, key):
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise ManifestError(f"field {key!r}: expected an integer, got "
+                                f"{text!r}") from exc
+        if value < minimum:
+            raise ManifestError(f"field {key!r}: must be at least {minimum}, "
+                                f"got {value}")
+        return value
+    return parse
+
+
+def _quantity(units, above=None, at_least=None):
+    def parse(text, key):
+        value = parse_quantity(text, units, key)
+        if above is not None and not value > above:
+            raise ManifestError(f"field {key!r}: must be above {above:g}, "
+                                f"got {text!r}")
+        if at_least is not None and not value >= at_least:
+            raise ManifestError(f"field {key!r}: must be at least "
+                                f"{at_least:g}, got {text!r}")
+        return value
+    return parse
+
+
+def _quantities(units, **limits):
+    return lambda text, key: parse_list(text, _quantity(units, **limits), key)
+
+
+def _angles(text, key):
+    return parse_list(text, parse_angle, key)
+
+
+def _rz_angles(text, key):
+    angles = _angles(text, key)
+    if 0.0 in angles:
+        raise ManifestError(f"field {key!r}: an angle of 0 has no Rz pulse")
+    return angles
+
+
+def _name(*allowed):
+    def parse(text, key):
+        if text not in allowed:
+            raise ManifestError(f"field {key!r}: {text!r} is not one of "
+                                f"{list(allowed)}")
+        return text
+    return parse
+
+
+def _names(*allowed):
+    return lambda text, key: parse_list(text, _name(*allowed), key)
+
+
+def _flag(text, key):
+    value = text.lower()
+    if value not in ("yes", "true", "1", "no", "false", "0"):
+        raise ManifestError(f"field {key!r}: expected yes or no, got {text!r}")
+    return value in ("yes", "true", "1")
+
+
+COMMON_FIELDS = {"seed": (_integer(0), 0)}
+
+
+def experiment(kind, **fields):
+    """Register an experiment with its manifest fields, each given as
+    name=(parser, default); a default of REQUIRED makes the field required."""
     def wrap(fn):
-        EXPERIMENTS[kind] = (fn, tuple(required), tuple(optional))
+        EXPERIMENTS[kind] = (fn, {**COMMON_FIELDS, **fields})
         return fn
     return wrap
 
 
 class Manifest:
+    """A manifest whose fields are parsed and range-checked at load."""
+
     def __init__(self, raw: dict):
         self.raw = dict(raw)
         kind = raw.get("kind")
@@ -43,43 +114,29 @@ class Manifest:
                 f"kind = {kind!r} is not an experiment "
                 f"(known: {sorted(EXPERIMENTS)})")
         self.kind = kind
-        _, required, optional = EXPERIMENTS[kind]
-        base = {"kind", "output", "seed", "params_file"}
-        for key in required:
-            if key not in raw:
-                raise ManifestError(f"manifest for {kind!r} is missing "
-                                    f"required field {key!r}")
+        _, fields = EXPERIMENTS[kind]
         for key in raw:
-            if key not in base and key not in required and key not in optional:
+            if key not in fields and key not in ("kind", "output",
+                                                 "params_file"):
                 raise ManifestError(f"unknown manifest field {key!r} for "
                                     f"kind {kind!r}")
+        self.values = {}
+        for key, (parse, default) in fields.items():
+            if key in raw:
+                self.values[key] = parse(raw[key], key)
+            elif default is REQUIRED:
+                raise ManifestError(f"manifest for {kind!r} is missing "
+                                    f"required field {key!r}")
+            else:
+                self.values[key] = default
         if "output" not in raw:
             raise ManifestError("manifest is missing required field 'output'")
         self.output = raw["output"]
-        self.seed = self.integer("seed", 0)
         self.params = (load_params(raw["params_file"])
                        if "params_file" in raw else SystemParams())
 
-    def quantity(self, key, units, default=None):
-        if key not in self.raw:
-            return default
-        return parse_quantity(self.raw[key], units, key)
-
-    def angle_list(self, key):
-        return parse_list(self.raw[key], parse_angle, key)
-
-    def number_list(self, key, units):
-        return parse_list(self.raw[key],
-                          lambda t, f: parse_quantity(t, units, f), key)
-
-    def integer(self, key, default=None):
-        if key not in self.raw:
-            return default
-        try:
-            return int(self.raw[key])
-        except ValueError as exc:
-            raise ManifestError(f"field {key!r}: expected an integer, got "
-                                f"{self.raw[key]!r}") from exc
+    def __getitem__(self, key):
+        return self.values[key]
 
     def provenance(self) -> dict:
         out = {"donorspin_version": __version__}
@@ -93,12 +150,11 @@ def load_manifest(path: str) -> Manifest:
         return Manifest(parse_keyvalues(fh.read()))
 
 
-@experiment("splitting-curve", required=("points",),
-            optional=("dE_min", "dE_max"))
+@experiment("splitting-curve", points=(_integer(1), REQUIRED),
+            dE_min=(_quantity(_EFIELD_UNITS), -2e4),
+            dE_max=(_quantity(_EFIELD_UNITS), 2e4))
 def run_splitting_curve(m: Manifest):
-    lo = m.quantity("dE_min", _EFIELD_UNITS, -2e4)
-    hi = m.quantity("dE_max", _EFIELD_UNITS, 2e4)
-    grid = np.linspace(lo, hi, m.integer("points"))
+    grid = np.linspace(m["dE_min"], m["dE_max"], m["points"])
     params = m.params
 
     def one(dE):
@@ -115,18 +171,17 @@ def run_splitting_curve(m: Manifest):
     return f"max |exact - approx| = {gap / TWO_PI / 1e6:.4f} MHz"
 
 
-@experiment("rz-angle-curve", required=("points",),
-            optional=("t_min", "t_max", "frame"))
+@experiment("rz-angle-curve", points=(_integer(1), REQUIRED),
+            t_min=(_quantity(_TIME_UNITS, above=0.0), 2e-9),
+            t_max=(_quantity(_TIME_UNITS, above=0.0), 25e-9),
+            frame=(_name(*FRAMES), "effective"))
 def run_rz_angle_curve(m: Manifest):
-    lo = m.quantity("t_min", _TIME_UNITS, 2e-9)
-    hi = m.quantity("t_max", _TIME_UNITS, 25e-9)
-    frame = m.raw.get("frame", "effective")
-    grid = np.linspace(lo, hi, m.integer("points"))
+    grid = np.linspace(m["t_min"], m["t_max"], m["points"])
     params = m.params
 
     def one(T):
         pred, _ = predict_rz_angle(params, T)
-        sim = simulate_rz_angle(params, T, frame=frame)
+        sim = simulate_rz_angle(params, T, frame=m["frame"])
         return T, sim, pred
 
     rows = [one(T) for T in grid]
@@ -136,18 +191,13 @@ def run_rz_angle_curve(m: Manifest):
     return f"max angle gap = {gap:.4f} rad"
 
 
-@experiment("rz-noise", required=("angles", "sigmas"),
-            optional=("samples", "frame"))
+@experiment("rz-noise", angles=(_rz_angles, REQUIRED),
+            sigmas=(_quantities(_EFIELD_UNITS, at_least=0.0), REQUIRED),
+            samples=(_integer(1), 200), frame=(_name(*FRAMES), "effective"))
 def run_rz_noise(m: Manifest):
-    angles = m.angle_list("angles")
-    sigmas = m.number_list("sigmas", _EFIELD_UNITS)
-    samples = m.integer("samples", 200)
-    frame = m.raw.get("frame", "effective")
-    params = m.params
-    if 0.0 in angles:
-        raise ManifestError("field 'angles': an angle of 0 has no Rz pulse")
+    params, frame = m.params, m["frame"]
     rows = []
-    for theta in angles:
+    for theta in m["angles"]:
         T = rz_duration_for_angle(params, theta, frame=frame)
         if T == 0.0:
             # a nonzero multiple of 2pi: one physical full turn, not T = 0
@@ -155,8 +205,8 @@ def run_rz_noise(m: Manifest):
                                       unreduced=True)
         sched = make_rz_schedule(params, T)
         target = rz_matrix(theta)
-        for sigma in sigmas:
-            model = NoiseModel(sigma, samples, m.seed)
+        for sigma in m["sigmas"]:
+            model = NoiseModel(sigma, m["samples"], m["seed"])
             mc = run_noise_monte_carlo(params, sched, target, model, frame)
             rows.append((theta, sigma, mc.mean_infidelity))
     write_columns(m.output, m.provenance(),
@@ -167,16 +217,13 @@ def run_rz_noise(m: Manifest):
 def _rx_noise_common(m: Manifest, variants):
     from .gates import naive_maker
     from .pulses import make_rx_sweep_schedule
-    thetas = m.angle_list("thetas")
-    sigmas = m.number_list("sigmas", _EFIELD_UNITS)
-    samples = m.integer("samples", 200)
     params = m.params
     sweep_cal = calibrate_lambda(
         params, lambda p, lam: make_rx_sweep_schedule(p, lam))
     naive_cal = None
     rows = []
     for variant in variants:
-        for theta in thetas:
+        for theta in m["thetas"]:
             if variant == "sweep-echo":
                 gate = build_sweep_echo_rx(params, theta, sweep_cal)
             elif variant == "naive":
@@ -189,8 +236,8 @@ def _rx_noise_common(m: Manifest, variants):
             else:
                 gate = build_corrected_rx(params, theta, sweep_cal,
                                           variant="sweep")
-            for sigma in sigmas:
-                model = NoiseModel(sigma, samples, m.seed)
+            for sigma in m["sigmas"]:
+                model = NoiseModel(sigma, m["samples"], m["seed"])
                 mc = run_noise_monte_carlo(params, gate.segments, gate.target,
                                            model, dt=0.2e-9)
                 rows.append((float(variants.index(variant)), theta, sigma,
@@ -198,10 +245,17 @@ def _rx_noise_common(m: Manifest, variants):
     return rows
 
 
-@experiment("rx-noise", required=("thetas", "sigmas"),
-            optional=("samples", "variants"))
+_RX_NOISE_FIELDS = dict(
+    thetas=(_angles, REQUIRED),
+    sigmas=(_quantities(_EFIELD_UNITS, at_least=0.0), REQUIRED),
+    samples=(_integer(1), 200))
+
+
+@experiment("rx-noise", **_RX_NOISE_FIELDS,
+            variants=(_names("naive", "sweep", "sweep-echo"),
+                      ["naive", "sweep"]))
 def run_rx_noise(m: Manifest):
-    variants = [v.strip() for v in m.raw.get("variants", "naive,sweep").split(",")]
+    variants = m["variants"]
     rows = _rx_noise_common(m, variants)
     write_columns(m.output, m.provenance(),
                   ("variant_index", "theta_rad", "sigma_V_per_m",
@@ -209,8 +263,7 @@ def run_rx_noise(m: Manifest):
     return f"variants {variants}, {len(rows)} grid points"
 
 
-@experiment("sweep-echo-noise", required=("thetas", "sigmas"),
-            optional=("samples",))
+@experiment("sweep-echo-noise", **_RX_NOISE_FIELDS)
 def run_sweep_echo_noise(m: Manifest):
     rows = _rx_noise_common(m, ["sweep-echo"])
     write_columns(m.output, m.provenance(),
@@ -219,42 +272,42 @@ def run_sweep_echo_noise(m: Manifest):
     return f"{len(rows)} grid points"
 
 
-@experiment("cphase-curve", required=("points",),
-            optional=("t_min", "t_max", "separation", "find_cz"))
+@experiment("cphase-curve", points=(_integer(1), REQUIRED),
+            t_min=(_quantity(_TIME_UNITS, above=0.0), 100e-9),
+            t_max=(_quantity(_TIME_UNITS, above=0.0), 750e-9),
+            separation=(_quantity(_LENGTH_UNITS, above=0.0), 5e-7),
+            find_cz=(_flag, False))
 def run_cphase_curve(m: Manifest):
-    lo = m.quantity("t_min", _TIME_UNITS, 100e-9)
-    hi = m.quantity("t_max", _TIME_UNITS, 750e-9)
-    sep = m.quantity("separation", _LENGTH_UNITS, 5e-7)
-    layout = TwoQubitLayout(separation_r=sep, params_1=m.params,
+    lo, hi = m["t_min"], m["t_max"]
+    layout = TwoQubitLayout(separation_r=m["separation"], params_1=m.params,
                             params_2=m.params)
-    grid = np.linspace(lo, hi, m.integer("points"))
 
     def one(T):
-        sched = make_coupled_cphase_schedule(layout, T)
-        rep = cphase_angle(layout, sched)
+        rep = cphase_angle(layout, make_cphase_schedule(m.params, T))
         return T, abs(rep.phi), rep.nonadiabaticity
 
-    rows = [one(T) for T in grid]
+    rows = [one(T) for T in np.linspace(lo, hi, m["points"])]
     write_columns(m.output, m.provenance(),
                   ("T_s", "abs_phi_rad", "nonadiabaticity"), rows)
     note = f"{len(rows)} durations"
-    if m.raw.get("find_cz", "no").lower() in ("yes", "true", "1"):
+    if m["find_cz"]:
         t_cz = cz_duration_search(layout, lo, hi)
         note += f"; |phi| = pi at T = {t_cz * 1e9:.2f} ns"
     return note
 
 
-@experiment("hprime-dump", required=(),
-            optional=("dE", "Ea", "Ba", "omega_E", "omega_B"))
+@experiment("hprime-dump", dE=(_quantity(_EFIELD_UNITS), None),
+            Ea=(_quantity(_EFIELD_UNITS), 0.0),
+            Ba=(_quantity({"t": 1.0, "mt": 1e-3}), 0.0),
+            omega_E=(_quantity(_FREQ_UNITS), None),
+            omega_B=(_quantity(_FREQ_UNITS), None))
 def run_hprime_dump(m: Manifest):
     params = m.params
     wE0, wB0 = idle_frequencies(params)
-    dE = m.quantity("dE", _EFIELD_UNITS, params.dE_idle)
-    Ea = m.quantity("Ea", _EFIELD_UNITS, 0.0)
-    Ba = m.quantity("Ba", {"t": 1.0, "mt": 1e-3}, 0.0)
-    wE = m.quantity("omega_E", _FREQ_UNITS, wE0)
-    wB = m.quantity("omega_B", _FREQ_UNITS, wB0)
-    text = hprime_text(params, dE, Ea, Ba, wE, wB)
+    dE = params.dE_idle if m["dE"] is None else m["dE"]
+    wE = wE0 if m["omega_E"] is None else m["omega_E"]
+    wB = wB0 if m["omega_B"] is None else m["omega_B"]
+    text = hprime_text(params, dE, m["Ea"], m["Ba"], wE, wB)
     with open(m.output, "w") as fh:
         for key, value in m.provenance().items():
             fh.write(f"# {key} = {value}\n")
@@ -281,9 +334,10 @@ def main(argv=None) -> int:
 
     try:
         if args.verb == "list-experiments":
-            for kind, (_, required, optional) in sorted(EXPERIMENTS.items()):
-                print(f"{kind}: required {list(required)}, "
-                      f"optional {list(optional)}")
+            for kind, (_, fields) in sorted(EXPERIMENTS.items()):
+                required = [k for k, (_, d) in fields.items() if d is REQUIRED]
+                optional = [k for k in fields if k not in required]
+                print(f"{kind}: required {required}, optional {optional}")
             return 0
         if args.verb == "validate":
             load_manifest(args.manifest)
@@ -300,7 +354,7 @@ def main(argv=None) -> int:
             print(note)
             return 0
         manifest = load_manifest(args.manifest)
-        fn, _, _ = EXPERIMENTS[manifest.kind]
+        fn, _ = EXPERIMENTS[manifest.kind]
         note = fn(manifest)
         print(f"{manifest.kind}: {note} -> {manifest.output}")
         return 0

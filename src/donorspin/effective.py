@@ -6,10 +6,12 @@ In the frame Lambda_rot = exp[-i t G] with G = wE (tau_z/2 + Iz)
 
     H~(t) = C_0 + sum_j [ C_j exp(-i w_j t) + C_j^dag exp(+i w_j t) ].
 
-A 72x72 multi-frequency Floquet matrix (nine blocks, one order per
+The 72x72 multi-frequency Floquet matrix (nine blocks, one order per
 frequency) reduces to its central 8x8 block through second-order
 quasi-degenerate perturbation theory, giving the static effective
-Hamiltonian H' that drives the fast simulation path.
+Hamiltonian H' that drives the fast simulation path. `effective_hamiltonian`
+computes that block straight from the harmonics; the full 72x72 build is
+kept as a test oracle (tests/floquet_oracle.py).
 
 The harmonic attached to the block coupling row r to column c converts a
 column-block state rotating at shift s_c into a row-block one at s_r, i.e.
@@ -33,10 +35,10 @@ from .operators import (DIM, TAU_Z, TAU_X, TAU_P, S_Z, S_X, S_M, I_Z, I_M,
 
 # harmonic labels as integer (nE, nB) pairs: frequency = nE*wE + nB*wB
 COMPONENT_LABELS = ((1, 0), (2, 0), (0, 2), (-1, 2))
-# diagonal-block shifts of the nine-block Floquet matrix
+# diagonal-block shifts of the nine-block Floquet matrix; (0, 0) is the
+# central (target) block
 BLOCK_SHIFTS = ((-2, 0), (0, -2), (-1, 0), (1, -2), (0, 0),
                 (-1, 2), (1, 0), (0, 2), (2, 0))
-CENTRAL_BLOCK = 4
 DEGENERACY_GUARD = 2 * np.pi * 10e6       # rad/s
 COUPLING_FLOOR = 2 * np.pi * 1e-3         # ignore couplings below ~mHz
 
@@ -55,14 +57,6 @@ class FrequencyComponent:
     label: tuple            # (nE, nB)
     frequency: float        # rad/s
     matrix: np.ndarray      # coefficient of exp(-i*frequency*t)
-
-
-@dataclass(frozen=True)
-class FloquetBlock:
-    floquet_matrix: np.ndarray          # 72x72
-    shift_frequencies: np.ndarray       # 9 diagonal shifts, rad/s
-    target_block: int
-    effective_hamiltonian: np.ndarray   # 8x8 H'
 
 
 # fixed operator stacks; comp0 terms are Hermitian, harmonic terms are not
@@ -101,11 +95,15 @@ _SUPPORTS = {label: (np.abs(stack).sum(axis=0) > 1e-12)
 _SUPPORTS_DAG = {label: supp.T for label, supp in _SUPPORTS.items()}
 
 
-def _mixing(params: SystemParams, dEn):
-    dEn = np.asarray(dEn, dtype=float)
+def _samples(params: SystemParams, dE, Ea, Ba, noise_dE):
+    """Broadcast envelope samples; returns (e0, c, s, dE + noise, Ea, Ba)."""
+    dEn = np.asarray(dE, dtype=float) + noise_dE
     e0 = charge_splitting(params, dEn)
-    x = params.de_over_hbar * dEn
-    return e0, x / e0, params.Vt / e0
+    shape = np.broadcast_shapes(e0.shape, np.shape(Ea), np.shape(Ba))
+    c = params.de_over_hbar * dEn / e0
+    s = params.Vt / e0
+    return tuple(np.broadcast_to(np.asarray(a, dtype=float), shape)
+                 for a in (e0, c, s, dEn, Ea, Ba))
 
 
 def _coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B):
@@ -152,14 +150,9 @@ def rwa_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
                     noise_dE=0.0, warn: bool = False):
     """Static rotating-frame Hamiltonian H~0 (instantaneous envelopes).
 
-    Broadcasts over leading array dimensions of dE/Ea/Ba.
+    Broadcasts over leading array dimensions of dE + noise_dE, Ea and Ba.
     """
-    dEn = np.asarray(dE, dtype=float) + noise_dE
-    e0, c, s = _mixing(params, dEn)
-    sh = np.broadcast(e0, np.asarray(Ea, float), np.asarray(Ba, float))
-    e0, c, s = (np.broadcast_to(a, sh.shape) for a in (e0, c, s))
-    Ea = np.broadcast_to(np.asarray(Ea, float), sh.shape)
-    Ba = np.broadcast_to(np.asarray(Ba, float), sh.shape)
+    e0, c, s, _, Ea, Ba = _samples(params, dE, Ea, Ba, noise_dE)
     if warn:
         scale = np.max(e0) / 10
         if np.max(np.abs(e0 - omega_E)) > scale or \
@@ -177,134 +170,39 @@ def frequency_components(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
     Each returned matrix multiplies exp(-i*frequency*t); negative-frequency
     harmonics are the Hermitian conjugates.
     """
-    dEn = np.asarray(dE, dtype=float) + noise_dE
-    e0, c, s = _mixing(params, dEn)
-    sh = np.broadcast(e0, np.asarray(Ea, float), np.asarray(Ba, float))
-    e0, c, s, dEn = (np.broadcast_to(a, sh.shape) for a in (e0, c, s, dEn))
-    Ea = np.broadcast_to(np.asarray(Ea, float), sh.shape)
-    Ba = np.broadcast_to(np.asarray(Ba, float), sh.shape)
-    coeffs = _coeffs_harmonics(params, e0, c, s, dEn, Ea, Ba)
-    out = []
-    for label in COMPONENT_LABELS:
-        freq = label[0] * omega_E + label[1] * omega_B
-        out.append(FrequencyComponent(label, freq,
-                                      _assemble(coeffs[label],
-                                                _OP_STACKS[label])))
-    return out
+    coeffs = _coeffs_harmonics(params, *_samples(params, dE, Ea, Ba, noise_dE))
+    return [FrequencyComponent(label, label[0] * omega_E + label[1] * omega_B,
+                               _assemble(coeffs[label], _OP_STACKS[label]))
+            for label in COMPONENT_LABELS]
 
 
-def reconstruct_rotating_hamiltonian(params: SystemParams, dE, Ea, Ba,
-                                     omega_E, omega_B, t, noise_dE=0.0):
-    """Sum the harmonics back into the exact rotating-frame Hamiltonian."""
-    H = rwa_hamiltonian(params, dE, Ea, Ba, omega_E, omega_B, noise_dE)
-    for comp in frequency_components(params, dE, Ea, Ba, omega_E, omega_B,
-                                     noise_dE):
-        phase = np.exp(-1j * comp.frequency * t)
-        H = H + comp.matrix * phase + comp.matrix.conj().swapaxes(-1, -2) / phase
-    return H
+def effective_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
+                          noise_dE=0.0, guard: float = DEGENERACY_GUARD):
+    """H' for instantaneous envelope values, broadcast over dE + noise_dE,
+    Ea and Ba (scalar inputs give one 8x8 matrix).
 
-
-def exact_rotating_hamiltonian(params: SystemParams, schedule, t,
-                               noise_dE=0.0):
-    """Independent construction Lam H Lam^dag - i Lam dLam/dt^dag."""
-    from .operators import frame_generator_diag
-    from .propagation import lab_hamiltonian
-    H = lab_hamiltonian(params, schedule, t, noise_dE, basis="orbital").matrix
-    g = frame_generator_diag(params, schedule.omega_E, schedule.omega_B)
-    phase = np.exp(-1j * t * g)
-    return phase[:, None] * H * phase.conj()[None, :] + np.diag(g)
-
-
-def floquet_hamiltonian(components, comp0, omega_E, omega_B):
-    """Assemble the 72x72 truncated multi-frequency Floquet matrix."""
-    lookup = {comp.label: comp.matrix for comp in components}
-    HF = np.zeros(np.shape(comp0)[:-2] + (9 * DIM, 9 * DIM), dtype=complex)
-    shifts = []
-    for r, (nE, nB) in enumerate(BLOCK_SHIFTS):
-        w_r = nE * omega_E + nB * omega_B
-        shifts.append(w_r)
-        HF[..., DIM*r:DIM*(r+1), DIM*r:DIM*(r+1)] = comp0 + w_r * np.eye(DIM)
-        for cc, (mE, mB) in enumerate(BLOCK_SHIFTS):
-            if r == cc:
-                continue
-            diff = (mE - nE, mB - nB)       # s_c - s_r
-            if diff in lookup:
-                HF[..., DIM*r:DIM*(r+1), DIM*cc:DIM*(cc+1)] = lookup[diff]
-            elif (-diff[0], -diff[1]) in lookup:
-                HF[..., DIM*r:DIM*(r+1), DIM*cc:DIM*(cc+1)] = \
-                    lookup[(-diff[0], -diff[1])].conj().swapaxes(-1, -2)
-    return HF, np.array(shifts)
-
-
-_EXT = np.r_[0:DIM*CENTRAL_BLOCK, DIM*(CENTRAL_BLOCK+1):9*DIM]
-_TGT = np.r_[DIM*CENTRAL_BLOCK:DIM*(CENTRAL_BLOCK+1)]
-
-
-def schrieffer_wolff(HF: np.ndarray, guard: float = DEGENERACY_GUARD) -> np.ndarray:
-    """Second-order reduction of a full Floquet matrix to its central block.
-
-    H'_{mm'} = H~0_{mm'} + (1/2) sum_l V_{ml} V*_{m'l} [1/(E_m - E_l)
-    + 1/(E_m' - E_l)] with E the full Floquet diagonal and l running over
-    the 64 exterior states. Raises NearDegeneracyError when an exterior
-    state with non-negligible coupling sits within `guard` of the block.
+    The second-order reduction of the central Floquet block, built straight
+    from the harmonics: only the central-row blocks and the diagonal shifts
+    contribute there, so no 72x72 matrix is formed. Raises
+    NearDegeneracyError when a coupled state of a shifted block lies within
+    `guard` of the target block.
     """
-    E = np.real(HF[..., np.arange(9*DIM), np.arange(9*DIM)])
-    V = HF[..., _TGT, :][..., :, _EXT]                 # (..., 8, 64)
-    Em = E[..., _TGT]
-    El = E[..., _EXT]
-    gap = Em[..., :, None] - El[..., None, :]
-    coupled = np.abs(V) > COUPLING_FLOOR
-    if guard and bool(np.any(coupled & (np.abs(gap) < guard))):
-        bad = np.argwhere(coupled & (np.abs(gap) < guard))
-        m, l = int(bad[0][-2]), int(bad[0][-1])
-        raise NearDegeneracyError(
-            f"Floquet state {l} lies within the degeneracy guard of target "
-            f"state {BASIS_LABELS[m]}; the perturbative reduction is "
-            "invalid here")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Dmat = np.where(coupled, 1.0 / np.where(coupled, gap, 1.0), 0.0)
-    VD = V * Dmat
-    H2 = 0.5 * (VD @ V.conj().swapaxes(-1, -2)
-                + V @ VD.conj().swapaxes(-1, -2))
-    H0 = HF[..., _TGT, :][..., :, _TGT]
-    return H0 + H2
-
-
-def build_floquet_block(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
-                        noise_dE=0.0, guard: float = DEGENERACY_GUARD) -> FloquetBlock:
-    comp0 = rwa_hamiltonian(params, dE, Ea, Ba, omega_E, omega_B, noise_dE)
-    comps = frequency_components(params, dE, Ea, Ba, omega_E, omega_B, noise_dE)
-    HF, shifts = floquet_hamiltonian(comps, comp0, omega_E, omega_B)
-    Hp = schrieffer_wolff(HF, guard)
-    return FloquetBlock(HF, shifts, CENTRAL_BLOCK, Hp)
-
-
-def _effective_from_coeffs(comp0, harm_coeffs, omega_E, omega_B, guard):
-    """Central-block H' straight from the harmonics (no 72x72 matrix).
-
-    Equals the central block of schrieffer_wolff(floquet_hamiltonian(...)):
-    only the central-row blocks and the diagonal shifts contribute there.
-    """
+    e0, c, s, dEn, Ea, Ba = _samples(params, dE, Ea, Ba, noise_dE)
+    comp0 = _assemble(_coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B),
+                      _M0)
+    harm = _coeffs_harmonics(params, e0, c, s, dEn, Ea, Ba)
     diag0 = np.real(comp0[..., np.arange(DIM), np.arange(DIM)])
-    Vmats = {}
-    for label in COMPONENT_LABELS:
-        coeffs = harm_coeffs[label]
-        if np.abs(coeffs).max() < COUPLING_FLOOR:
-            Vmats[label] = None
-            continue
-        Vmats[label] = _assemble(coeffs, _OP_STACKS[label])
+    Vmats = {label: _assemble(coeffs, _OP_STACKS[label])
+             for label, coeffs in harm.items()
+             if np.abs(coeffs).max() >= COUPLING_FLOOR}
     acc = np.zeros_like(comp0)
     for (nE, nB) in BLOCK_SHIFTS:
-        if nE == 0 and nB == 0:
-            continue
-        pos = (nE, nB) if (nE, nB) in Vmats else None
-        neg = (-nE, -nB) if (-nE, -nB) in Vmats else None
-        if pos is not None:
-            V, supp = Vmats[pos], _SUPPORTS[pos]
+        if (nE, nB) in Vmats:
+            V, supp = Vmats[(nE, nB)], _SUPPORTS[(nE, nB)]
+        elif (-nE, -nB) in Vmats:
+            V = Vmats[(-nE, -nB)].conj().swapaxes(-1, -2)
+            supp = _SUPPORTS_DAG[(-nE, -nB)]
         else:
-            V, supp = Vmats[neg], _SUPPORTS_DAG[neg]
-            V = None if V is None else V.conj().swapaxes(-1, -2)
-        if V is None:
             continue
         shift = nE * omega_E + nB * omega_B
         gap = diag0[..., :, None] - (diag0[..., None, :] + shift)
@@ -319,33 +217,6 @@ def _effective_from_coeffs(comp0, harm_coeffs, omega_E, omega_B, guard):
         acc = acc + (V * D) @ V.conj().swapaxes(-1, -2)
     H2 = 0.5 * (acc + acc.conj().swapaxes(-1, -2))
     return comp0 + H2
-
-
-def effective_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
-                          noise_dE=0.0, guard: float = DEGENERACY_GUARD):
-    """H' for instantaneous envelope values (scalar inputs -> 8x8)."""
-    return effective_hamiltonian_batch(params,
-                                       np.asarray(dE, float) + noise_dE,
-                                       Ea, Ba, omega_E, omega_B, guard)
-
-
-def effective_hamiltonian_batch(params: SystemParams, dEn, Ea, Ba,
-                                omega_E, omega_B,
-                                guard: float = DEGENERACY_GUARD):
-    """Vectorized H' over broadcastable arrays of envelope samples.
-
-    dEn already includes any quasi-static noise offset.
-    """
-    dEn = np.asarray(dEn, dtype=float)
-    e0, c, s = _mixing(params, dEn)
-    sh = np.broadcast(e0, np.asarray(Ea, float), np.asarray(Ba, float))
-    e0, c, s, dEn = (np.broadcast_to(a, sh.shape) for a in (e0, c, s, dEn))
-    Eab = np.broadcast_to(np.asarray(Ea, float), sh.shape)
-    Bab = np.broadcast_to(np.asarray(Ba, float), sh.shape)
-    comp0 = _assemble(_coeffs0(params, e0, c, s, Eab, Bab, omega_E, omega_B),
-                      _M0)
-    harm = _coeffs_harmonics(params, e0, c, s, dEn, Eab, Bab)
-    return _effective_from_coeffs(comp0, harm, omega_E, omega_B, guard)
 
 
 def hprime_text(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,

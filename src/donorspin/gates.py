@@ -14,6 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from .effective import effective_hamiltonian
 from .model import SystemParams, qubit_splitting_approx, dephasing_sensitivity
 from .operators import QUBIT_UP_INDEX, QUBIT_DN_INDEX, frame_generator_diag
 from .propagation import (EvolutionResult, evolve, lab_hamiltonian,
@@ -22,10 +23,6 @@ from .pulses import (PulseSchedule, make_rz_schedule, make_rx_sweep_schedule,
                      make_naive_rx_schedule, make_echo_rz_schedule,
                      make_idle_schedule, sweep_drive_frequencies,
                      SWEEP_EA_PEAK, SWEEP_BA_PEAK)
-
-SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
 
 def rz_matrix(theta: float) -> np.ndarray:
     return np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
@@ -111,7 +108,6 @@ def idle_qubit_frame(params: SystemParams, frame: str,
     Returns (energies[2], vectors 8x2) with energies in the lab frame.
     """
     if frame == "effective":
-        from .effective import effective_hamiltonian
         H = effective_hamiltonian(params, params.dE_idle, 0.0, 0.0,
                                   schedule.omega_E, schedule.omega_B)
         g = frame_generator_diag(params, schedule.omega_E, schedule.omega_B)

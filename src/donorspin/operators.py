@@ -16,9 +16,6 @@ DIM = 8
 BASIS_LABELS = tuple(
     f"{o}{e}{n}" for o in ("g", "e") for e in ("dn", "up") for n in ("Dn", "Up")
 )
-POSITION_LABELS = tuple(
-    f"{o}{e}{n}" for o in ("i", "d") for e in ("dn", "up") for n in ("Dn", "Up")
-)
 
 QUBIT_UP_INDEX = 1   # |g dn Up>
 QUBIT_DN_INDEX = 0   # |g dn Dn>
@@ -62,10 +59,6 @@ I_M = _k3(_I2, _I2, _SM)
 
 S_DOT_I = S_X @ I_X + S_Y @ I_Y + S_Z @ I_Z
 IDENT = np.eye(DIM, dtype=complex)
-
-# |g up Dn><e dn Up| (hyperfine flip-flop between intermediate states)
-FLIP_GUD_EDU = np.zeros((DIM, DIM), dtype=complex)
-FLIP_GUD_EDU[2, 5] = 1.0
 
 DONOR_PROJECTOR = (IDENT - TAU_Z) / 2   # position basis (1 - tau_z^id)/2
 

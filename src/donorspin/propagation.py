@@ -5,7 +5,8 @@ matrix exponential per step (Hermitian eigendecomposition). One step loop,
 `propagate`, serves every frame and the 64-dim two-qubit simulation: a
 frame only supplies its Hamiltonian stack, and steps are processed in
 vectorized chunks, so a whole batch of quasi-static noise offsets can be
-propagated at once.
+propagated at once. `_effective_h_stack` is the one way the package samples
+H' along a schedule.
 """
 from __future__ import annotations
 
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .effective import effective_hamiltonian
 from .model import SystemParams, charge_splitting, orbital_mixing
-from .operators import (DIM, IDENT, TAU_Z, TAU_X, S_Z, S_X, I_Z, I_X,
-                        S_DOT_I, QUBIT_INDICES, orbital_transform,
+from .operators import (DIM, TAU_Z, TAU_X, S_Z, S_X, I_Z, I_X, S_DOT_I,
+                        DONOR_PROJECTOR, QUBIT_INDICES, orbital_transform,
                         basis_change_correction, frame_generator_diag)
 from .pulses import PulseSchedule
 
@@ -25,6 +27,7 @@ DEFAULT_DT_LAB_NO_AC = 1e-12
 DEFAULT_DT_EFFECTIVE = 0.05e-9
 
 FRAMES = ("lab-position", "lab-orbital", "effective")
+UNITARITY_LIMIT = 1e-8      # a propagator with a larger defect is invalid
 
 
 class TwoPhotonResonanceWarning(UserWarning):
@@ -58,11 +61,10 @@ class EvolutionResult:
     schedule: PulseSchedule
     noise_dE: float | np.ndarray = 0.0
     leakage_trace: np.ndarray | None = None   # columns (t, leakage)
-    valid: bool = True
 
-    def __post_init__(self):
-        if self.max_unitarity_defect >= 1e-8:
-            self.valid = False
+    @property
+    def valid(self) -> bool:
+        return self.max_unitarity_defect < UNITARITY_LIMIT
 
 
 def lab_hamiltonian(params: SystemParams, schedule: PulseSchedule, t: float,
@@ -87,11 +89,11 @@ def _position_h_stack(params: SystemParams, schedule, tmid, noise_dE):
     f_total = (dE[:, None] + noise[None, :]
                + (Ea * np.cos(schedule.omega_E * tmid))[:, None])
     drive_B = (Ba * np.cos(schedule.omega_B * tmid))[:, None]
-    donor = (IDENT - TAU_Z) / 2
     H_const = (params.Vt / 2 * TAU_X
-               + params.B0 * params.gamma_e * (S_Z + params.delta_gamma * donor @ S_Z)
+               + params.B0 * params.gamma_e
+               * (S_Z + params.delta_gamma * DONOR_PROJECTOR @ S_Z)
                - params.B0 * params.gamma_n * I_Z
-               + params.hyperfine_A * donor @ S_DOT_I)
+               + params.hyperfine_A * DONOR_PROJECTOR @ S_DOT_I)
     M_field = -params.de_over_hbar / 2 * TAU_Z
     M_b = params.gamma_e * S_X - params.gamma_n * I_X
     H = (H_const[None, None] + f_total[..., None, None] * M_field
@@ -127,6 +129,16 @@ def _orbital_h_stack(params: SystemParams, schedule, tmid, noise_dE,
         rate = schedule.dE_envelope.derivative(tmid)[:, None]
         H = H + basis_change_correction(params, dEn, rate)
     return H
+
+
+def _effective_h_stack(params: SystemParams, schedule, tmid, noise_dE):
+    """(n, S, 8, 8) stack of H' (rotating frame, orbital basis); noise_dE
+    is scalar or (S,) array."""
+    dE, Ea, Ba = schedule.sample(tmid)
+    noise = np.atleast_1d(np.asarray(noise_dE, dtype=float))
+    return effective_hamiltonian(params, dE[:, None] + noise[None, :],
+                                 Ea[:, None], Ba[:, None],
+                                 schedule.omega_E, schedule.omega_B)
 
 
 def _step_unitaries(H, dt):
@@ -228,13 +240,8 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
     noise = np.atleast_1d(np.asarray(noise_dE, dtype=float))
 
     if frame == "effective":
-        from .effective import effective_hamiltonian_batch
-
         def h_stack(tmid):
-            dE, Ea, Ba = schedule.sample(tmid)
-            return effective_hamiltonian_batch(
-                params, dE[:, None] + noise[None, :], Ea[:, None], Ba[:, None],
-                schedule.omega_E, schedule.omega_B)
+            return _effective_h_stack(params, schedule, tmid, noise)
         basis, kind = "orbital", "rotating"
     elif frame == "lab-position":
         def h_stack(tmid):
@@ -276,8 +283,13 @@ def to_lab_orbital(result: EvolutionResult, params: SystemParams) -> np.ndarray:
 
     Position-basis propagators are conjugated by the orbital transform at
     the endpoint fields; rotating-frame propagators get the inverse frame
-    phase exp(+i T G).
+    phase exp(+i T G). Raises ValueError for an invalid result (unitarity
+    defect at or above UNITARITY_LIMIT).
     """
+    if not result.valid:
+        raise ValueError(f"propagator unitarity defect "
+                         f"{result.max_unitarity_defect:.2e} is not below "
+                         f"{UNITARITY_LIMIT:.0e}; refine dt")
     U = result.propagator.matrix
     sched = result.schedule
     if result.frame == "lab-position":

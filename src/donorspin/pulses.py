@@ -7,7 +7,7 @@ starts and ends at the idling point with the AC drives off.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -433,8 +433,7 @@ def cphase_drive_frequency(params: SystemParams, dE_gate: float,
 
 def make_cphase_schedule(params: SystemParams, T: float,
                          dE_gate: float = 2000.0,
-                         detuning: float = CPHASE_DETUNING,
-                         omega_E: float | None = None) -> PulseSchedule:
+                         detuning: float = CPHASE_DETUNING) -> PulseSchedule:
     """Entangling pulse: park dE at +dE_gate and drive the electric field
     near the dn-sector orbital transition. No magnetic drive."""
     tau1 = 5e-9
@@ -447,8 +446,7 @@ def make_cphase_schedule(params: SystemParams, T: float,
               Ramp(tau1, -params.dE_idle + dE_gate, tau1 + tau_ac,
                    -params.dE_idle + dE_gate, T)))
     Ea = Scaled(e_max, Shifted(tau1, Window(tau2, tau_ac)))
-    wE = omega_E if omega_E is not None else cphase_drive_frequency(
-        params, dE_gate, detuning)
+    wE = cphase_drive_frequency(params, dE_gate, detuning)
     wB = params.B0 * params.gamma_e
     return PulseSchedule(dE, Ea, ZERO, wE, wB, T, label=f"cphase(T={T:.4g})")
 

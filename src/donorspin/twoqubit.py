@@ -23,15 +23,15 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .model import SystemParams, orbital_mixing
-from .operators import (DIM, IDENT, TAU_Z, TAU_P, TAU_M, QUBIT_UP_INDEX,
-                        QUBIT_DN_INDEX, frame_generator_diag,
+from .operators import (DIM, IDENT, TAU_Z, TAU_X, TAU_P, TAU_M,
+                        QUBIT_UP_INDEX, QUBIT_DN_INDEX, frame_generator_diag,
                         interface_projector)
 from .pulses import PulseSchedule, make_cphase_schedule, cphase_drive_frequency, CPHASE_DETUNING
-from .effective import effective_hamiltonian, effective_hamiltonian_batch
 from .gates import idle_frame_block, idle_qubit_frame
-from .propagation import propagate
+from .propagation import _effective_h_stack, propagate
 
-TWO_PI = 2 * np.pi
+TRACK_MIN_OVERLAP = 0.5       # a smaller step overlap is a level crossing
+NONADIABATICITY_FLAG = 1e-3   # simulate_two_qubit warns above this
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,14 @@ def interface_weight(params: SystemParams, state: np.ndarray, dE,
     return w
 
 
-def _weight_parts(params, state, dEn):
-    """(w_bar, x) of a dressed state: static interface weight and half the
-    coherent orbital-dipole amplitude."""
+def _weight_parts(params, states, dEn):
+    """(w_bar, x, s) of dressed states (..., 8) at fields dEn (...): static
+    interface weight, half the coherent orbital-dipole amplitude, and the
+    orbital mixing s."""
     c, s = orbital_mixing(params, dEn)
-    tz = float(np.real(state.conj() @ TAU_Z @ state))
-    tx_half = float(np.real(state.conj() @ ((TAU_P + TAU_M) / 2) @ state))
+    tz = np.real(np.einsum("...i,ij,...j->...", states.conj(), TAU_Z, states))
+    tx_half = np.real(np.einsum("...i,ij,...j->...", states.conj(), TAU_X / 2,
+                                states))
     return (1 + c * tz) / 2, tx_half, s
 
 
@@ -102,52 +104,45 @@ class TrackedStates:
 
 def track_dressed_qubit_states(params: SystemParams, schedule: PulseSchedule,
                                times: np.ndarray, noise_dE: float = 0.0,
-                               min_overlap: float = 0.5,
-                               mean_field=None) -> TrackedStates:
+                               mean_field: np.ndarray | None = None
+                               ) -> TrackedStates:
     """Follow the two dressed qubit eigenstates of H' along a schedule.
 
-    Continuity by maximal overlap with the previous sample; raises if the
-    assignment drops below `min_overlap` (level crossing). `mean_field`
-    optionally supplies (t, dEn) -> an additive Hermitian term, used for
-    the partner qubit's average dipole shift.
+    Each sample's state is the eigenvector of largest overlap with the
+    previous sample's; raises if that overlap drops below TRACK_MIN_OVERLAP
+    (level crossing). `mean_field`, an optional (n, 8, 8) array, is added
+    to H' at the samples (the partner qubit's average dipole shift).
     """
-    dE, Ea, Ba = schedule.sample(times)
-    ups, dns = [], []
-    worst = 1.0
-    prev_u = prev_d = None
-    for i in range(len(times)):
-        Hp = effective_hamiltonian(params, float(dE[i]), float(Ea[i]),
-                                   float(Ba[i]), schedule.omega_E,
-                                   schedule.omega_B, noise_dE)
-        if mean_field is not None:
-            Hp = Hp + mean_field(float(times[i]), float(dE[i]) + noise_dE)
-        _, vec = np.linalg.eigh(Hp)
-        if prev_u is None:
-            iu = int(np.argmax(np.abs(vec[QUBIT_UP_INDEX, :])))
-            idn = int(np.argmax(np.abs(vec[QUBIT_DN_INDEX, :])))
-        else:
-            ou = np.abs(prev_u.conj() @ vec)
-            od = np.abs(prev_d.conj() @ vec)
-            iu, idn = int(np.argmax(ou)), int(np.argmax(od))
-            worst = min(worst, float(ou[iu]), float(od[idn]))
-            if worst < min_overlap:
-                raise RuntimeError(
-                    f"dressed-state tracking lost continuity at t = "
-                    f"{times[i]:.3e} s (overlap {worst:.3f})")
-        vu, vd = vec[:, iu], vec[:, idn]
-        # fix gauge: largest qubit component real positive
-        vu = vu * np.exp(-1j * np.angle(vu[QUBIT_UP_INDEX]))
-        vd = vd * np.exp(-1j * np.angle(vd[QUBIT_DN_INDEX]))
-        prev_u, prev_d = vu, vd
-        ups.append(vu)
-        dns.append(vd)
-    return TrackedStates(times, np.array(ups), np.array(dns), worst)
+    H = _effective_h_stack(params, schedule, times, noise_dE)[:, 0]
+    if mean_field is not None:
+        H = H + mean_field
+    vecs = np.linalg.eigh(H)[1]
+    # overlaps[i, a, b] = |<v_a(t_i) | v_b(t_i+1)>|
+    overlaps = np.abs(vecs[:-1].conj().swapaxes(-1, -2) @ vecs[1:])
+    path = [(int(np.argmax(np.abs(vecs[0, QUBIT_UP_INDEX]))),
+             int(np.argmax(np.abs(vecs[0, QUBIT_DN_INDEX]))))]
+    for best in overlaps.argmax(axis=-1).tolist():
+        path.append((best[path[-1][0]], best[path[-1][1]]))
+    path = np.array(path)
+    steps = np.arange(len(times) - 1)[:, None]
+    kept = overlaps[steps, path[:-1], path[1:]].min(axis=-1, initial=1.0)
+    if kept.size and kept.min() < TRACK_MIN_OVERLAP:
+        i = int(np.argmax(kept < TRACK_MIN_OVERLAP))
+        raise RuntimeError(
+            f"dressed-state tracking lost continuity at t = "
+            f"{times[i + 1]:.3e} s (overlap {kept[i]:.3f})")
+    rows = np.arange(len(times))
+    up = vecs[rows, :, path[:, 0]]
+    dn = vecs[rows, :, path[:, 1]]
+    # fix gauge: largest qubit component real positive
+    up = up * np.exp(-1j * np.angle(up[:, QUBIT_UP_INDEX]))[:, None]
+    dn = dn * np.exp(-1j * np.angle(dn[:, QUBIT_DN_INDEX]))[:, None]
+    return TrackedStates(times, up, dn, float(kept.min(initial=1.0)))
 
 
 def cphase_angle(layout: TwoQubitLayout, schedule_1: PulseSchedule,
                  schedule_2: PulseSchedule | None = None,
                  n_samples: int = 600, noise_dE: tuple = (0.0, 0.0),
-                 include_dipole_exchange: bool = True,
                  mean_field_passes: int = 1) -> CphaseReport:
     """Entangling phase by quadrature of the adiabatic pair energies.
 
@@ -163,62 +158,43 @@ def cphase_angle(layout: TwoQubitLayout, schedule_1: PulseSchedule,
     T = schedule_1.total_time
     ts = np.linspace(0.0, T, n_samples)
     V = dipole_coupling_strength(layout)
-
-    qubits = ((layout.params_1, schedule_1, noise_dE[0]),
-              (layout.params_2, schedule_2, noise_dE[1]))
+    qubits = [(params, sched, dn, sched.dE_envelope.value(ts) + dn)
+              for params, sched, dn in (
+                  (layout.params_1, schedule_1, noise_dE[0]),
+                  (layout.params_2, schedule_2, noise_dE[1]))]
 
     def collect(mean_fields):
-        tracks, parts = [], []
-        for (params, sched, dn), mf in zip(qubits, mean_fields):
+        """Per qubit: the track, the (up, dn) weights w and x, and s."""
+        out = []
+        for (params, sched, dn, dEn), mf in zip(qubits, mean_fields):
             tr = track_dressed_qubit_states(params, sched, ts, dn,
                                             mean_field=mf)
-            dEs = sched.dE_envelope.value(ts) + dn
-            wu, xu, wd, xd, ss = [], [], [], [], []
-            for i in range(n_samples):
-                a, b, s = _weight_parts(params, tr.up_states[i], dEs[i])
-                c, d, _ = _weight_parts(params, tr.dn_states[i], dEs[i])
-                wu.append(a); xu.append(b); wd.append(c); xd.append(d)
-                ss.append(s)
-            parts.append(tuple(np.array(v) for v in (wu, xu, wd, xd, ss)))
-            tracks.append(tr)
-        return tracks, parts
+            w, x, s = _weight_parts(params, np.stack([tr.up_states,
+                                                      tr.dn_states]), dEn)
+            out.append((tr, w, x, s))
+        return out
 
-    tracks, parts = collect((None, None))
+    parts = collect((None, None))
     for _ in range(mean_field_passes):
-        means = [0.5 * (p[0] + p[2]) for p in parts]     # (w_up + w_dn)/2
+        # the static part of the interface projector, weighted by the
+        # partner's mean (w_up + w_dn)/2; its tau_x part rotates at the
+        # drive frequency and averages out
+        mean_fields = []
+        for (params, _, _, dEn), (_, w, _, _) in zip(qubits, parts[::-1]):
+            c, _ = orbital_mixing(params, dEn)
+            w_mean = 0.5 * (w[0] + w[1])
+            mean_fields.append((V * w_mean)[:, None, None]
+                               * (IDENT + c[:, None, None] * TAU_Z) / 2)
+        parts = collect(mean_fields)
 
-        def make_mf(other_mean, params):
-            def mf(t, dEn):
-                w = float(np.interp(t, ts, other_mean))
-                c, _ = orbital_mixing(params, dEn)
-                # static part of the interface projector; its tau_x part
-                # rotates at the drive frequency and averages out
-                return V * w * (IDENT + c * TAU_Z) / 2
-            return mf
-
-        tracks, parts = collect((make_mf(means[1], layout.params_1),
-                                 make_mf(means[0], layout.params_2)))
-
-    (wu1, xu1, wd1, xd1, s1), (wu2, xu2, wd2, xd2, s2) = parts
-    xfac = 0.5 * s1 * s2 if include_dipole_exchange else 0.0
-
-    def pair_energy(wa, xa, wb, xb):
-        return V * (wa * wb + xfac * xa * xb)
-
-    e_uu = pair_energy(wu1, xu1, wu2, xu2)
-    e_ud = pair_energy(wu1, xu1, wd2, xd2)
-    e_du = pair_energy(wd1, xd1, wu2, xu2)
-    e_dd = pair_energy(wd1, xd1, wd2, xd2)
-    # reference: idling pair (both endpoints are at idle)
-    ref = {}
-    for key, arr in (("uu", e_uu), ("ud", e_ud), ("du", e_du), ("dd", e_dd)):
-        ref[key] = arr - arr[0]
-    alpha = -np.trapezoid(ref["uu"], ts)
-    beta = -np.trapezoid(ref["ud"], ts)
-    gamma = -np.trapezoid(ref["du"], ts)
-    delta = -np.trapezoid(ref["dd"], ts)
+    (tr1, w1, x1, s1), (tr2, w2, x2, s2) = parts
+    # pair energies e[a, b](t) for qubit 1 in a and qubit 2 in b (up, dn),
+    # referred to the idling pair (both endpoints are at idle)
+    e = V * (w1[:, None] * w2[None, :]
+             + 0.5 * s1 * s2 * x1[:, None] * x2[None, :])
+    (alpha, beta), (gamma, delta) = -np.trapezoid(e - e[..., :1], ts)
     phi = alpha - beta - gamma + delta
-    nonadiab = 1.0 - min(tr.min_overlap for tr in tracks) ** 2
+    nonadiab = 1.0 - min(tr1.min_overlap, tr2.min_overlap) ** 2
     return CphaseReport(alpha, beta, gamma, delta, phi,
                         local_rz_1=alpha - gamma, local_rz_2=alpha - beta,
                         nonadiabaticity=nonadiab, total_time=T)
@@ -244,15 +220,6 @@ def coupled_drive_frequency(layout: TwoQubitLayout, dE_gate: float = 2000.0,
     return cphase_drive_frequency(params, dE_gate, detuning) + shift
 
 
-def make_coupled_cphase_schedule(layout: TwoQubitLayout, T: float,
-                                 dE_gate: float = 2000.0,
-                                 detuning: float = CPHASE_DETUNING) -> PulseSchedule:
-    """CPHASE pulse with the two-qubit drive-frequency adjustment."""
-    wE = coupled_drive_frequency(layout, dE_gate, detuning)
-    return make_cphase_schedule(layout.params_1, T, dE_gate, detuning,
-                                omega_E=wE)
-
-
 def _kron(a, b):
     """Kronecker product of the trailing matrices of a and b, broadcast
     over their leading axes."""
@@ -264,8 +231,7 @@ def _kron(a, b):
 _EXCHANGE = _kron(TAU_P, TAU_M) + _kron(TAU_M, TAU_P)
 
 
-def _dipole_interaction_rwa(layout: TwoQubitLayout, dEn1, dEn2,
-                            include_exchange: bool = True) -> np.ndarray:
+def _dipole_interaction_rwa(layout: TwoQubitLayout, dEn1, dEn2) -> np.ndarray:
     """Rotating-wave-filtered V_dip on the 64-dim product space.
 
     Keeps the static projector parts and, for shared drive frequency, the
@@ -276,8 +242,7 @@ def _dipole_interaction_rwa(layout: TwoQubitLayout, dEn1, dEn2,
     c1, s1 = orbital_mixing(layout.params_1, np.asarray(dEn1)[..., None, None])
     c2, s2 = orbital_mixing(layout.params_2, np.asarray(dEn2)[..., None, None])
     H = _kron((IDENT + c1 * TAU_Z) / 2, (IDENT + c2 * TAU_Z) / 2)
-    if include_exchange:
-        H += (s1 * s2 / 4) * _EXCHANGE
+    H += (s1 * s2 / 4) * _EXCHANGE
     return V * H
 
 
@@ -291,9 +256,8 @@ class TwoQubitResult:
 
 def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
                        schedule_2: PulseSchedule | None = None,
-                       noise_dE: tuple = (0.0, 0.0), dt: float = 0.1e-9,
-                       include_exchange: bool = True,
-                       nonadiab_flag: float = 1e-3) -> TwoQubitResult:
+                       noise_dE: tuple = (0.0, 0.0),
+                       dt: float = 0.1e-9) -> TwoQubitResult:
     """Effective-frame 64-dim evolution with the filtered dipole coupling."""
     if schedule_2 is None:
         schedule_2 = schedule_1
@@ -305,18 +269,13 @@ def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
     eye = np.eye(DIM)
 
     def h_stack(tmid):
-        dE1, Ea1, Ba1 = schedule_1.sample(tmid)
-        dE2, Ea2, Ba2 = schedule_2.sample(tmid)
-        H1 = effective_hamiltonian_batch(p1, dE1[:, None] + noise_dE[0],
-                                         Ea1[:, None], Ba1[:, None],
-                                         schedule_1.omega_E, schedule_1.omega_B)[:, 0]
-        H2 = effective_hamiltonian_batch(p2, dE2[:, None] + noise_dE[1],
-                                         Ea2[:, None], Ba2[:, None],
-                                         schedule_2.omega_E, schedule_2.omega_B)[:, 0]
-        H = _kron(H1, eye)
-        H += _kron(eye, H2)
-        H += _dipole_interaction_rwa(layout, dE1 + noise_dE[0],
-                                     dE2 + noise_dE[1], include_exchange)
+        H = _kron(_effective_h_stack(p1, schedule_1, tmid, noise_dE[0])[:, 0],
+                  eye)
+        H += _kron(eye,
+                   _effective_h_stack(p2, schedule_2, tmid, noise_dE[1])[:, 0])
+        H += _dipole_interaction_rwa(
+            layout, schedule_1.dE_envelope.value(tmid) + noise_dE[0],
+            schedule_2.dE_envelope.value(tmid) + noise_dE[1])
         return H[:, None]
 
     U, defect, _ = propagate(h_stack, 0.0, T / n, n, 1, dim=DIM * DIM)
@@ -336,9 +295,9 @@ def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
     offdiag = block - np.diag(diag)
     nonadiab = float(max(np.abs(offdiag).max() ** 2,
                          1 - np.min(np.abs(diag)) ** 2))
-    if nonadiab > nonadiab_flag:
+    if nonadiab > NONADIABATICITY_FLAG:
         warnings.warn(f"two-qubit evolution nonadiabaticity {nonadiab:.2e} "
-                      f"exceeds {nonadiab_flag:.0e}", stacklevel=2)
+                      f"exceeds {NONADIABATICITY_FLAG:.0e}", stacklevel=2)
     report = CphaseReport(alpha, beta, gamma, delta, phi,
                           local_rz_1=alpha - gamma, local_rz_2=alpha - beta,
                           nonadiabaticity=nonadiab, total_time=T)
@@ -347,29 +306,18 @@ def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
 
 def cz_duration_search(layout: TwoQubitLayout, t_lo: float = 100e-9,
                        t_hi: float = 750e-9, detuning: float = CPHASE_DETUNING,
-                       coupled_adjustment: bool = False,
-                       n_samples: int = 400,
-                       check_monotone: bool = True) -> float:
-    """Duration where |phi(T)| = pi, by quadrature root finding."""
+                       n_samples: int = 400) -> float:
+    """Duration where |phi(T)| = pi, by quadrature root finding; raises if
+    |phi| is not monotone over seven durations across the bracket."""
 
     def phi_mag(T):
-        if coupled_adjustment:
-            sched = make_coupled_cphase_schedule(layout, T, detuning=detuning)
-        else:
-            sched = make_cphase_schedule(layout.params_1, T, detuning=detuning)
+        sched = make_cphase_schedule(layout.params_1, T, detuning=detuning)
         return abs(cphase_angle(layout, sched, n_samples=n_samples).phi)
 
-    if check_monotone:
-        grid = np.linspace(t_lo, t_hi, 7)
-        vals = [phi_mag(T) for T in grid]
-        if not all(b >= a - 1e-3 for a, b in zip(vals[:-1], vals[1:])):
-            raise RuntimeError("|phi|(T) is not monotone on the bracket")
-    else:
-        vals = [phi_mag(t_lo), phi_mag(t_hi)]
-
-    f_lo = vals[0] - np.pi
-    f_hi = vals[-1] - np.pi
-    if f_lo * f_hi > 0:
+    vals = [phi_mag(T) for T in np.linspace(t_lo, t_hi, 7)]
+    if not all(b >= a - 1e-3 for a, b in zip(vals[:-1], vals[1:])):
+        raise RuntimeError("|phi|(T) is not monotone on the bracket")
+    if (vals[0] - np.pi) * (vals[-1] - np.pi) > 0:
         raise RuntimeError(
             f"no |phi| = pi crossing in [{t_lo:.2e}, {t_hi:.2e}] s "
             f"(endpoints {vals[0]:.3f}, {vals[-1]:.3f} rad)")

@@ -24,9 +24,9 @@ from donorspin.gates import (extract_qubit_gate, euler_decompose, QubitGate,
 from donorspin.twoqubit import (TwoQubitLayout, cphase_angle,
                                 cz_duration_search, simulate_two_qubit,
                                 dipole_coupling_strength, _weight_parts)
-from donorspin.effective import (effective_hamiltonian,
-                                 reconstruct_rotating_hamiltonian,
-                                 exact_rotating_hamiltonian)
+from donorspin.effective import effective_hamiltonian
+from floquet_oracle import (reconstruct_rotating_hamiltonian,
+                            exact_rotating_hamiltonian)
 
 MC_DT = 0.2e-9
 

@@ -5,16 +5,14 @@ from donorspin.model import TWO_PI, SystemParams, qubit_splitting_approx
 from donorspin.operators import (DIM, QUBIT_UP_INDEX, QUBIT_DN_INDEX, S_M,
                                  S_X, S_Y, I_X, I_Y, TAU_P)
 from donorspin.effective import (rwa_hamiltonian, frequency_components,
-                                 reconstruct_rotating_hamiltonian,
-                                 exact_rotating_hamiltonian,
-                                 floquet_hamiltonian, schrieffer_wolff,
-                                 build_floquet_block, effective_hamiltonian,
-                                 effective_hamiltonian_batch,
-                                 NearDegeneracyError, RwaValidityWarning,
-                                 BLOCK_SHIFTS, CENTRAL_BLOCK, hprime_text)
+                                 effective_hamiltonian, NearDegeneracyError,
+                                 RwaValidityWarning, BLOCK_SHIFTS, hprime_text)
 from donorspin.pulses import (make_rx_sweep_schedule, make_rz_schedule,
                               sweep_drive_frequencies, idle_frequencies)
 from donorspin.propagation import evolve
+from floquet_oracle import (reconstruct_rotating_hamiltonian,
+                            exact_rotating_hamiltonian, floquet_hamiltonian,
+                            build_floquet_block, CENTRAL_BLOCK)
 
 P = SystemParams()
 W_E, W_B = sweep_drive_frequencies(P)
@@ -173,7 +171,7 @@ class TestSchriefferWolff:
         sched = make_rx_sweep_schedule(P, 1.0)
         ts = np.linspace(0, sched.total_time, 40)
         dE, Ea, Ba = sched.sample(ts)
-        H = effective_hamiltonian_batch(P, dE, Ea, Ba, W_E, W_B)
+        H = effective_hamiltonian(P, dE, Ea, Ba, W_E, W_B)
         assert np.abs(H - H.conj().swapaxes(-1, -2)).max() < 1e-9
 
     def test_zero_drive_corrections_are_drive_independent(self):
@@ -246,14 +244,14 @@ class TestSchriefferWolff:
         sched = make_rz_schedule(P, 20e-9)
         ts = np.linspace(0, sched.total_time, 200)
         dE, Ea, Ba = sched.sample(ts)
-        H = effective_hamiltonian_batch(P, dE, Ea, Ba, wE, wB)
+        H = effective_hamiltonian(P, dE, Ea, Ba, wE, wB)
         assert np.isfinite(H).all()
 
     def test_smooth_in_field_across_sweep_range(self):
         # eigenvalue curves bend smoothly (levels drift by up to the orbital
         # slope ~2pi*1.8 MHz per V/m, so smoothness is a curvature bound)
         dEs = np.arange(-2500.0, 2500.0, 1.0)
-        H = effective_hamiltonian_batch(P, dEs, 120.0, 15e-3, W_E, W_B)
+        H = effective_hamiltonian(P, dEs, 120.0, 15e-3, W_E, W_B)
         ev = np.linalg.eigvalsh(H)
         assert np.abs(np.diff(ev, axis=0)).max() < TWO_PI * 2e6
         assert np.abs(np.diff(ev, 2, axis=0)).max() < TWO_PI * 0.5e6

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ import pytest
 from donorspin.io import (ManifestError, parse_keyvalues, parse_quantity,
                           parse_angle, load_params, format_params,
                           write_columns, read_columns, _FREQ_UNITS,
-                          _EFIELD_UNITS)
+                          _EFIELD_UNITS, _TIME_UNITS)
 from donorspin.model import TWO_PI, SystemParams
 from donorspin.cli import Manifest, load_manifest, EXPERIMENTS, main
+
+MANIFESTS = sorted((Path(__file__).resolve().parent.parent
+                    / "manifests").glob("*.txt"))
 
 PARAM_TEXT = """
 # reference device
@@ -213,3 +217,46 @@ class TestCliRuns:
         _, data = read_columns(out)
         assert data.shape == (3, 3)
         assert (np.diff(data[:, 1]) > 0).all()
+
+    def test_cphase_curve_reports_the_cz_pulse(self, tmp_path):
+        # the curve is |phi| of the same bare-frequency pulse that the CZ
+        # search and scripts/cz_search.py use
+        from donorspin.pulses import make_cphase_schedule
+        from donorspin.twoqubit import TwoQubitLayout, cphase_angle
+        man = tmp_path / "m.txt"
+        out = tmp_path / "cp.txt"
+        man.write_text(f"kind = cphase-curve\npoints = 2\nt_min = 200 ns\n"
+                       f"t_max = 400 ns\noutput = {out}\n")
+        assert main(["run", str(man)]) == 0
+        _, data = read_columns(out)
+        P = SystemParams()
+        layout = TwoQubitLayout(params_1=P, params_2=P)
+        for row, text in zip(data, ("200 ns", "400 ns")):
+            T = parse_quantity(text, _TIME_UNITS, "t")
+            phi = cphase_angle(layout, make_cphase_schedule(P, T)).phi
+            assert abs(row[1] - abs(phi)) < 1e-12
+
+
+@pytest.mark.parametrize("body, field", [
+    ("kind = splitting-curve\npoints = 2.5\n", "points"),
+    ("kind = rz-noise\nangles = pi\nsigmas = 10 V/m\nsamples = -3\n",
+     "samples"),
+    ("kind = rz-noise\nangles = pi\nsigmas = 10 V/m\nframe = bogus\n",
+     "frame"),
+    ("kind = rx-noise\nthetas = pi/2\nsigmas = 10 V/m\nvariants = bogus\n",
+     "variants"),
+], ids=["points", "samples", "frame", "variants"])
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, body, field):
+    man = tmp_path / "m.txt"
+    man.write_text(body + f"output = {tmp_path / 'out.txt'}\n")
+    for verb in ("validate", "run"):
+        assert main([verb, str(man)]) == 2
+        err = capsys.readouterr().err
+        assert "manifest error" in err and repr(field) in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("path", MANIFESTS, ids=lambda p: p.name)
+def test_shipped_manifest_validates(path, capsys):
+    assert main(["validate", str(path)]) == 0
+    assert "manifest is valid" in capsys.readouterr().out

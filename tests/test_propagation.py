@@ -4,7 +4,8 @@ import pytest
 from donorspin.model import TWO_PI, SystemParams, charge_splitting
 from donorspin.operators import (DIM, QUBIT_INDICES, orbital_transform,
                                  basis_change_correction, TAU_Y)
-from donorspin.propagation import (OperatorMatrix, evolve, lab_hamiltonian,
+from donorspin.propagation import (EvolutionResult, OperatorMatrix, evolve,
+                                   lab_hamiltonian,
                                    leakage, to_lab_orbital,
                                    check_two_photon_resonance,
                                    TwoPhotonResonanceWarning)
@@ -116,6 +117,19 @@ class TestEvolve:
         res = evolve(P, sched, frame="lab-position")
         assert res.max_unitarity_defect < 1e-8
         assert res.valid
+
+    def test_invalid_result_is_not_extracted(self):
+        # a propagator with a unitarity defect of 1e-6 is refused where it
+        # is used, and validity follows the recorded defect
+        from donorspin.gates import extract_qubit_gate
+        sched = make_rz_schedule(P, 8e-9)
+        res = EvolutionResult(OperatorMatrix(np.eye(8, dtype=complex)),
+                              "lab-orbital", 1, 1e-6, sched)
+        assert not res.valid
+        with pytest.raises(ValueError, match="unitarity defect 1.00e-06"):
+            extract_qubit_gate(res, P)
+        with pytest.raises(AttributeError):
+            res.valid = True
 
     def test_semigroup_composition(self):
         sched = make_rz_schedule(P, 8e-9)

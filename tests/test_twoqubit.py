@@ -9,12 +9,12 @@ from donorspin.twoqubit import (TwoQubitLayout, CphaseReport,
                                 dipole_coupling_strength, interface_weight,
                                 track_dressed_qubit_states, cphase_angle,
                                 simulate_two_qubit, cz_duration_search,
-                                coupled_drive_frequency,
-                                make_coupled_cphase_schedule)
+                                coupled_drive_frequency)
 from donorspin.pulses import CPHASE_EA_PEAK, cphase_drive_frequency
 
 P = SystemParams()
 LAYOUT = TwoQubitLayout(params_1=P, params_2=P)
+T_CZ = 414.0648784801715e-9     # quadrature CZ root at 500 nm
 
 
 class TestDipoleCoupling:
@@ -185,7 +185,7 @@ class TestTwoQubitSimulation:
     def test_oracle_phase_at_cz_root(self):
         # the 64-dim oracle at the 500 nm quadrature root, zero offsets; it
         # flags its nonadiabaticity there
-        sched = make_cphase_schedule(P, 414.0648784801715e-9)
+        sched = make_cphase_schedule(P, T_CZ)
         with pytest.warns(UserWarning, match="nonadiabaticity"):
             sim = simulate_two_qubit(LAYOUT, sched, dt=0.1e-9)
         assert sim.report.phi == pytest.approx(-3.753216686320, abs=1e-9)
@@ -198,3 +198,56 @@ def test_cz_duration_search_brackets():
     sched = make_cphase_schedule(P, t_cz)
     assert abs(cphase_angle(LAYOUT, sched, n_samples=400).phi) == \
         pytest.approx(np.pi, abs=0.02)
+
+
+def test_cz_root_pin():
+    # the cz-search root at 500 nm (search n = 300, bracket as in
+    # scripts/cz_search.py)
+    t_cz = cz_duration_search(LAYOUT, 120e-9, 745e-9, n_samples=300)
+    assert abs(t_cz - T_CZ) < 2e-11
+
+
+def test_quadrature_phase_pin():
+    rep = cphase_angle(LAYOUT, make_cphase_schedule(P, T_CZ), n_samples=400)
+    assert rep.phi == pytest.approx(-3.1416119862216334, abs=1e-9)
+
+
+def _per_sample_track(params, schedule, times, noise_dE, mean_field):
+    """Reference: one H' and one eigh per sample, each state the
+    eigenvector of largest overlap with the previous sample's."""
+    from donorspin.effective import effective_hamiltonian
+    dE, Ea, Ba = schedule.sample(times)
+    ups, dns, worst, prev = [], [], 1.0, None
+    for i in range(len(times)):
+        Hp = effective_hamiltonian(params, dE[i], Ea[i], Ba[i],
+                                   schedule.omega_E, schedule.omega_B,
+                                   noise_dE) + mean_field[i]
+        vec = np.linalg.eigh(Hp)[1]
+        if prev is None:
+            iu = int(np.argmax(np.abs(vec[1])))
+            idn = int(np.argmax(np.abs(vec[0])))
+        else:
+            ou = np.abs(prev[0].conj() @ vec)
+            od = np.abs(prev[1].conj() @ vec)
+            iu, idn = int(np.argmax(ou)), int(np.argmax(od))
+            worst = min(worst, ou[iu], od[idn])
+        prev = (vec[:, iu] * np.exp(-1j * np.angle(vec[1, iu])),
+                vec[:, idn] * np.exp(-1j * np.angle(vec[0, idn])))
+        ups.append(prev[0])
+        dns.append(prev[1])
+    return np.array(ups), np.array(dns), worst
+
+
+def test_array_tracker_matches_per_sample_tracking():
+    from donorspin.operators import IDENT, TAU_Z
+    from donorspin.model import orbital_mixing
+    sched = make_cphase_schedule(P, 300e-9)
+    ts = np.linspace(0.0, 300e-9, 120)
+    c, _ = orbital_mixing(P, sched.dE_envelope.value(ts) + 0.5)
+    mf = (dipole_coupling_strength(LAYOUT) * np.linspace(0.2, 0.6, 120)
+          )[:, None, None] * (IDENT + c[:, None, None] * TAU_Z) / 2
+    tr = track_dressed_qubit_states(P, sched, ts, 0.5, mean_field=mf)
+    up, dn, worst = _per_sample_track(P, sched, ts, 0.5, mf)
+    assert np.abs(tr.up_states - up).max() < 1e-12
+    assert np.abs(tr.dn_states - dn).max() < 1e-12
+    assert tr.min_overlap == pytest.approx(worst, abs=1e-12)
