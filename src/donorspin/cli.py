@@ -326,9 +326,10 @@ def main(argv=None) -> int:
     p_dump = sub.add_parser("dump-hprime",
                             help="write H' at given envelope values")
     p_dump.add_argument("--output", default="hprime.txt")
-    p_dump.add_argument("--dE", default=None)
-    p_dump.add_argument("--Ea", default=None)
-    p_dump.add_argument("--Ba", default=None)
+    _, dump_fields = EXPERIMENTS["hprime-dump"]
+    dump_keys = [key for key in dump_fields if key not in COMMON_FIELDS]
+    for key in dump_keys:
+        p_dump.add_argument(f"--{key}", help=f"hprime-dump field {key}")
     sub.add_parser("list-experiments", help="show known experiment kinds")
     args = parser.parse_args(argv)
 
@@ -345,10 +346,8 @@ def main(argv=None) -> int:
             return 0
         if args.verb == "dump-hprime":
             raw = {"kind": "hprime-dump", "output": args.output}
-            for key in ("dE", "Ea", "Ba"):
-                val = getattr(args, key)
-                if val is not None:
-                    raw[key] = val
+            raw.update((key, getattr(args, key)) for key in dump_keys
+                       if getattr(args, key) is not None)
             manifest = Manifest(raw)
             note = run_hprime_dump(manifest)
             print(note)

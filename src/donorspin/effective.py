@@ -177,7 +177,7 @@ def frequency_components(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
 
 
 def effective_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
-                          noise_dE=0.0, guard: float = DEGENERACY_GUARD):
+                          noise_dE=0.0):
     """H' for instantaneous envelope values, broadcast over dE + noise_dE,
     Ea and Ba (scalar inputs give one 8x8 matrix).
 
@@ -185,7 +185,7 @@ def effective_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
     from the harmonics: only the central-row blocks and the diagonal shifts
     contribute there, so no 72x72 matrix is formed. Raises
     NearDegeneracyError when a coupled state of a shifted block lies within
-    `guard` of the target block.
+    DEGENERACY_GUARD of the target block.
     """
     e0, c, s, dEn, Ea, Ba = _samples(params, dE, Ea, Ba, noise_dE)
     comp0 = _assemble(_coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B),
@@ -206,29 +206,26 @@ def effective_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
             continue
         shift = nE * omega_E + nB * omega_B
         gap = diag0[..., :, None] - (diag0[..., None, :] + shift)
-        if guard:
-            gsup = np.abs(gap[..., supp])
-            if gsup.size and float(gsup.min()) < guard:
-                raise NearDegeneracyError(
-                    f"a Floquet state in the ({nE},{nB}) block lies within "
-                    f"{guard/(2*np.pi):.2e} Hz of the target block while "
-                    "coupled; the perturbative reduction is invalid here")
+        gsup = np.abs(gap[..., supp])
+        if gsup.size and float(gsup.min()) < DEGENERACY_GUARD:
+            raise NearDegeneracyError(
+                f"a Floquet state in the ({nE},{nB}) block lies within "
+                f"{DEGENERACY_GUARD/(2*np.pi):.2e} Hz of the target block "
+                "while coupled; the perturbative reduction is invalid here")
         D = np.where(supp, 1.0, 0.0) / np.where(supp, gap, 1.0)
         acc = acc + (V * D) @ V.conj().swapaxes(-1, -2)
     H2 = 0.5 * (acc + acc.conj().swapaxes(-1, -2))
     return comp0 + H2
 
 
-def hprime_text(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
-                noise_dE=0.0) -> str:
+def hprime_text(params: SystemParams, dE, Ea, Ba, omega_E, omega_B) -> str:
     """Human-readable dump of H' with basis labels (units 2pi MHz)."""
-    Hp = effective_hamiltonian(params, dE, Ea, Ba, omega_E, omega_B, noise_dE)
+    Hp = effective_hamiltonian(params, dE, Ea, Ba, omega_E, omega_B)
     scale = 2 * np.pi * 1e6
     lines = [
         f"# effective Hamiltonian H' at dE={dE!r} V/m, Ea={Ea!r} V/m, "
         f"Ba={Ba!r} T",
-        f"# omega_E={omega_E!r} rad/s, omega_B={omega_B!r} rad/s, "
-        f"noise_dE={noise_dE!r} V/m",
+        f"# omega_E={omega_E!r} rad/s, omega_B={omega_B!r} rad/s",
         "# entries as (real imag) pairs in units of 2*pi MHz, rows/cols "
         "ordered " + " ".join(BASIS_LABELS),
     ]

@@ -3,6 +3,9 @@ composite noise-resistant X gate.
 
 Gates are defined in the idling frame: the phases a qubit accumulates while
 parked at the idling point are divided out, so idling maps to the identity.
+Calibrations and gate builders run in the effective frame (H'); the lab
+frames enter through `evolve`, `composite_qubit_block` and
+`run_noise_monte_carlo`, which check the calibrated gates against them.
 All 2x2 gates use the (up~, dn~) ordering with sigma_z = diag(+1, -1) and
 Rz(th) = exp(-i th sigma_z / 2), Rx(th) = exp(-i th sigma_x / 2).
 """
@@ -22,7 +25,11 @@ from .propagation import (EvolutionResult, evolve, lab_hamiltonian,
 from .pulses import (PulseSchedule, make_rz_schedule, make_rx_sweep_schedule,
                      make_naive_rx_schedule, make_echo_rz_schedule,
                      make_idle_schedule, sweep_drive_frequencies,
-                     SWEEP_EA_PEAK, SWEEP_BA_PEAK)
+                     SWEEP_EA_PEAK, SWEEP_BA_PEAK, ECHO_RAMP)
+
+MAX_LEAKAGE = 0.01           # a qubit block leaking more defines no gate
+RZ_T_MAX = 24e-9             # longest Rz pulse the duration search tries
+CALIBRATION_FRAME = "effective"   # the frame every calibration runs in
 
 def rz_matrix(theta: float) -> np.ndarray:
     return np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
@@ -131,24 +138,26 @@ def idle_frame_block(U: np.ndarray, energies, basis, T: float) -> np.ndarray:
     return np.exp(1j * energies * T)[:, None] * (basis.conj().T @ U @ basis)
 
 
-def extract_qubit_gate(result: EvolutionResult, params: SystemParams,
-                       max_leakage: float = 0.01):
+def extract_qubit_gate(result: EvolutionResult, params: SystemParams):
     """Project a propagator onto the qubit subspace in the idling frame.
 
     Returns (QubitGate, leakage) for scalar-noise results or lists for
-    batched ones.
+    batched ones; raises ValueError when a block leaks more than
+    MAX_LEAKAGE.
     """
     blocks = extract_qubit_block(result, params)
     if blocks.ndim == 3:
-        pairs = [_gate_from_block(b, max_leakage) for b in blocks]
+        pairs = [_gate_from_block(b) for b in blocks]
         return [g for g, _ in pairs], np.array([lk for _, lk in pairs])
-    return _gate_from_block(blocks, max_leakage)
+    return _gate_from_block(blocks)
 
 
-def _gate_from_block(block, max_leakage):
+def _gate_from_block(block):
+    """(QubitGate, leakage) of a 2x2 idle-frame block; raises ValueError
+    when the leakage exceeds MAX_LEAKAGE."""
     lk = float(1 - (np.abs(block) ** 2).sum() / 2)
-    if lk > max_leakage:
-        raise ValueError(f"leakage {lk:.3e} exceeds {max_leakage}; "
+    if lk > MAX_LEAKAGE:
+        raise ValueError(f"leakage {lk:.3e} exceeds {MAX_LEAKAGE}; "
                          "the qubit block does not define a gate")
     return QubitGate.from_block(block), lk
 
@@ -163,6 +172,18 @@ def extract_qubit_block(result: EvolutionResult, params: SystemParams):
 # ---------------------------------------------------------------------------
 # Rz prediction and calibration
 
+def _window_quadrature(integrand, tau: float, T: float) -> float:
+    """Integral of integrand(t) over [0, T], summed over the pieces
+    [0, tau], [tau, T - tau] and [T - tau, T] of a cosine window with ramp
+    tau (empty pieces skipped)."""
+    total = 0.0
+    for a, b in zip((0.0, tau, T - tau), (tau, T - tau, T)):
+        if b > a:
+            val, _ = quad(integrand, a, b, limit=200)
+            total += val
+    return total
+
+
 def predict_rz_angle(params: SystemParams, T: float):
     """Phase integral -int (delta_q(t) - delta_q0) dt along the Rz pulse.
 
@@ -175,30 +196,19 @@ def predict_rz_angle(params: SystemParams, T: float):
         return qubit_splitting_approx(
             params, float(sched.dE_envelope.value(t))) - dq0
 
-    tau = min(5e-9, T / 2)
-    breaks = sorted({0.0, tau, max(T - tau, tau), T})
-    total = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b > a:
-            val, _ = quad(integrand, a, b, limit=200)
-            total += val
-    theta = -total
+    theta = -_window_quadrature(integrand, min(5e-9, T / 2), T)
     return theta % (2 * np.pi), theta
 
 
-def simulate_rz_angle(params: SystemParams, T: float, frame: str = "effective",
-                      dt: float | None = None) -> float:
+def simulate_rz_angle(params: SystemParams, T: float,
+                      frame: str = "effective") -> float:
     """Extracted Z angle (mod 2pi) of the Rz schedule of duration T."""
-    sched = make_rz_schedule(params, T)
-    res = evolve(params, sched, frame=frame, dt=dt)
-    gate, _ = extract_qubit_gate(res, params)
-    ang = euler_decompose(gate)
-    return ang.theta_z1 % (2 * np.pi)
+    angles = _readout(params, [make_rz_schedule(params, T)], frame)
+    return angles.theta_z1 % (2 * np.pi)
 
 
 def rz_duration_for_angle(params: SystemParams, theta: float,
                           frame: str = "effective",
-                          t_max: float = 24e-9,
                           unreduced: bool = False) -> float:
     """Duration whose simulated Rz angle equals theta (mod 2pi).
 
@@ -224,9 +234,9 @@ def rz_duration_for_angle(params: SystemParams, theta: float,
         _, unreduced = predict_rz_angle(params, T)
         return unreduced - want_unreduced
 
-    lo, hi = 1e-11, t_max
+    lo, hi = 1e-11, RZ_T_MAX
     if f(hi) > 0:
-        raise ValueError(f"angle {theta} not reachable below {t_max} s")
+        raise ValueError(f"angle {theta} not reachable below {RZ_T_MAX} s")
     T0 = brentq(f, lo, hi, xtol=1e-15)
     # refine against the simulated angle with a secant step
     sim = simulate_rz_angle(params, T0, frame=frame)
@@ -250,7 +260,6 @@ class NoiseModel:
     sigma_dE: float
     sample_count: int = 200
     seed: int = 0
-    antithetic: bool = True
 
     def __post_init__(self):
         if self.sigma_dE < 0:
@@ -259,14 +268,14 @@ class NoiseModel:
             raise ValueError("sample_count must be at least 1")
 
     def draw(self) -> np.ndarray:
+        """(sample_count + 1) // 2 Gaussian offsets followed by their
+        negatives (antithetic pairs), cut to sample_count."""
         rng = np.random.default_rng(self.seed)
         if self.sigma_dE == 0:
             return np.zeros(self.sample_count)
-        if self.antithetic:
-            half = (self.sample_count + 1) // 2
-            base = rng.normal(0.0, self.sigma_dE, half)
-            return np.concatenate([base, -base])[: self.sample_count]
-        return rng.normal(0.0, self.sigma_dE, self.sample_count)
+        half = (self.sample_count + 1) // 2
+        base = rng.normal(0.0, self.sigma_dE, half)
+        return np.concatenate([base, -base])[: self.sample_count]
 
 
 def evolve_segments(params: SystemParams, segments, noise_dE=0.0,
@@ -293,6 +302,14 @@ def composite_qubit_block(params: SystemParams, segments, noise_dE=0.0,
     energies, basis = idle_qubit_frame(params, frame, segments[0])
     T = sum(seg.total_time for seg in segments)
     return idle_frame_block(U, energies, basis, T)
+
+
+def _readout(params: SystemParams, segments, frame: str) -> EulerAngles:
+    """Euler angles of a schedule sequence at zero noise; raises ValueError
+    when its qubit block leaks more than MAX_LEAKAGE."""
+    gate, _ = _gate_from_block(composite_qubit_block(params, segments, 0.0,
+                                                     frame))
+    return euler_decompose(gate)
 
 
 @dataclass
@@ -338,16 +355,15 @@ class NoiseSensitivity:
     ambiguous: bool
 
 
-def noise_sensitivity(params: SystemParams, segments,
-                      probes: np.ndarray = SENSITIVITY_PROBES,
-                      frame: str = "effective",
-                      dt: float | None = None) -> NoiseSensitivity:
-    """Linear fit of the Euler angles against quasi-static field offsets."""
+def noise_sensitivity(params: SystemParams, segments) -> NoiseSensitivity:
+    """Linear fit of the Euler angles against the quasi-static field
+    offsets SENSITIVITY_PROBES."""
     if isinstance(segments, PulseSchedule):
         segments = [segments]
-    blocks = composite_qubit_block(params, segments, probes, frame, dt)
-    decomposed = [euler_decompose(QubitGate.from_block(blocks[i]))
-                  for i in range(len(probes))]
+    probes = SENSITIVITY_PROBES
+    blocks = composite_qubit_block(params, segments, probes)
+    decomposed = [euler_decompose(_gate_from_block(block)[0])
+                  for block in blocks]
     raw = np.array([(a.theta_z1, a.theta_x, a.theta_z2) for a in decomposed])
     ambiguous = bool((np.abs(np.diff(raw, axis=0)) > np.pi - 0.2).any())
     z1 = np.unwrap(raw[:, 0])
@@ -383,14 +399,13 @@ class LambdaCalibration:
     def theta_max(self) -> float:
         return float(self.thetas[-1])
 
-    def lambda_for_theta(self, theta_x: float, refine: bool = True) -> float:
+    def lambda_for_theta(self, theta_x: float) -> float:
+        """Interpolated lambda, refined by root finding on `measure`."""
         if theta_x <= 0:
             raise ValueError("theta_x must be positive")
         if theta_x >= self.thetas[-1]:
             return float(self.lambdas[-1])
         lam0 = float(np.interp(theta_x, self.thetas, self.lambdas))
-        if not refine:
-            return lam0
         i = int(np.searchsorted(self.thetas, theta_x))
         lo = float(self.lambdas[max(i - 1, 0)])
         hi = float(self.lambdas[min(i, len(self.lambdas) - 1)])
@@ -406,7 +421,6 @@ class LambdaCalibration:
 
 
 def calibrate_lambda(params: SystemParams, maker, n_points: int = 11,
-                     frame: str = "effective", dt: float | None = None,
                      truncate_at_peak: bool = False) -> LambdaCalibration:
     """Simulate theta_x across a lambda grid; checks monotone growth.
 
@@ -415,10 +429,8 @@ def calibrate_lambda(params: SystemParams, maker, n_points: int = 11,
     """
 
     def measure(lam):
-        sched = maker(params, lam)
-        res = evolve(params, sched, frame=frame, dt=dt)
-        gate, _ = extract_qubit_gate(res, params)
-        return euler_decompose(gate).theta_x
+        angles = _readout(params, [maker(params, lam)], CALIBRATION_FRAME)
+        return angles.theta_x
 
     lams = np.linspace(0.0, 1.0, n_points)
     thetas = [0.0]
@@ -475,36 +487,29 @@ def naive_maker(params: SystemParams):
 # ---------------------------------------------------------------------------
 # corrected single gates and the sweep-and-echo composite
 
-ECHO_RAMP = 5e-9
+CORRECTIVE_ITERATIONS = 4    # wrapper refinements against the composite
+CORRECTIVE_TOL = 2e-4        # rad; residual z-angles counted as zero
 
 
-def echo_slope(params: SystemParams, flat_time: float,
-               ramp_tau: float = ECHO_RAMP) -> float:
+def echo_slope(params: SystemParams, flat_time: float) -> float:
     """First-order dephasing slope d(theta_z)/d(dE) of the echo idle.
 
     Quadrature of -d(delta_q)/d(dE) along the echo trajectory; the flat
     segment contributes A d e t / (4 hbar Vt) and the cosine ramps add a
     fixed offset.
     """
-    sched = make_echo_rz_schedule(params, flat_time, ramp_tau)
+    sched = make_echo_rz_schedule(params, flat_time)
 
     def integrand(t):
         return -dephasing_sensitivity(params, float(sched.dE_envelope.value(t)))
 
-    T = sched.total_time
-    total = 0.0
-    for a, b in zip((0.0, ramp_tau, T - ramp_tau), (ramp_tau, T - ramp_tau, T)):
-        if b > a:
-            val, _ = quad(integrand, a, b, limit=200)
-            total += val
-    return total
+    return _window_quadrature(integrand, ECHO_RAMP, sched.total_time)
 
 
-def echo_flat_time_for_slope(params: SystemParams, slope: float,
-                             ramp_tau: float = ECHO_RAMP) -> float:
+def echo_flat_time_for_slope(params: SystemParams, slope: float) -> float:
     """Invert echo_slope for the flat-segment duration (clipped at 0)."""
     k0 = params.hyperfine_A * params.de_over_hbar / (4 * params.Vt)
-    base = echo_slope(params, 0.0, ramp_tau)
+    base = echo_slope(params, 0.0)
     return max(0.0, (slope - base) / k0)
 
 
@@ -522,8 +527,7 @@ class ComposedGate:
         return sum(seg.total_time for seg in self.segments)
 
 
-def _wrap_with_correctives(params, core_segments, theta_x, frame, dt, info,
-                           max_iter: int = 4, tol: float = 2e-4):
+def _wrap_with_correctives(params, core_segments, theta_x, info):
     """Add Rz wrappers so the sequence equals Rx(theta) at zero noise.
 
     Solved iteratively on the measured full composite: inserting a wrapper
@@ -531,27 +535,25 @@ def _wrap_with_correctives(params, core_segments, theta_x, frame, dt, info,
     angles are refined against the realized sequence until the residual
     z-angles vanish.
     """
-    block = composite_qubit_block(params, core_segments, 0.0, frame, dt)
-    ang = euler_decompose(QubitGate.from_block(block))
+    ang = _readout(params, core_segments, CALIBRATION_FRAME)
     info = dict(info, theta_z1=ang.theta_z1, theta_z2=ang.theta_z2,
                 theta_x_measured=ang.theta_x)
     c_pre, c_post = -ang.theta_z2, -ang.theta_z1
     segments = list(core_segments)
-    for _ in range(max_iter):
+    for _ in range(CORRECTIVE_ITERATIONS):
         pre = []
         post = []
-        t_pre = rz_duration_for_angle(params, c_pre, frame=frame)
-        t_post = rz_duration_for_angle(params, c_post, frame=frame)
+        t_pre = rz_duration_for_angle(params, c_pre)
+        t_post = rz_duration_for_angle(params, c_post)
         if t_pre > 0:
             pre.append(make_rz_schedule(params, t_pre))
         if t_post > 0:
             post.append(make_rz_schedule(params, t_post))
         segments = pre + list(core_segments) + post
-        block = composite_qubit_block(params, segments, 0.0, frame, dt)
-        res = euler_decompose(QubitGate.from_block(block))
+        res = _readout(params, segments, CALIBRATION_FRAME)
         r1 = (res.theta_z1 + np.pi) % (2 * np.pi) - np.pi
         r2 = (res.theta_z2 + np.pi) % (2 * np.pi) - np.pi
-        if abs(r1) < tol and abs(r2) < tol:
+        if abs(r1) < CORRECTIVE_TOL and abs(r2) < CORRECTIVE_TOL:
             break
         c_post -= r1
         c_pre -= r2
@@ -562,10 +564,7 @@ def _wrap_with_correctives(params, core_segments, theta_x, frame, dt, info,
 
 def build_corrected_rx(params: SystemParams, theta_x: float,
                        calibration: LambdaCalibration,
-                       variant: str = "sweep",
-                       maker=None,
-                       frame: str = "effective",
-                       dt: float | None = None) -> ComposedGate:
+                       variant: str = "sweep") -> ComposedGate:
     """Single sweep (or parked) X gate with corrective Z rotations.
 
     Angles beyond the calibration range are reached by chaining two equal
@@ -573,9 +572,9 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
     the second's leading z-phases, so the x-rotations add exactly.
     """
     if variant == "sweep":
-        maker = maker or (lambda p, lam: make_rx_sweep_schedule(p, lam))
+        maker = make_rx_sweep_schedule
     elif variant == "naive":
-        maker = maker or naive_maker(params)
+        maker = naive_maker(params)
     else:
         raise ValueError("variant must be 'sweep' or 'naive'")
     info = {"variant": variant}
@@ -602,18 +601,17 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
                 f"{n_seg} segments of at most {calibration.theta_max():.3f}")
         lam = calibration.lambda_for_theta(phi)
         seg = maker(params, lam)
-        seg_block = composite_qubit_block(params, [seg], 0.0, frame, dt)
-        ang = euler_decompose(QubitGate.from_block(seg_block))
+        ang = _readout(params, [seg], CALIBRATION_FRAME)
         # the x-rotations add exactly when each junction Rz cancels z2 of
         # the previous segment, z1 of the next, and the idle-frame phase
         # advanced over one (T_seg + t_mid) period; fixed point in t_mid
-        energies, _ = idle_qubit_frame(params, frame, seg)
+        energies, _ = idle_qubit_frame(params, CALIBRATION_FRAME, seg)
         dq0 = energies[1] - energies[0]
         t_mid = 0.0
         for _ in range(4):
             beta = -(ang.theta_z1 + ang.theta_z2
                      + dq0 * (seg.total_time + t_mid))
-            t_new = rz_duration_for_angle(params, beta, frame=frame)
+            t_new = rz_duration_for_angle(params, beta)
             if abs(t_new - t_mid) < 1e-12:
                 t_mid = t_new
                 break
@@ -624,14 +622,11 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
                 core.append(make_rz_schedule(params, t_mid))
             core.append(seg)
         info.update({"lambda": lam, "segments": n_seg, "mid_rz_time": t_mid})
-    return _wrap_with_correctives(params, core, theta_x, frame, dt, info)
+    return _wrap_with_correctives(params, core, theta_x, info)
 
 
 def build_sweep_echo_rx(params: SystemParams, theta_x: float,
-                        calibration: LambdaCalibration,
-                        frame: str = "effective",
-                        dt: float | None = None,
-                        refine: bool = True) -> ComposedGate:
+                        calibration: LambdaCalibration) -> ComposedGate:
     """Noise-resistant Rx(theta): echo idles and X wrappers cancel the sweep
     gate's first-order dephasing slopes; corrective Rz gates absorb all
     deterministic phases.
@@ -644,7 +639,7 @@ def build_sweep_echo_rx(params: SystemParams, theta_x: float,
             "(calibrated range)")
     lam = calibration.lambda_for_theta(min(theta_x, calibration.theta_max()))
     sweep = make_rx_sweep_schedule(params, lam)
-    sens = noise_sensitivity(params, sweep, frame=frame, dt=dt)
+    sens = noise_sensitivity(params, sweep)
     x_gate = make_rx_sweep_schedule(params, 1.0)
 
     t1 = echo_flat_time_for_slope(params, sens.theta_z1_prime)
@@ -664,15 +659,13 @@ def build_sweep_echo_rx(params: SystemParams, theta_x: float,
             segs.append(make_echo_rz_schedule(params, t1_))
         return segs
 
-    if refine:
-        # one Newton step on the measured residual slopes of the composite:
-        # its left z-slope is s1 - theta_z1' and its right one s2 - theta_z2'
-        k0 = params.hyperfine_A * params.de_over_hbar / (4 * params.Vt)
-        sens_c = noise_sensitivity(params, core_for(t1, t2), frame=frame, dt=dt)
-        t1 = max(0.0, t1 - sens_c.theta_z1_prime / k0)
-        t2 = max(0.0, t2 - sens_c.theta_z2_prime / k0)
-        info["residual_z_slopes"] = (sens_c.theta_z1_prime,
-                                     sens_c.theta_z2_prime)
+    # one Newton step on the measured residual slopes of the composite:
+    # its left z-slope is s1 - theta_z1' and its right one s2 - theta_z2'
+    k0 = params.hyperfine_A * params.de_over_hbar / (4 * params.Vt)
+    sens_c = noise_sensitivity(params, core_for(t1, t2))
+    t1 = max(0.0, t1 - sens_c.theta_z1_prime / k0)
+    t2 = max(0.0, t2 - sens_c.theta_z2_prime / k0)
+    info["residual_z_slopes"] = (sens_c.theta_z1_prime,
+                                 sens_c.theta_z2_prime)
     info.update(echo_t1=t1, echo_t2=t2)
-    return _wrap_with_correctives(params, core_for(t1, t2), theta_x, frame,
-                                  dt, info)
+    return _wrap_with_correctives(params, core_for(t1, t2), theta_x, info)

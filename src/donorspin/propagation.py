@@ -28,6 +28,7 @@ DEFAULT_DT_EFFECTIVE = 0.05e-9
 
 FRAMES = ("lab-position", "lab-orbital", "effective")
 UNITARITY_LIMIT = 1e-8      # a propagator with a larger defect is invalid
+RESONANCE_SAMPLES = 2001    # schedule samples of the two-photon check
 
 
 class TwoPhotonResonanceWarning(UserWarning):
@@ -68,15 +69,15 @@ class EvolutionResult:
 
 
 def lab_hamiltonian(params: SystemParams, schedule: PulseSchedule, t: float,
-                    noise_dE: float = 0.0, basis: str = "position",
-                    include_correction: bool = False) -> OperatorMatrix:
-    """Sample the lab-frame Hamiltonian of a schedule at time t."""
+                    noise_dE: float = 0.0, basis: str = "position"
+                    ) -> OperatorMatrix:
+    """Sample the lab-frame Hamiltonian of a schedule at time t (the
+    orbital basis without the basis-change correction)."""
     tmid = np.array([float(t)])
     if basis == "position":
         H = _position_h_stack(params, schedule, tmid, noise_dE)
     elif basis == "orbital":
-        H = _orbital_h_stack(params, schedule, tmid, noise_dE,
-                             include_correction)
+        H = _orbital_h_stack(params, schedule, tmid, noise_dE, False)
     else:
         raise ValueError(f"unknown basis {basis!r}")
     return OperatorMatrix(H[0, 0], basis=basis, frame="lab")
@@ -188,10 +189,10 @@ def propagate(h_stack, t0: float, dt: float, n: int, nbatch: int,
     return U, _max_unitarity_defect(U), trace
 
 
-def check_two_photon_resonance(params: SystemParams, schedule: PulseSchedule,
-                               n_samples: int = 2001) -> bool:
+def check_two_photon_resonance(params: SystemParams,
+                               schedule: PulseSchedule) -> bool:
     """Warn when eps0(dE(t)) crosses 2*omega_E while the AC field is on."""
-    ts = np.linspace(0, schedule.total_time, n_samples)
+    ts = np.linspace(0, schedule.total_time, RESONANCE_SAMPLES)
     dE, Ea, _ = schedule.sample(ts)
     # only meaningfully driven stretches matter (ignore envelope tails)
     active = np.abs(Ea) > 0.05 * (np.abs(Ea).max() + 1e-30)
@@ -211,8 +212,8 @@ def check_two_photon_resonance(params: SystemParams, schedule: PulseSchedule,
 def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
            frame: str = "lab-position", dt: float | None = None,
            include_correction: bool = True, t0: float = 0.0,
-           t1: float | None = None, record_leakage: int = 0,
-           check_resonance: bool = False) -> EvolutionResult:
+           t1: float | None = None, record_leakage: int = 0
+           ) -> EvolutionResult:
     """Propagate a schedule from t0 to t1 (default: its full duration).
 
     noise_dE may be a scalar or a 1-D array of quasi-static offsets; with an
@@ -232,8 +233,6 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
             dt = DEFAULT_DT_LAB
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if check_resonance:
-        check_two_photon_resonance(params, schedule)
 
     n = max(1, int(round((t1 - t0) / dt)))
     dt_eff = (t1 - t0) / n

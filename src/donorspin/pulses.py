@@ -7,7 +7,7 @@ starts and ends at the idling point with the AC drives off.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -325,8 +325,10 @@ SWEEP_BA_PEAK = 33.26e-3       # T
 SWEEP_EA_DETUNING = TWO_PI * 232.428e6
 SWEEP_BA_DETUNING = TWO_PI * 217.096e6
 CPHASE_DETUNING = -TWO_PI * 10e6
+CPHASE_DE_GATE = 2000.0        # V/m
 CPHASE_EA_PEAK = 40.0          # V/m
 CPHASE_TAU2_CAP = 300e-9
+ECHO_RAMP = 5e-9               # cosine ramp of the echo idle
 
 
 def idle_frequencies(params: SystemParams):
@@ -349,26 +351,16 @@ def make_rz_schedule(params: SystemParams, T: float) -> PulseSchedule:
     return PulseSchedule(dE, ZERO, ZERO, wE, wB, T, label=f"rz(T={T:.4g})")
 
 
-def sweep_drive_frequencies(params: SystemParams,
-                            ea_detuning: float = SWEEP_EA_DETUNING,
-                            ba_detuning: float = SWEEP_BA_DETUNING):
+def sweep_drive_frequencies(params: SystemParams):
     """Drive frequencies of the sweep gate; eps0 evaluated at dE = 0."""
-    omega_E = charge_splitting(params, 0.0) - ea_detuning
-    omega_B = params.B0 * params.gamma_e - params.hyperfine_A / 4 - ba_detuning
+    omega_E = charge_splitting(params, 0.0) - SWEEP_EA_DETUNING
+    omega_B = (params.B0 * params.gamma_e - params.hyperfine_A / 4
+               - SWEEP_BA_DETUNING)
     return omega_E, omega_B
 
 
-def _sweep_ac(lam: float, tau1: float, tau2: float):
-    win2 = Squared(Window(tau2 / 5, tau2))
-    Ea = Scaled(lam * SWEEP_EA_PEAK, Shifted(tau1, win2))
-    Ba = Scaled(lam * SWEEP_BA_PEAK, Shifted(tau1, win2))
-    return Ea, Ba
-
-
 def make_rx_sweep_schedule(params: SystemParams, lam: float,
-                           sweep_range: float = SWEEP_RANGE,
-                           omega_E: float | None = None,
-                           omega_B: float | None = None) -> PulseSchedule:
+                           sweep_range: float = SWEEP_RANGE) -> PulseSchedule:
     """X-rotation sweep gate: dE crosses zero at a fixed rate while the two
     AC drives are on; lam in [0, 1] scales both drive amplitudes."""
     if not 0 <= lam <= 1:
@@ -379,45 +371,34 @@ def make_rx_sweep_schedule(params: SystemParams, lam: float,
     D = sweep_range
     dE = Sum((Constant(params.dE_idle),
               Ramp(tau1, -params.dE_idle - D, tau1 + taus, -params.dE_idle + D, T)))
-    Ea, Ba = _sweep_ac(lam, tau1, tau2)
-    wE0, wB0 = sweep_drive_frequencies(params)
-    return PulseSchedule(dE, Ea, Ba,
-                         omega_E if omega_E is not None else wE0,
-                         omega_B if omega_B is not None else wB0,
-                         T, label=f"rx-sweep(lam={lam:.4g})")
+    win2 = Shifted(tau1, Squared(Window(tau2 / 5, tau2)))
+    wE, wB = sweep_drive_frequencies(params)
+    return PulseSchedule(dE, Scaled(lam * SWEEP_EA_PEAK, win2),
+                         Scaled(lam * SWEEP_BA_PEAK, win2), wE, wB, T,
+                         label=f"rx-sweep(lam={lam:.4g})")
 
 
 def make_naive_rx_schedule(params: SystemParams, lam: float,
-                           omega_E: float | None = None,
                            omega_B: float | None = None) -> PulseSchedule:
-    """Sweep-free X gate: dE parked at 0 during the drive segment."""
-    if not 0 <= lam <= 1:
-        raise ValueError("lam must be in [0, 1]")
-    tau1, taus = SWEEP_TAU1, SWEEP_DURATION
-    T = 2 * tau1 + taus
-    tau2 = tau1 + taus
-    dE = Sum((Constant(params.dE_idle),
-              Ramp(tau1, -params.dE_idle, tau1 + taus, -params.dE_idle, T)))
-    Ea, Ba = _sweep_ac(lam, tau1, tau2)
-    wE0, wB0 = sweep_drive_frequencies(params)
-    return PulseSchedule(dE, Ea, Ba,
-                         omega_E if omega_E is not None else wE0,
-                         omega_B if omega_B is not None else wB0,
-                         T, label=f"rx-naive(lam={lam:.4g})")
+    """Sweep-free X gate: the sweep gate with dE parked at 0 during the
+    drive segment, optionally with a retuned magnetic drive frequency."""
+    sched = make_rx_sweep_schedule(params, lam, sweep_range=0.0)
+    return replace(sched, label=f"rx-naive(lam={lam:.4g})",
+                   omega_B=sched.omega_B if omega_B is None else omega_B)
 
 
-def make_echo_rz_schedule(params: SystemParams, flat_time: float,
-                          tau1: float = 5e-9) -> PulseSchedule:
+def make_echo_rz_schedule(params: SystemParams,
+                          flat_time: float) -> PulseSchedule:
     """Deliberately noise-sensitive idle at nominal dE = 0.
 
-    Cosine ramps (duration tau1) take dE from idle to 0 and back around a
-    flat segment of length flat_time.
+    Cosine ramps (duration ECHO_RAMP) take dE from idle to 0 and back
+    around a flat segment of length flat_time.
     """
     if flat_time < 0:
         raise ValueError("flat_time must be non-negative")
-    T = 2 * tau1 + flat_time
+    T = 2 * ECHO_RAMP + flat_time
     dE = Sum((Constant(params.dE_idle),
-              Scaled(-params.dE_idle, Window(tau1, T))))
+              Scaled(-params.dE_idle, Window(ECHO_RAMP, T))))
     wE, wB = idle_frequencies(params)
     return PulseSchedule(dE, ZERO, ZERO, wE, wB, T,
                          label=f"rz-echo(t={flat_time:.4g})")
@@ -431,11 +412,10 @@ def cphase_drive_frequency(params: SystemParams, dE_gate: float,
     return e0 + params.hyperfine_A / 4 - a_mean / 2 + detuning
 
 
-def make_cphase_schedule(params: SystemParams, T: float,
-                         dE_gate: float = 2000.0,
-                         detuning: float = CPHASE_DETUNING) -> PulseSchedule:
-    """Entangling pulse: park dE at +dE_gate and drive the electric field
-    near the dn-sector orbital transition. No magnetic drive."""
+def make_cphase_schedule(params: SystemParams, T: float) -> PulseSchedule:
+    """Entangling pulse: park dE at +CPHASE_DE_GATE and drive the electric
+    field CPHASE_DETUNING from the dn-sector orbital transition. No
+    magnetic drive."""
     tau1 = 5e-9
     if T <= 2 * tau1:
         raise ValueError("T must exceed 10 ns")
@@ -443,10 +423,10 @@ def make_cphase_schedule(params: SystemParams, T: float,
     tau2 = min(CPHASE_TAU2_CAP, tau_ac / 2)
     e_max = CPHASE_EA_PEAK * min(1.0, (T / 300e-9) ** 2)
     dE = Sum((Constant(params.dE_idle),
-              Ramp(tau1, -params.dE_idle + dE_gate, tau1 + tau_ac,
-                   -params.dE_idle + dE_gate, T)))
+              Ramp(tau1, -params.dE_idle + CPHASE_DE_GATE, tau1 + tau_ac,
+                   -params.dE_idle + CPHASE_DE_GATE, T)))
     Ea = Scaled(e_max, Shifted(tau1, Window(tau2, tau_ac)))
-    wE = cphase_drive_frequency(params, dE_gate, detuning)
+    wE = cphase_drive_frequency(params, CPHASE_DE_GATE)
     wB = params.B0 * params.gamma_e
     return PulseSchedule(dE, Ea, ZERO, wE, wB, T, label=f"cphase(T={T:.4g})")
 

@@ -26,7 +26,8 @@ from .model import SystemParams, orbital_mixing
 from .operators import (DIM, IDENT, TAU_Z, TAU_X, TAU_P, TAU_M,
                         QUBIT_UP_INDEX, QUBIT_DN_INDEX, frame_generator_diag,
                         interface_projector)
-from .pulses import PulseSchedule, make_cphase_schedule, cphase_drive_frequency, CPHASE_DETUNING
+from .pulses import (PulseSchedule, make_cphase_schedule,
+                     cphase_drive_frequency, CPHASE_DE_GATE)
 from .gates import idle_frame_block, idle_qubit_frame
 from .propagation import _effective_h_stack, propagate
 
@@ -75,10 +76,9 @@ def dipole_coupling_strength(layout: TwoQubitLayout) -> float:
     return num / den / consts.hbar
 
 
-def interface_weight(params: SystemParams, state: np.ndarray, dE,
-                     noise_dE: float = 0.0) -> float:
+def interface_weight(params: SystemParams, state: np.ndarray, dE) -> float:
     """<psi| (|i><i| x 1_spin) |psi> at the instantaneous field."""
-    P = interface_projector(params, np.asarray(dE, dtype=float) + noise_dE)
+    P = interface_projector(params, np.asarray(dE, dtype=float))
     w = float(np.real(state.conj() @ P @ state))
     return w
 
@@ -200,8 +200,8 @@ def cphase_angle(layout: TwoQubitLayout, schedule_1: PulseSchedule,
                         nonadiabaticity=nonadiab, total_time=T)
 
 
-def coupled_drive_frequency(layout: TwoQubitLayout, dE_gate: float = 2000.0,
-                            detuning: float = CPHASE_DETUNING) -> float:
+def coupled_drive_frequency(layout: TwoQubitLayout,
+                            dE_gate: float = CPHASE_DE_GATE) -> float:
     """Re-reference the drive to the dipole-shifted orbital transition.
 
     With the partner parked in its ground orbital, the dn-sector transition
@@ -217,7 +217,7 @@ def coupled_drive_frequency(layout: TwoQubitLayout, dE_gate: float = 2000.0,
     V = dipole_coupling_strength(layout)
     c, _ = orbital_mixing(params, dE_gate)
     shift = V * (-c) * (1 + c) / 2
-    return cphase_drive_frequency(params, dE_gate, detuning) + shift
+    return cphase_drive_frequency(params, dE_gate) + shift
 
 
 def _kron(a, b):
@@ -255,15 +255,11 @@ class TwoQubitResult:
 
 
 def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
-                       schedule_2: PulseSchedule | None = None,
                        noise_dE: tuple = (0.0, 0.0),
                        dt: float = 0.1e-9) -> TwoQubitResult:
-    """Effective-frame 64-dim evolution with the filtered dipole coupling."""
-    if schedule_2 is None:
-        schedule_2 = schedule_1
+    """Effective-frame 64-dim evolution with the filtered dipole coupling;
+    both qubits run schedule_1."""
     T = schedule_1.total_time
-    if abs(schedule_2.total_time - T) > 1e-15:
-        raise ValueError("both schedules must share the total time")
     n = max(1, int(round(T / dt)))
     p1, p2 = layout.params_1, layout.params_2
     eye = np.eye(DIM)
@@ -272,21 +268,21 @@ def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
         H = _kron(_effective_h_stack(p1, schedule_1, tmid, noise_dE[0])[:, 0],
                   eye)
         H += _kron(eye,
-                   _effective_h_stack(p2, schedule_2, tmid, noise_dE[1])[:, 0])
-        H += _dipole_interaction_rwa(
-            layout, schedule_1.dE_envelope.value(tmid) + noise_dE[0],
-            schedule_2.dE_envelope.value(tmid) + noise_dE[1])
+                   _effective_h_stack(p2, schedule_1, tmid, noise_dE[1])[:, 0])
+        dE = schedule_1.dE_envelope.value(tmid)
+        H += _dipole_interaction_rwa(layout, dE + noise_dE[0],
+                                     dE + noise_dE[1])
         return H[:, None]
 
     U, defect, _ = propagate(h_stack, 0.0, T / n, n, 1, dim=DIM * DIM)
     U = U[0]
     # back to the lab frame and the product of the per-qubit idle frames
     g1 = frame_generator_diag(p1, schedule_1.omega_E, schedule_1.omega_B)
-    g2 = frame_generator_diag(p2, schedule_2.omega_E, schedule_2.omega_B)
+    g2 = frame_generator_diag(p2, schedule_1.omega_E, schedule_1.omega_B)
     g12 = (g1[:, None] + g2[None, :]).ravel()
     U_lab = np.exp(1j * T * g12)[:, None] * U
     e1, b1 = idle_qubit_frame(p1, "effective", schedule_1)
-    e2, b2 = idle_qubit_frame(p2, "effective", schedule_2)
+    e2, b2 = idle_qubit_frame(p2, "effective", schedule_1)
     block = idle_frame_block(U_lab, (e1[:, None] + e2[None, :]).ravel(),
                              _kron(b1, b2), T)
     diag = np.diag(block)
@@ -305,13 +301,12 @@ def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
 
 
 def cz_duration_search(layout: TwoQubitLayout, t_lo: float = 100e-9,
-                       t_hi: float = 750e-9, detuning: float = CPHASE_DETUNING,
-                       n_samples: int = 400) -> float:
+                       t_hi: float = 750e-9, n_samples: int = 400) -> float:
     """Duration where |phi(T)| = pi, by quadrature root finding; raises if
     |phi| is not monotone over seven durations across the bracket."""
 
     def phi_mag(T):
-        sched = make_cphase_schedule(layout.params_1, T, detuning=detuning)
+        sched = make_cphase_schedule(layout.params_1, T)
         return abs(cphase_angle(layout, sched, n_samples=n_samples).phi)
 
     vals = [phi_mag(T) for T in np.linspace(t_lo, t_hi, 7)]

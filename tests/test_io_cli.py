@@ -188,6 +188,33 @@ class TestCliRuns:
                 if ln and not ln.startswith("#")]
         assert len(rows) == 8
 
+    def test_hprime_dump_flags_are_the_manifest_fields(self, tmp_path):
+        from donorspin.pulses import cphase_drive_frequency
+        wE = f"{float(cphase_drive_frequency(SystemParams(), 2000.0))!r} rad/s"
+        flags = tmp_path / "flags.txt"
+        assert main(["dump-hprime", "--output", str(flags), "--dE",
+                     "2000 V/m", "--Ea", "40 V/m", "--omega_E", wE]) == 0
+        man = tmp_path / "m.txt"
+        manifest = tmp_path / "manifest.txt"
+        man.write_text(f"kind = hprime-dump\ndE = 2000 V/m\nEa = 40 V/m\n"
+                       f"omega_E = {wE}\noutput = {manifest}\n")
+        assert main(["run", str(man)]) == 0
+        idle = tmp_path / "idle.txt"
+        assert main(["dump-hprime", "--output", str(idle), "--dE",
+                     "2000 V/m", "--Ea", "40 V/m"]) == 0
+
+        def rows(path):
+            return [ln for ln in path.read_text().splitlines()
+                    if not ln.startswith("#")]
+
+        assert rows(flags) == rows(manifest)
+        assert rows(flags) != rows(idle)
+
+    def test_hprime_dump_bad_flag_exit_code(self, tmp_path, capsys):
+        assert self._run(["dump-hprime", "--output", str(tmp_path / "hp.txt"),
+                          "--omega_E", "fast"]) == 2
+        assert "'omega_E'" in capsys.readouterr().err
+
     def test_cli_entrypoint_subprocess(self, tmp_path):
         out = tmp_path / "hp.txt"
         proc = subprocess.run(

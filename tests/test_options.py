@@ -1,0 +1,166 @@
+"""Every defaulted parameter in the package is set by some caller.
+
+A keyword option that no call sets is a constant in disguise: its default
+is the only value ever used, and every branch it guards is dead. This AST
+inventory (no linter is assumed installed) lists each defaulted parameter
+of a function in `src/donorspin` and looks for a call that sets it in
+`src/`, `tests/`, `scripts/` or `benchmark/workloads.py`. Calls are matched
+to functions by name. A call sets a parameter when it passes it by keyword
+or by position, or when it uses `**` (a `*` argument has no known length,
+so the positions from it on count as unset). In the package, passing on a
+parameter of an enclosing function unchanged (`f(x=x)`, also from a nested
+function) sets it only if that enclosing parameter is itself set or
+required; a parameter of a test or script helper counts as set.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "donorspin"
+OTHER_CALLERS = sorted([*(ROOT / "tests").glob("*.py"),
+                        *(ROOT / "scripts").glob("*.py"),
+                        ROOT / "benchmark" / "workloads.py"])
+OPTION_COUNT = 50          # defaulted parameters in the package
+
+
+def _functions(tree):
+    """(name, positional parameter names, defaulted names, is_method) of
+    every function defined in a module, nested ones included."""
+    methods = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        positional = [p.arg for p in a.posonlyargs + a.args]
+        defaulted = positional[len(positional) - len(a.defaults):]
+        defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None]
+        yield node.name, positional, defaulted, id(node) in methods
+
+
+def _params_in_scope(stack):
+    """Parameter name -> (function name, defaulted?) for the innermost
+    enclosing function that declares it."""
+    scope = {}
+    for fn in stack:
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        n_plain = len(positional) - len(a.defaults)
+        for i, p in enumerate(positional):
+            scope[p.arg] = (fn.name, i >= n_plain)
+        for p, d in zip(a.kwonlyargs, a.kw_defaults):
+            scope[p.arg] = (fn.name, d is not None)
+    return scope
+
+
+def _callee(call):
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id
+    if isinstance(f, ast.Attribute):
+        return f.attr
+    return None
+
+
+def _calls(tree, forwarding):
+    """(callee, call node, parameter scope) for every call in a module; the
+    scope is empty unless `forwarding`."""
+    out = []
+
+    def visit(node, stack):
+        if forwarding and isinstance(node, ast.FunctionDef):
+            stack = stack + [node]
+        if isinstance(node, ast.Call) and _callee(node):
+            out.append((_callee(node), node, _params_in_scope(stack)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, stack)
+
+    visit(tree, [])
+    return out
+
+
+def option_inventory(package_sources, other_sources):
+    """Return (every defaulted parameter of the package, the ones no call
+    in the package or the other sources sets), each a sorted list of
+    'function(parameter)' names."""
+    signatures = {}          # name -> [(positional, defaulted, is_method)]
+    options = set()
+    for source in package_sources:
+        for name, positional, defaulted, method in _functions(
+                ast.parse(source)):
+            signatures.setdefault(name, []).append(
+                (positional, defaulted, method))
+            options.update(f"{name}({p})" for p in defaulted)
+
+    is_set = set()
+    forwarded = {}           # option -> options whose being set sets it
+    calls = [c for source in package_sources
+             for c in _calls(ast.parse(source), forwarding=True)]
+    calls += [c for source in other_sources
+              for c in _calls(ast.parse(source), forwarding=False)]
+    for callee, call, scope in calls:
+        for positional, defaulted, method in signatures.get(callee, ()):
+            for param, value in _passed(call, positional, defaulted, method):
+                option = f"{callee}({param})"
+                source = (scope.get(value.id) if isinstance(value, ast.Name)
+                          else None)
+                if source is not None and source[1]:
+                    forwarded.setdefault(option, set()).add(
+                        f"{source[0]}({value.id})")
+                else:
+                    is_set.add(option)
+
+    changed = True
+    while changed:
+        changed = False
+        for option, sources in forwarded.items():
+            if option not in is_set and sources & is_set:
+                is_set.add(option)
+                changed = True
+    return sorted(options), sorted(options - is_set)
+
+
+def _passed(call, positional, defaulted, method):
+    """(defaulted parameter, argument expression or None) the call sets."""
+    slots = positional[1:] if method else positional
+    passed = []
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or i >= len(slots):
+            break
+        passed.append((slots[i], arg))
+    for kw in call.keywords:
+        if kw.arg is None:                      # **mapping
+            passed += [(p, None) for p in defaulted]
+        else:
+            passed.append((kw.arg, kw.value))
+    return [(p, v) for p, v in passed if p in defaulted]
+
+
+def test_detects_unset_and_forwarded_options():
+    package = ("def f(a, b=1, c=2, d=3, t=4):\n    pass\n"
+               "def g(x, e=0, k=5):\n"
+               "    f(x, 1, d=x)\n"
+               "    def inner():\n"
+               "        f(x, c=e, t=k)\n"
+               "def h(y=1):\n    pass\n"
+               "def r(v=1):\n    pass\n"
+               "def s(u=1):\n    pass\n"
+               "class C:\n"
+               "    def m(self, z=1, w=2):\n        pass\n")
+    callers = ["g(0, k=2)\nh(**opts)\nC().m(3)\ns(*rest)\n",
+               "def helper(v=None):\n    r(v=v)\n"]
+    options, unset = option_inventory([package], callers)
+    assert options == ["f(b)", "f(c)", "f(d)", "f(t)", "g(e)", "g(k)", "h(y)",
+                       "m(w)", "m(z)", "r(v)", "s(u)"]
+    # b by position, d from the required x, t from k, which a caller sets;
+    # c only from the unset e; v from a helper's parameter
+    assert unset == ["f(c)", "g(e)", "m(w)", "s(u)"]
+
+
+def test_every_option_has_a_caller():
+    options, unset = option_inventory(
+        [p.read_text() for p in sorted(SRC.glob("*.py"))],
+        [p.read_text() for p in OTHER_CALLERS])
+    assert unset == []
+    assert len(options) == OPTION_COUNT
