@@ -10,7 +10,7 @@ from .pulses import (PulseSchedule, make_rz_schedule,
                      make_rx_sweep_schedule, make_naive_rx_schedule,
                      make_cphase_schedule, make_echo_rz_schedule)
 from .propagation import (OperatorMatrix, EvolutionResult, evolve, leakage,
-                          lab_hamiltonian)
+                          unitarity_defect, lab_hamiltonian)
 from .effective import (rwa_hamiltonian, frequency_components,
                         effective_hamiltonian, NearDegeneracyError)
 from .gates import (QubitGate, EulerAngles, euler_decompose, gate_infidelity,

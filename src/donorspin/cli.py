@@ -15,11 +15,13 @@ from .io import (ManifestError, parse_keyvalues, parse_quantity, parse_angle,
                  parse_list, load_params, format_params, write_columns,
                  _TIME_UNITS, _EFIELD_UNITS, _FREQ_UNITS, _LENGTH_UNITS)
 from .model import (TWO_PI, SystemParams, qubit_splitting_approx)
-from .pulses import make_cphase_schedule, make_rz_schedule, idle_frequencies
+from .pulses import (make_cphase_schedule, make_rz_schedule, idle_frequencies,
+                     make_rx_sweep_schedule)
 from .propagation import FRAMES, lab_hamiltonian
 from .gates import (predict_rz_angle, simulate_rz_angle, rz_duration_for_angle,
                     NoiseModel, run_noise_monte_carlo, rz_matrix,
-                    calibrate_lambda, build_corrected_rx, build_sweep_echo_rx)
+                    calibrate_lambda, build_corrected_rx, build_sweep_echo_rx,
+                    naive_maker)
 from .effective import hprime_text
 from .twoqubit import TwoQubitLayout, cphase_angle, cz_duration_search
 
@@ -215,8 +217,6 @@ def run_rz_noise(m: Manifest):
 
 
 def _rx_noise_common(m: Manifest, variants):
-    from .gates import naive_maker
-    from .pulses import make_rx_sweep_schedule
     params = m.params
     sweep_cal = calibrate_lambda(
         params, lambda p, lam: make_rx_sweep_schedule(p, lam))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, charge_splitting
+from .model import SystemParams, charge_splitting, orbital_mixing
 from .operators import (DIM, TAU_Z, TAU_X, TAU_P, S_Z, S_X, S_M, I_Z, I_M,
                         I_P, BASIS_LABELS)
 
@@ -99,9 +99,8 @@ def _samples(params: SystemParams, dE, Ea, Ba, noise_dE):
     """Broadcast envelope samples; returns (e0, c, s, dE + noise, Ea, Ba)."""
     dEn = np.asarray(dE, dtype=float) + noise_dE
     e0 = charge_splitting(params, dEn)
+    c, s = orbital_mixing(params, dEn)
     shape = np.broadcast_shapes(e0.shape, np.shape(Ea), np.shape(Ba))
-    c = params.de_over_hbar * dEn / e0
-    s = params.Vt / e0
     return tuple(np.broadcast_to(np.asarray(a, dtype=float), shape)
                  for a in (e0, c, s, dEn, Ea, Ba))
 

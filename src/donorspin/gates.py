@@ -19,17 +19,19 @@ from scipy.optimize import brentq
 
 from .effective import effective_hamiltonian
 from .model import SystemParams, qubit_splitting_approx, dephasing_sensitivity
-from .operators import QUBIT_UP_INDEX, QUBIT_DN_INDEX, frame_generator_diag
-from .propagation import (EvolutionResult, evolve, lab_hamiltonian,
+from .operators import (QUBIT_UP_INDEX, QUBIT_DN_INDEX, frame_generator_diag,
+                        qubit_gauge)
+from .propagation import (EvolutionResult, evolve, lab_hamiltonian, leakage,
                           to_lab_orbital)
 from .pulses import (PulseSchedule, make_rz_schedule, make_rx_sweep_schedule,
                      make_naive_rx_schedule, make_echo_rz_schedule,
-                     make_idle_schedule, sweep_drive_frequencies,
+                     make_idle_schedule, sweep_drive_frequencies, rz_ramp,
                      SWEEP_EA_PEAK, SWEEP_BA_PEAK, ECHO_RAMP)
 
 MAX_LEAKAGE = 0.01           # a qubit block leaking more defines no gate
 RZ_T_MAX = 24e-9             # longest Rz pulse the duration search tries
 CALIBRATION_FRAME = "effective"   # the frame every calibration runs in
+BLOCK_INDICES = (0, 1)       # both states of a 2x2 qubit block, for `leakage`
 
 def rz_matrix(theta: float) -> np.ndarray:
     return np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
@@ -55,10 +57,6 @@ class QubitGate:
         if not (-np.pi / 2 < np.angle(ref) <= np.pi / 2):
             w = -w
         return cls(w)
-
-    def unitarity_defect(self) -> float:
-        m = self.matrix
-        return float(np.abs(m.conj().T @ m - np.eye(2)).max())
 
 
 @dataclass(frozen=True)
@@ -100,10 +98,6 @@ def gate_infidelity(U: np.ndarray, U0: np.ndarray, n: int | None = None) -> floa
     return float(1 - (t1 + t2) / (n * (n + 1)))
 
 
-def _fix_gauge(vec, index):
-    return vec * np.exp(-1j * np.angle(vec[index]))
-
-
 def idle_qubit_frame(params: SystemParams, frame: str,
                      schedule: PulseSchedule):
     """Exact qubit eigenstates and lab energies at the nominal idle point.
@@ -127,8 +121,8 @@ def idle_qubit_frame(params: SystemParams, frame: str,
     idn = int(np.argmax(np.abs(vec[QUBIT_DN_INDEX, :])))
     energies = np.array([ev[iu] - g[QUBIT_UP_INDEX],
                          ev[idn] - g[QUBIT_DN_INDEX]])
-    basis = np.stack([_fix_gauge(vec[:, iu], QUBIT_UP_INDEX),
-                      _fix_gauge(vec[:, idn], QUBIT_DN_INDEX)], axis=1)
+    basis = np.stack([qubit_gauge(vec[:, iu], QUBIT_UP_INDEX),
+                      qubit_gauge(vec[:, idn], QUBIT_DN_INDEX)], axis=1)
     return energies, basis
 
 
@@ -155,7 +149,7 @@ def extract_qubit_gate(result: EvolutionResult, params: SystemParams):
 def _gate_from_block(block):
     """(QubitGate, leakage) of a 2x2 idle-frame block; raises ValueError
     when the leakage exceeds MAX_LEAKAGE."""
-    lk = float(1 - (np.abs(block) ** 2).sum() / 2)
+    lk = leakage(block, BLOCK_INDICES)
     if lk > MAX_LEAKAGE:
         raise ValueError(f"leakage {lk:.3e} exceeds {MAX_LEAKAGE}; "
                          "the qubit block does not define a gate")
@@ -196,7 +190,7 @@ def predict_rz_angle(params: SystemParams, T: float):
         return qubit_splitting_approx(
             params, float(sched.dE_envelope.value(t))) - dq0
 
-    theta = -_window_quadrature(integrand, min(5e-9, T / 2), T)
+    theta = -_window_quadrature(integrand, rz_ramp(T), T)
     return theta % (2 * np.pi), theta
 
 
@@ -333,7 +327,7 @@ def run_noise_monte_carlo(params: SystemParams, segments, target: np.ndarray,
     draws = model.draw()
     blocks = composite_qubit_block(params, segments, draws, frame, dt)
     infids = np.array([gate_infidelity(b, target, 2) for b in blocks])
-    leaks = 1 - (np.abs(blocks) ** 2).sum(axis=(1, 2)) / 2
+    leaks = leakage(blocks, BLOCK_INDICES)
     return MonteCarloResult(float(infids.mean()), infids, draws, leaks)
 
 
@@ -455,7 +449,6 @@ def calibrate_naive_resonance(params: SystemParams, lam: float = 1.0) -> float:
     envelope values (dE = 0, drive amplitudes scaled by lam). The Stark
     shifts move with the drive strength, so each lam needs its own tuning.
     """
-    from .effective import effective_hamiltonian
     wE, wB0 = sweep_drive_frequencies(params)
 
     def detuning(wB):

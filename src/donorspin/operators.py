@@ -66,15 +66,20 @@ DONOR_PROJECTOR = (IDENT - TAU_Z) / 2   # position basis (1 - tau_z^id)/2
 def orbital_transform(params: SystemParams, dE):
     """Unitary mapping position-basis amplitudes to orbital-basis ones.
 
-    On the orbital factor: Lambda = a*1 - i*b*sigma_y with
-    a = sqrt((1 + c)/2), b = sqrt((1 - c)/2), c = d e dE / hbar eps0, so
-    |g> = a|i> - b|d> and |e> = b|i> + a|d>.
+    Lambda = a*1 - i*b*tau_y with a = sqrt((1 + c)/2), b = sqrt((1 - c)/2),
+    c = d e dE / hbar eps0, so |g> = a|i> - b|d> and |e> = b|i> + a|d>.
+    Array-valued dE gives a stack of 8x8 matrices.
     """
     c, _ = orbital_mixing(params, dE)
-    a = np.sqrt((1 + c) / 2)
-    b = np.sqrt((1 - c) / 2)
-    lam2 = a * _I2 - 1j * b * _PY
-    return _k3(lam2, _I2, _I2)
+    a = np.sqrt((1 + c) / 2)[..., None, None]
+    b = np.sqrt((1 - c) / 2)[..., None, None]
+    return a * IDENT - 1j * b * TAU_Y
+
+
+def qubit_gauge(vecs, index):
+    """Eigenvector(s) (..., 8) rephased so component `index` is real and
+    non-negative (the package's dressed-state gauge)."""
+    return vecs * np.exp(-1j * np.angle(vecs[..., index]))[..., None]
 
 
 def basis_change_correction(params: SystemParams, dE, dE_rate):

@@ -5,8 +5,11 @@ matrix exponential per step (Hermitian eigendecomposition). One step loop,
 `propagate`, serves every frame and the 64-dim two-qubit simulation: a
 frame only supplies its Hamiltonian stack, and steps are processed in
 vectorized chunks, so a whole batch of quasi-static noise offsets can be
-propagated at once. `_effective_h_stack` is the one way the package samples
-H' along a schedule.
+propagated at once. `_position_h_stack` is the one lab-frame Hamiltonian;
+the orbital basis is the orbital transform applied to it.
+`_effective_h_stack` is the one way the package samples H' along a
+schedule. `unitarity_defect` and `leakage` are the package's two numerical
+contracts on propagators.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effective import effective_hamiltonian
-from .model import SystemParams, charge_splitting, orbital_mixing
+from .model import SystemParams, charge_splitting
 from .operators import (DIM, TAU_Z, TAU_X, S_Z, S_X, I_Z, I_X, S_DOT_I,
                         DONOR_PROJECTOR, QUBIT_INDICES, orbital_transform,
                         basis_change_correction, frame_generator_diag)
@@ -38,19 +41,13 @@ class TwoPhotonResonanceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense operator with its basis and frame tags."""
+    """Dense operator (a matrix or a batch of them)."""
 
     matrix: np.ndarray
-    basis: str = "orbital"       # "position" or "orbital"
-    frame: str = "lab"           # "lab", "rotating", "effective"
 
     def hermiticity_defect(self) -> float:
         m = self.matrix
         return float(np.abs(m - m.conj().T).max() / max(np.abs(m).max(), 1e-300))
-
-    def unitarity_defect(self) -> float:
-        m = self.matrix
-        return float(np.abs(m.conj().T @ m - np.eye(m.shape[-1])).max())
 
 
 @dataclass
@@ -80,7 +77,7 @@ def lab_hamiltonian(params: SystemParams, schedule: PulseSchedule, t: float,
         H = _orbital_h_stack(params, schedule, tmid, noise_dE, False)
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    return OperatorMatrix(H[0, 0], basis=basis, frame="lab")
+    return OperatorMatrix(H[0, 0])
 
 
 def _position_h_stack(params: SystemParams, schedule, tmid, noise_dE):
@@ -104,28 +101,14 @@ def _position_h_stack(params: SystemParams, schedule, tmid, noise_dE):
 
 def _orbital_h_stack(params: SystemParams, schedule, tmid, noise_dE,
                      include_correction):
-    """(n, S, 8, 8) orbital-basis stack: the orbital basis follows the DC
-    field dE + noise, and the AC drive is expanded in it."""
-    dE, Ea, Ba = schedule.sample(tmid)
+    """(n, S, 8, 8) lab Hamiltonian in the orbital basis, which follows the
+    DC field dE + noise: Lambda H_position Lambda^dag, plus the
+    basis-change term of the moving basis when include_correction."""
     noise = np.atleast_1d(np.asarray(noise_dE, dtype=float))
-    dEn = dE[:, None] + noise[None, :]
-    e0 = charge_splitting(params, dEn)
-    c, s = orbital_mixing(params, dEn)
-    drive_E = (Ea * np.cos(schedule.omega_E * tmid))[:, None]
-    drive_B = (Ba * np.cos(schedule.omega_B * tmid))[:, None]
-    donorz = c / 2
-    H = (-e0[..., None, None] / 2 * TAU_Z
-         - (params.de_over_hbar * drive_E * c)[..., None, None] / 2 * TAU_Z
-         - (params.de_over_hbar * drive_E * s)[..., None, None] / 2 * TAU_X
-         + (params.B0 * params.gamma_e) * (S_Z
-            + params.delta_gamma * (0.5 * S_Z
-                                    - donorz[..., None, None] * (TAU_Z @ S_Z)
-                                    - (s / 2)[..., None, None] * (TAU_X @ S_Z)))
-         - params.B0 * params.gamma_n * I_Z
-         + drive_B[..., None, None] * (params.gamma_e * S_X - params.gamma_n * I_X)
-         + params.hyperfine_A * (0.5 * S_DOT_I
-                                 - donorz[..., None, None] * (TAU_Z @ S_DOT_I)
-                                 - (s / 2)[..., None, None] * (TAU_X @ S_DOT_I)))
+    dEn = schedule.dE_envelope.value(tmid)[:, None] + noise[None, :]
+    lam = orbital_transform(params, dEn)
+    H = (lam @ _position_h_stack(params, schedule, tmid, noise)
+         @ lam.conj().swapaxes(-1, -2))
     if include_correction:
         rate = schedule.dE_envelope.derivative(tmid)[:, None]
         H = H + basis_change_correction(params, dEn, rate)
@@ -184,9 +167,9 @@ def propagate(h_stack, t0: float, dt: float, n: int, nbatch: int,
         U = np.matmul(_ordered_product(Us), U)
         i += m
         if record_every and i % record_every == 0:
-            rows.append((t0 + i * dt, _mean_leakage(U)))
+            rows.append((t0 + i * dt, float(np.mean(leakage(U)))))
     trace = np.array(rows) if rows else None
-    return U, _max_unitarity_defect(U), trace
+    return U, float(unitarity_defect(U).max()), trace
 
 
 def check_two_photon_resonance(params: SystemParams,
@@ -241,40 +224,38 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
     if frame == "effective":
         def h_stack(tmid):
             return _effective_h_stack(params, schedule, tmid, noise)
-        basis, kind = "orbital", "rotating"
     elif frame == "lab-position":
         def h_stack(tmid):
             return _position_h_stack(params, schedule, tmid, noise)
-        basis, kind = "position", "lab"
     else:
         def h_stack(tmid):
             return _orbital_h_stack(params, schedule, tmid, noise,
                                     include_correction)
-        basis, kind = "orbital", "lab"
 
     record_every = max(1, n // record_leakage) if record_leakage else 0
     U, defect, trace = propagate(h_stack, t0, dt_eff, n, noise.size,
                                  record_every=record_every)
     Umat = U if np.ndim(noise_dE) > 0 else U[0]
-    return EvolutionResult(OperatorMatrix(Umat, basis, kind),
-                           frame, n, defect, schedule, noise_dE, trace)
+    return EvolutionResult(OperatorMatrix(Umat), frame, n, defect, schedule,
+                           noise_dE, trace)
 
 
-def _max_unitarity_defect(U):
+def unitarity_defect(U: np.ndarray):
+    """max |U^dag U - 1| per matrix: a float for one matrix, an array over
+    the leading axes of a batch."""
     prod = np.matmul(np.conj(np.swapaxes(U, -1, -2)), U)
-    return float(np.abs(prod - np.eye(U.shape[-1])).max())
+    defect = np.abs(prod - np.eye(U.shape[-1])).max(axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect
 
 
-def _mean_leakage(Ubatch):
-    block = Ubatch[..., QUBIT_INDICES, :][..., :, QUBIT_INDICES]
-    return float(np.mean(1 - (np.abs(block) ** 2).sum(axis=(-2, -1)) / 2))
-
-
-def leakage(U: np.ndarray, subspace=QUBIT_INDICES) -> float:
-    """Population lost from a subspace: 1 - Tr(P U P U+ P) / dim(P)."""
+def leakage(U: np.ndarray, subspace=QUBIT_INDICES):
+    """Population lost from a subspace, 1 - Tr(P U P U+ P) / dim(P), per
+    matrix: a float for one matrix, an array over the leading axes of a
+    batch."""
     idx = np.asarray(subspace)
-    block = U[np.ix_(idx, idx)]
-    return float(1 - (np.abs(block) ** 2).sum() / idx.size)
+    block = U[..., idx[:, None], idx]
+    lk = 1 - (np.abs(block) ** 2).sum(axis=(-2, -1)) / idx.size
+    return float(lk) if lk.ndim == 0 else lk
 
 
 def to_lab_orbital(result: EvolutionResult, params: SystemParams) -> np.ndarray:

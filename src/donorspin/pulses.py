@@ -336,17 +336,21 @@ def idle_frequencies(params: SystemParams):
     return charge_splitting(params, params.dE_idle), params.B0 * params.gamma_e
 
 
+def rz_ramp(T: float) -> float:
+    """Cosine ramp time min(5 ns, T/2) of the Rz pulse of duration T."""
+    return min(5e-9, T / 2)
+
+
 def make_rz_schedule(params: SystemParams, T: float) -> PulseSchedule:
     """Z-rotation pulse: dip dE from idle toward -dE_idle and back.
 
-    dE(t) = dE_idle - S*w(t, tau, T) with tau = min(5 ns, T/2) and
+    dE(t) = dE_idle - S*w(t, tau, T) with tau = rz_ramp(T) and
     S = 2e4 V/m * min(1, T / 10 ns); no AC drives.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    tau = min(5e-9, T / 2)
     S = 2e4 * min(1.0, T / 10e-9)
-    dE = Sum((Constant(params.dE_idle), Scaled(-S, Window(tau, T))))
+    dE = Sum((Constant(params.dE_idle), Scaled(-S, Window(rz_ramp(T), T))))
     wE, wB = idle_frequencies(params)
     return PulseSchedule(dE, ZERO, ZERO, wE, wB, T, label=f"rz(T={T:.4g})")
 

@@ -25,7 +25,7 @@ from scipy.optimize import brentq
 from .model import SystemParams, orbital_mixing
 from .operators import (DIM, IDENT, TAU_Z, TAU_X, TAU_P, TAU_M,
                         QUBIT_UP_INDEX, QUBIT_DN_INDEX, frame_generator_diag,
-                        interface_projector)
+                        interface_projector, qubit_gauge)
 from .pulses import (PulseSchedule, make_cphase_schedule,
                      cphase_drive_frequency, CPHASE_DE_GATE)
 from .gates import idle_frame_block, idle_qubit_frame
@@ -50,15 +50,24 @@ class TwoQubitLayout:
 
 @dataclass
 class CphaseReport:
+    """Phases alpha, beta, gamma, delta of |up up>, |up dn>, |dn up>,
+    |dn dn>; the entangling phase phi and the local Rz corrections derive
+    from them."""
+
     alpha: float
     beta: float
     gamma: float
     delta: float
-    phi: float
-    local_rz_1: float       # exp(-i theta sigma_z/2) correction on qubit 1
-    local_rz_2: float
     nonadiabaticity: float
     total_time: float
+    phi: float = field(init=False)
+    local_rz_1: float = field(init=False)   # exp(-i theta sigma_z/2) on qubit 1
+    local_rz_2: float = field(init=False)
+
+    def __post_init__(self):
+        self.phi = self.alpha - self.beta - self.gamma + self.delta
+        self.local_rz_1 = self.alpha - self.gamma
+        self.local_rz_2 = self.alpha - self.beta
 
     def phases_consistent(self) -> bool:
         res = (self.alpha - self.beta - self.gamma + self.delta - self.phi)
@@ -134,10 +143,9 @@ def track_dressed_qubit_states(params: SystemParams, schedule: PulseSchedule,
     rows = np.arange(len(times))
     up = vecs[rows, :, path[:, 0]]
     dn = vecs[rows, :, path[:, 1]]
-    # fix gauge: largest qubit component real positive
-    up = up * np.exp(-1j * np.angle(up[:, QUBIT_UP_INDEX]))[:, None]
-    dn = dn * np.exp(-1j * np.angle(dn[:, QUBIT_DN_INDEX]))[:, None]
-    return TrackedStates(times, up, dn, float(kept.min(initial=1.0)))
+    return TrackedStates(times, qubit_gauge(up, QUBIT_UP_INDEX),
+                         qubit_gauge(dn, QUBIT_DN_INDEX),
+                         float(kept.min(initial=1.0)))
 
 
 def cphase_angle(layout: TwoQubitLayout, schedule_1: PulseSchedule,
@@ -193,11 +201,8 @@ def cphase_angle(layout: TwoQubitLayout, schedule_1: PulseSchedule,
     e = V * (w1[:, None] * w2[None, :]
              + 0.5 * s1 * s2 * x1[:, None] * x2[None, :])
     (alpha, beta), (gamma, delta) = -np.trapezoid(e - e[..., :1], ts)
-    phi = alpha - beta - gamma + delta
     nonadiab = 1.0 - min(tr1.min_overlap, tr2.min_overlap) ** 2
-    return CphaseReport(alpha, beta, gamma, delta, phi,
-                        local_rz_1=alpha - gamma, local_rz_2=alpha - beta,
-                        nonadiabaticity=nonadiab, total_time=T)
+    return CphaseReport(alpha, beta, gamma, delta, nonadiab, T)
 
 
 def coupled_drive_frequency(layout: TwoQubitLayout,
@@ -286,17 +291,13 @@ def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
     block = idle_frame_block(U_lab, (e1[:, None] + e2[None, :]).ravel(),
                              _kron(b1, b2), T)
     diag = np.diag(block)
-    alpha, beta, gamma, delta = np.angle(diag)
-    phi = alpha - beta - gamma + delta
     offdiag = block - np.diag(diag)
     nonadiab = float(max(np.abs(offdiag).max() ** 2,
                          1 - np.min(np.abs(diag)) ** 2))
     if nonadiab > NONADIABATICITY_FLAG:
         warnings.warn(f"two-qubit evolution nonadiabaticity {nonadiab:.2e} "
                       f"exceeds {NONADIABATICITY_FLAG:.0e}", stacklevel=2)
-    report = CphaseReport(alpha, beta, gamma, delta, phi,
-                          local_rz_1=alpha - gamma, local_rz_2=alpha - beta,
-                          nonadiabaticity=nonadiab, total_time=T)
+    report = CphaseReport(*np.angle(diag), nonadiab, T)
     return TwoQubitResult(U, report, block, defect)
 
 

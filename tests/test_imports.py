@@ -31,3 +31,30 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_level_imports(source: str):
+    """(line, module) of every import statement inside a function body;
+    imports belong at module level, where the unused-import check sees
+    them."""
+    tree = ast.parse(source)
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    found.add((node.lineno, node.names[0].name))
+                elif isinstance(node, ast.ImportFrom):
+                    found.add((node.lineno, "." * node.level
+                               + (node.module or "")))
+    return sorted(found)
+
+
+def test_detects_a_function_level_import():
+    source = "import os\n\ndef f():\n    from .gates import g\n    return g\n"
+    assert function_level_imports(source) == [(4, ".gates")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_imports(path):
+    assert function_level_imports(path.read_text()) == []

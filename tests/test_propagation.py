@@ -5,7 +5,7 @@ from donorspin.model import TWO_PI, SystemParams, charge_splitting
 from donorspin.operators import (DIM, QUBIT_INDICES, orbital_transform,
                                  basis_change_correction, TAU_Y)
 from donorspin.propagation import (EvolutionResult, OperatorMatrix, evolve,
-                                   lab_hamiltonian,
+                                   lab_hamiltonian, unitarity_defect,
                                    leakage, to_lab_orbital,
                                    check_two_photon_resonance,
                                    TwoPhotonResonanceWarning)
@@ -61,6 +61,25 @@ class TestOrbitalTransform:
         for dE in (-2e4, -137.0, 0.0, 5e3, 1e4):
             lam = orbital_transform(P, dE)
             assert np.abs(lam.conj().T @ lam - np.eye(DIM)).max() < 1e-14
+
+    def test_broadcasts_over_field_arrays(self):
+        dE = np.array([[-2e4, 0.0], [137.0, 1e4]])
+        lam = orbital_transform(P, dE)
+        assert lam.shape == (2, 2, DIM, DIM)
+        for idx in np.ndindex(dE.shape):
+            assert np.abs(lam[idx] - orbital_transform(P, dE[idx])).max() < 1e-15
+        assert unitarity_defect(lam).max() < 1e-14
+
+    def test_orbital_basis_diagonalizes_charge_part(self):
+        # the spin trace of the lab Hamiltonian is its charge part; in the
+        # orbital basis that is -eps0/2 tau_z at any static field
+        for dE in (-2e4, 0.0, 3e3):
+            p = SystemParams(dE_idle=dE)
+            Ho = lab_hamiltonian(p, make_idle_schedule(p, 1.0), 0.0,
+                                 basis="orbital").matrix
+            charge = np.einsum("aibi->ab", Ho.reshape(2, 4, 2, 4)) / 4
+            e0 = charge_splitting(p, dE)
+            assert np.abs(charge - np.diag([-e0 / 2, e0 / 2])).max() < 1e-12 * e0
 
     def test_diagonalizes_static_orbital_part(self):
         sched = make_idle_schedule(P, 1.0)
@@ -185,6 +204,16 @@ class TestEvolve:
                             frame="lab-position", dt=2e-12).propagator.matrix
             assert np.abs(batch[i] - single).max() < 1e-12
 
+    def test_batched_lab_orbital_matches_scalar_runs(self):
+        sched = make_rz_schedule(P, 5e-9)
+        noise = np.array([-50.0, 0.0, 80.0])
+        batch = evolve(P, sched, noise_dE=noise, frame="lab-orbital",
+                       dt=2e-12).propagator.matrix
+        for i, dn in enumerate(noise):
+            single = evolve(P, sched, noise_dE=float(dn),
+                            frame="lab-orbital", dt=2e-12).propagator.matrix
+            assert np.abs(batch[i] - single).max() < 1e-12
+
     def test_rejects_unknown_frame(self):
         with pytest.raises(ValueError):
             evolve(P, make_idle_schedule(P, 1e-9), frame="interaction")
@@ -202,6 +231,26 @@ class TestLeakage:
         U[[0, 5], [0, 5]] = 0
         U[0, 5] = U[5, 0] = 1.0
         assert leakage(U, (0, 1)) == pytest.approx(0.5)
+
+    def test_per_item_values_on_a_batch(self):
+        swap = np.eye(DIM, dtype=complex)
+        swap[[0, 5], [0, 5]] = 0
+        swap[0, 5] = swap[5, 0] = 1.0
+        batch = np.stack([np.eye(DIM, dtype=complex), swap])
+        lk = leakage(batch, (0, 1))
+        assert lk.shape == (2,)
+        assert lk == pytest.approx([0.0, 0.5])
+        assert isinstance(leakage(swap, (0, 1)), float)
+
+
+class TestUnitarityDefect:
+    def test_per_item_values_on_a_batch(self):
+        scale = np.array([1.0, 1.0 + 1e-3])
+        batch = scale[:, None, None] * np.eye(DIM, dtype=complex)
+        defect = unitarity_defect(batch)
+        assert defect.shape == (2,)
+        assert defect == pytest.approx(scale**2 - 1, abs=1e-15)
+        assert isinstance(unitarity_defect(batch[1]), float)
 
 
 class TestTwoPhotonGuard:
