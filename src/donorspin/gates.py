@@ -277,15 +277,19 @@ def evolve_segments(params: SystemParams, segments, noise_dE=0.0,
     """Chained lab-orbital propagator of a schedule sequence.
 
     Each segment is evolved in `frame` and converted to the lab orbital
-    basis; drive phases restart at each segment boundary.
+    basis; drive phases restart at each segment boundary. A schedule
+    object that appears more than once is evolved once.
     """
     noise = np.asarray(noise_dE, dtype=float)
     batched = noise.ndim > 0
     shape = (noise.size, 8, 8) if batched else (8, 8)
     U = np.broadcast_to(np.eye(8, dtype=complex), shape).copy()
+    evolved = {}
     for seg in segments:
-        res = evolve(params, seg, noise_dE=noise_dE, frame=frame, dt=dt)
-        U = np.matmul(to_lab_orbital(res, params), U)
+        if id(seg) not in evolved:
+            res = evolve(params, seg, noise_dE=noise_dE, frame=frame, dt=dt)
+            evolved[id(seg)] = to_lab_orbital(res, params)
+        U = np.matmul(evolved[id(seg)], U)
     return U
 
 

@@ -125,6 +125,11 @@ def track_dressed_qubit_states(params: SystemParams, schedule: PulseSchedule,
     H = _effective_h_stack(params, schedule, times, noise_dE)[:, 0]
     if mean_field is not None:
         H = H + mean_field
+    return _follow_dressed_states(H, times)
+
+
+def _follow_dressed_states(H, times) -> TrackedStates:
+    """The tracker on a given (n, 8, 8) Hamiltonian stack at `times`."""
     vecs = np.linalg.eigh(H)[1]
     # overlaps[i, a, b] = |<v_a(t_i) | v_b(t_i+1)>|
     overlaps = np.abs(vecs[:-1].conj().swapaxes(-1, -2) @ vecs[1:])
@@ -166,21 +171,28 @@ def cphase_angle(layout: TwoQubitLayout, schedule_1: PulseSchedule,
     T = schedule_1.total_time
     ts = np.linspace(0.0, T, n_samples)
     V = dipole_coupling_strength(layout)
-    qubits = [(params, sched, dn, sched.dE_envelope.value(ts) + dn)
-              for params, sched, dn in (
-                  (layout.params_1, schedule_1, noise_dE[0]),
-                  (layout.params_2, schedule_2, noise_dE[1]))]
+    pair = ((layout.params_1, schedule_1, noise_dE[0]),
+            (layout.params_2, schedule_2, noise_dE[1]))
+    # a symmetric pair (equal params, one schedule, equal offsets) has two
+    # identical tracks in every pass: track it once
+    if (layout.params_1 == layout.params_2 and schedule_1 is schedule_2
+            and noise_dE[0] == noise_dE[1]):
+        pair = pair[:1]
+    # per distinct qubit: params, fields, and its one H' stack, to which
+    # the mean-field passes add
+    qubits = [(params, sched.dE_envelope.value(ts) + dn,
+               _effective_h_stack(params, sched, ts, dn)[:, 0])
+              for params, sched, dn in pair]
 
     def collect(mean_fields):
         """Per qubit: the track, the (up, dn) weights w and x, and s."""
         out = []
-        for (params, sched, dn, dEn), mf in zip(qubits, mean_fields):
-            tr = track_dressed_qubit_states(params, sched, ts, dn,
-                                            mean_field=mf)
+        for (params, dEn, H), mf in zip(qubits, mean_fields):
+            tr = _follow_dressed_states(H if mf is None else H + mf, ts)
             w, x, s = _weight_parts(params, np.stack([tr.up_states,
                                                       tr.dn_states]), dEn)
             out.append((tr, w, x, s))
-        return out
+        return out * (2 // len(qubits))
 
     parts = collect((None, None))
     for _ in range(mean_field_passes):
@@ -188,7 +200,7 @@ def cphase_angle(layout: TwoQubitLayout, schedule_1: PulseSchedule,
         # partner's mean (w_up + w_dn)/2; its tau_x part rotates at the
         # drive frequency and averages out
         mean_fields = []
-        for (params, _, _, dEn), (_, w, _, _) in zip(qubits, parts[::-1]):
+        for (params, dEn, _), (_, w, _, _) in zip(qubits, parts[::-1]):
             c, _ = orbital_mixing(params, dEn)
             w_mean = 0.5 * (w[0] + w[1])
             mean_fields.append((V * w_mean)[:, None, None]
@@ -225,30 +237,41 @@ def coupled_drive_frequency(layout: TwoQubitLayout,
     return cphase_drive_frequency(params, dE_gate) + shift
 
 
-def _kron(a, b):
-    """Kronecker product of the trailing matrices of a and b, broadcast
-    over their leading axes."""
-    k = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return k.reshape(k.shape[:-4] + (k.shape[-4] * k.shape[-3],
-                                     k.shape[-2] * k.shape[-1]))
+# tau+ x tau- + h.c. on the 64-dim product space: entries 1 at these
+# (row, col) positions
+_EXCHANGE = np.nonzero(np.kron(TAU_P, TAU_M) + np.kron(TAU_M, TAU_P))
 
 
-_EXCHANGE = _kron(TAU_P, TAU_M) + _kron(TAU_M, TAU_P)
-
-
-def _dipole_interaction_rwa(layout: TwoQubitLayout, dEn1, dEn2) -> np.ndarray:
-    """Rotating-wave-filtered V_dip on the 64-dim product space.
-
-    Keeps the static projector parts and, for shared drive frequency, the
-    orbital excitation-exchange terms; single-dipole oscillating terms drop.
-    Array-valued fields give a stack of 64x64 matrices.
-    """
+def _pair_h_stack(layout: TwoQubitLayout, schedule: PulseSchedule, tmid,
+                  noise_dE) -> np.ndarray:
+    """(n, 64, 64) effective-frame pair Hamiltonian at times tmid, both
+    qubits running `schedule`: H'_1 x 1 + 1 x H'_2 plus the rotating-wave-
+    filtered dipole coupling V [P1 x P2 + (s1 s2 / 4) exchange], with
+    P = (1 + c tau_z)/2 the static interface projector. The orbital
+    exchange is kept for the shared drive frequency; single-dipole
+    oscillating terms drop."""
+    p1, p2 = layout.params_1, layout.params_2
+    n = len(tmid)
+    dE = schedule.dE_envelope.value(tmid)
+    c1, s1 = orbital_mixing(p1, dE + noise_dE[0])
+    c2, s2 = orbital_mixing(p2, dE + noise_dE[1])
+    # axes (a, b, a', b') for qubit-1 level a and qubit-2 level b
+    H = np.zeros((n, DIM, DIM, DIM, DIM), dtype=complex)
+    diag = np.arange(DIM)
+    H[:, :, diag, :, diag] = _effective_h_stack(p1, schedule, tmid,
+                                                noise_dE[0])[:, 0]
+    H[:, diag, :, diag, :] += _effective_h_stack(p2, schedule, tmid,
+                                                 noise_dE[1])[:, 0]
+    H = H.reshape(n, DIM * DIM, DIM * DIM)
     V = dipole_coupling_strength(layout)
-    c1, s1 = orbital_mixing(layout.params_1, np.asarray(dEn1)[..., None, None])
-    c2, s2 = orbital_mixing(layout.params_2, np.asarray(dEn2)[..., None, None])
-    H = _kron((IDENT + c1 * TAU_Z) / 2, (IDENT + c2 * TAU_Z) / 2)
-    H += (s1 * s2 / 4) * _EXCHANGE
-    return V * H
+    # P1 x P2 is diagonal: w1[a] w2[b] on level (a, b), w = diag of P
+    tz = np.diag(TAU_Z).real
+    w1 = (1 + c1[:, None] * tz) / 2
+    w2 = (1 + c2[:, None] * tz) / 2
+    static = V * (w1[:, :, None] * w2[:, None, :])
+    H.reshape(n, -1)[:, ::DIM * DIM + 1] += static.reshape(n, -1)
+    H[:, _EXCHANGE[0], _EXCHANGE[1]] += (V * (s1 * s2 / 4))[:, None]
+    return H
 
 
 @dataclass
@@ -267,17 +290,9 @@ def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
     T = schedule_1.total_time
     n = max(1, int(round(T / dt)))
     p1, p2 = layout.params_1, layout.params_2
-    eye = np.eye(DIM)
 
     def h_stack(tmid):
-        H = _kron(_effective_h_stack(p1, schedule_1, tmid, noise_dE[0])[:, 0],
-                  eye)
-        H += _kron(eye,
-                   _effective_h_stack(p2, schedule_1, tmid, noise_dE[1])[:, 0])
-        dE = schedule_1.dE_envelope.value(tmid)
-        H += _dipole_interaction_rwa(layout, dE + noise_dE[0],
-                                     dE + noise_dE[1])
-        return H[:, None]
+        return _pair_h_stack(layout, schedule_1, tmid, noise_dE)[:, None]
 
     U, defect, _ = propagate(h_stack, 0.0, T / n, n, 1, dim=DIM * DIM)
     U = U[0]
@@ -289,7 +304,7 @@ def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
     e1, b1 = idle_qubit_frame(p1, "effective", schedule_1)
     e2, b2 = idle_qubit_frame(p2, "effective", schedule_1)
     block = idle_frame_block(U_lab, (e1[:, None] + e2[None, :]).ravel(),
-                             _kron(b1, b2), T)
+                             np.kron(b1, b2), T)
     diag = np.diag(block)
     offdiag = block - np.diag(diag)
     nonadiab = float(max(np.abs(offdiag).max() ** 2,

@@ -273,6 +273,32 @@ class TestComposites:
         total_comp = abs(sens.theta_z1_prime) + abs(sens.theta_z2_prime)
         assert total_comp < 0.1 * total_bare
 
+    def test_repeated_segment_is_evolved_once(self, params, composite_cache,
+                                              monkeypatch):
+        # the echo composite holds the same X-gate schedule object twice
+        import donorspin.gates as gates_mod
+        from donorspin.propagation import to_lab_orbital
+        gate = composite_cache(np.pi / 2)
+        distinct = {id(seg) for seg in gate.segments}
+        assert len(distinct) < len(gate.segments)
+        noise = np.array([-40.0, 0.0, 25.0])
+        chained = np.eye(8, dtype=complex)
+        for seg in gate.segments:
+            res = evolve(params, seg, noise_dE=noise, frame="effective",
+                         dt=0.2e-9)
+            chained = np.matmul(to_lab_orbital(res, params), chained)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(gates_mod, "evolve", counted)
+        U = gates_mod.evolve_segments(params, gate.segments, noise,
+                                      "effective", 0.2e-9)
+        assert len(calls) == len(distinct)
+        assert np.array_equal(U, chained)
+
     def test_rejects_out_of_range_angle(self, params, sweep_calibration):
         with pytest.raises(ValueError):
             build_sweep_echo_rx(params, 3.3, sweep_calibration)

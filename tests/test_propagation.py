@@ -6,9 +6,11 @@ from donorspin.operators import (DIM, QUBIT_INDICES, orbital_transform,
                                  basis_change_correction, TAU_Y)
 from donorspin.propagation import (EvolutionResult, OperatorMatrix, evolve,
                                    lab_hamiltonian, unitarity_defect,
-                                   leakage, to_lab_orbital,
+                                   leakage, to_lab_orbital, propagate,
                                    check_two_photon_resonance,
-                                   TwoPhotonResonanceWarning)
+                                   TwoPhotonResonanceWarning,
+                                   _position_h_stack, _ordered_product,
+                                   _sectors, _step_unitaries)
 from donorspin.pulses import (make_rz_schedule, make_rx_sweep_schedule,
                               make_idle_schedule, make_cphase_schedule)
 
@@ -82,11 +84,26 @@ class TestOrbitalTransform:
             assert np.abs(charge - np.diag([-e0 / 2, e0 / 2])).max() < 1e-12 * e0
 
     def test_diagonalizes_static_orbital_part(self):
-        sched = make_idle_schedule(P, 1.0)
-        Hp = lab_hamiltonian(P, sched, 0.0, basis="position").matrix
-        Ho = lab_hamiltonian(P, sched, 0.0, basis="orbital").matrix
-        lam = orbital_transform(P, P.dE_idle)
-        assert np.abs(lam @ Hp @ lam.conj().T - Ho).max() < 1e-4
+        # reference without orbital_transform: diagonalize the charge part
+        # (spin trace) of the position-basis H; the orbital basis is its
+        # eigenbasis, g (energy -eps0/2) first, phased so that g has a real
+        # non-negative interface and e a real non-negative donor amplitude
+        for dE in (-2e4, 0.0, 3e3, P.dE_idle):
+            p = SystemParams(dE_idle=dE)
+            sched = make_idle_schedule(p, 1.0)
+            Hp = lab_hamiltonian(p, sched, 0.0, basis="position").matrix
+            Ho = lab_hamiltonian(p, sched, 0.0, basis="orbital").matrix
+            charge = np.einsum("aibi->ab", Hp.reshape(2, 4, 2, 4)) / 4
+            ev, vecs = np.linalg.eigh(charge)
+            g, e = vecs[:, 0], vecs[:, 1]
+            g = g * np.exp(-1j * np.angle(g[0]))
+            e = e * np.exp(-1j * np.angle(e[1]))
+            rows = np.kron(np.stack([g, e]).conj(), np.eye(4))
+            ref = rows @ Hp @ rows.conj().T
+            scale = np.abs(Hp).max()
+            assert np.abs(Ho - ref).max() < 1e-12 * scale
+            e0 = charge_splitting(p, dE)
+            assert ev == pytest.approx([-e0 / 2, e0 / 2], rel=1e-12)
 
 
 class TestBasisChangeCorrection:
@@ -288,3 +305,100 @@ def test_leakage_trace_and_dump(tmp_path):
     body = [ln for ln in out.read_text().splitlines()
             if not ln.startswith("#")]
     assert len(body) == len(res.leakage_trace)
+
+
+# the S_z + I_z sectors of one qubit: non-contiguous level sets
+SECTORS = ([0, 4], [3, 7], [1, 2, 5, 6])
+
+
+def _random_stack(rng, shape, sectors):
+    """Random Hermitian (..., 8, 8) stack, exactly zero outside the
+    diagonal blocks of `sectors`."""
+    H = np.zeros(shape + (DIM, DIM), dtype=complex)
+    for idx in sectors:
+        size = shape + (len(idx), len(idx))
+        A = rng.normal(size=size) + 1j * rng.normal(size=size)
+        rows, cols = np.ix_(idx, idx)
+        H[..., rows, cols] = A + A.conj().swapaxes(-1, -2)
+    return H
+
+
+def _stack_of(H, t0, dt):
+    """h_stack callable serving the precomputed steps H[i] at midpoints."""
+    def h_stack(tmid):
+        return H[np.rint((tmid - t0) / dt - 0.5).astype(int)]
+    return h_stack
+
+
+def _dense_reference(H, dt):
+    """Step-by-step product of exp(-i H dt) from full 8x8 eigh."""
+    U = np.broadcast_to(np.eye(DIM, dtype=complex), H.shape[1:]).copy()
+    for Hk in H:
+        ev, V = np.linalg.eigh(Hk)
+        U = (V * np.exp(-1j * ev * dt)[..., None, :]) @ V.conj().swapaxes(-1, -2) @ U
+    return U
+
+
+class TestSectors:
+    def test_non_contiguous_sectors_match_dense_reference(self):
+        rng = np.random.default_rng(11)
+        n, nbatch, dt, t0 = 37, 3, 0.13, 2.0
+        H = _random_stack(rng, (n, nbatch), SECTORS)
+        assert [g.tolist() for g in _sectors(H)] == [[[0, 4], [3, 7]],
+                                                     [[1, 2, 5, 6]]]
+        U, defect, _ = propagate(_stack_of(H, t0, dt), t0, dt, n, nbatch)
+        assert np.abs(U - _dense_reference(H, dt)).max() < 1e-12
+        assert defect < 1e-12
+        # no amplitude crosses a sector
+        outside = np.ones((DIM, DIM), dtype=bool)
+        for idx in SECTORS:
+            outside[np.ix_(idx, idx)] = False
+        assert np.all(U[:, outside] == 0)
+
+    def test_tiny_entry_merges_sectors(self):
+        # the pattern has no tolerance: one 1e-300 coupling in one step of
+        # one batch item joins {0, 4} and {3, 7}
+        rng = np.random.default_rng(12)
+        H = _random_stack(rng, (5, 2), SECTORS)
+        H[3, 1, 0, 3] = H[3, 1, 3, 0] = 1e-300
+        assert [g.tolist() for g in _sectors(H)] == [[[0, 3, 4, 7],
+                                                      [1, 2, 5, 6]]]
+
+    @pytest.mark.parametrize("first_step_split", [False, True])
+    def test_single_sector_is_the_dense_path(self, first_step_split):
+        # a pattern spanning all levels runs the dense step unchanged,
+        # also when only later steps connect the first step's sectors
+        rng = np.random.default_rng(13)
+        n, nbatch, dt = 24, 2, 0.07
+        H = _random_stack(rng, (n, nbatch), [list(range(DIM))])
+        H[:, :, 0, 7] = H[:, :, 7, 0] = 0.0    # a sparse but connected pattern
+        if first_step_split:
+            H[0] = _random_stack(rng, (nbatch,), SECTORS)
+        assert len(_sectors(H[:1])) == (2 if first_step_split else 1)
+        assert len(_sectors(H)) == 1
+        U, _, _ = propagate(_stack_of(H, 0.0, dt), 0.0, dt, n, nbatch)
+        eye = np.broadcast_to(np.eye(DIM, dtype=complex), (nbatch, DIM, DIM))
+        dense = np.matmul(_ordered_product(_step_unitaries(H.copy(), dt)), eye)
+        assert np.array_equal(U, dense)
+
+    def test_recorded_leakage_on_a_split_schedule(self):
+        # the lab Rz schedule splits into the three sectors; a 1e-300
+        # all-level coupling (numerically nothing) forces the dense path
+        sched = make_rz_schedule(P, 8e-9)
+        noise = np.array([0.0, 40.0])
+        n, dt = 4000, 2e-12
+
+        def split(tmid):
+            return _position_h_stack(P, sched, tmid, noise)
+
+        def dense(tmid):
+            return split(tmid) + 1e-300 * (1 - np.eye(DIM))
+
+        assert len(_sectors(split(np.array([1e-9, 4e-9])))) == 2
+        U_s, _, rows_s = propagate(split, 0.0, dt, n, 2, record_every=500)
+        U_d, _, rows_d = propagate(dense, 0.0, dt, n, 2, record_every=500)
+        assert rows_s.shape == rows_d.shape == (8, 2)
+        assert np.array_equal(rows_s[:, 0], rows_d[:, 0])
+        assert np.abs(rows_s[:, 1] - rows_d[:, 1]).max() < 1e-12
+        assert rows_s[:, 1].max() > 1e-6          # the trace is not trivial
+        assert np.abs(U_s - U_d).max() < 1e-12

@@ -251,3 +251,56 @@ def test_array_tracker_matches_per_sample_tracking():
     assert np.abs(tr.up_states - up).max() < 1e-12
     assert np.abs(tr.dn_states - dn).max() < 1e-12
     assert tr.min_overlap == pytest.approx(worst, abs=1e-12)
+
+
+def test_symmetric_pair_shares_its_track():
+    # one schedule object with equal params and offsets is tracked once;
+    # two equal schedule objects take the per-qubit path: same report
+    sched = make_cphase_schedule(P, 300e-9)
+    shared = cphase_angle(LAYOUT, sched, n_samples=200)
+    apart = cphase_angle(LAYOUT, sched, make_cphase_schedule(P, 300e-9),
+                         n_samples=200)
+    assert dataclasses.astuple(shared) == dataclasses.astuple(apart)
+
+
+def test_pair_stack_matches_kron_construction():
+    from donorspin.operators import IDENT, TAU_Z, TAU_P, TAU_M
+    from donorspin.model import orbital_mixing
+    from donorspin.propagation import _effective_h_stack
+    from donorspin.twoqubit import _pair_h_stack
+    sched = make_cphase_schedule(P, 300e-9)
+    tmid = np.linspace(10e-9, 290e-9, 7)
+    noise = (0.4, -0.9)
+    H1 = _effective_h_stack(P, sched, tmid, noise[0])[:, 0]
+    H2 = _effective_h_stack(P, sched, tmid, noise[1])[:, 0]
+    V = dipole_coupling_strength(LAYOUT)
+    dE = sched.dE_envelope.value(tmid)
+    got = _pair_h_stack(LAYOUT, sched, tmid, noise)
+    for k in range(len(tmid)):
+        c1, s1 = orbital_mixing(P, dE[k] + noise[0])
+        c2, s2 = orbital_mixing(P, dE[k] + noise[1])
+        ref = (np.kron(H1[k], IDENT) + np.kron(IDENT, H2[k])
+               + V * np.kron((IDENT + c1 * TAU_Z) / 2, (IDENT + c2 * TAU_Z) / 2)
+               + V * s1 * s2 / 4 * (np.kron(TAU_P, TAU_M)
+                                    + np.kron(TAU_M, TAU_P)))
+        assert np.abs(got[k] - ref).max() < 1e-15 * np.abs(ref).max()
+
+
+def test_sector_run_matches_dense_run(monkeypatch):
+    # the CZ pair Hamiltonian splits into nine sectors; a 1e-300 coupling
+    # of every level pair (numerically nothing) forces the dense path
+    import donorspin.twoqubit as tq
+    from donorspin.propagation import _sectors
+    sched = make_cphase_schedule(P, 100e-9)
+    noise = (0.3, -0.7)
+    sizes = [g.shape for g in _sectors(
+        tq._pair_h_stack(LAYOUT, sched, np.array([20e-9, 50e-9]), noise))]
+    assert sizes == [(4, 4), (4, 8), (1, 16)]
+    with pytest.warns(UserWarning, match="nonadiabaticity"):
+        split = simulate_two_qubit(LAYOUT, sched, noise, dt=0.2e-9)
+    pair = tq._pair_h_stack
+    monkeypatch.setattr(tq, "_pair_h_stack", lambda *a: pair(*a) + 1e-300)
+    with pytest.warns(UserWarning, match="nonadiabaticity"):
+        dense = simulate_two_qubit(LAYOUT, sched, noise, dt=0.2e-9)
+    assert np.abs(split.propagator - dense.propagator).max() < 1e-11
+    assert split.report.phi == pytest.approx(dense.report.phi, abs=1e-11)
