@@ -18,5 +18,4 @@ from .gates import (QubitGate, EulerAngles, euler_decompose, gate_infidelity,
                     run_noise_monte_carlo, noise_sensitivity,
                     calibrate_lambda, build_sweep_echo_rx)
 from .twoqubit import (TwoQubitLayout, CphaseReport, dipole_coupling_strength,
-                       interface_weight, cphase_angle, simulate_two_qubit,
-                       cz_duration_search)
+                       cphase_angle, simulate_two_qubit, cz_duration_search)

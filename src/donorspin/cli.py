@@ -73,6 +73,14 @@ def _rz_angles(text, key):
     return angles
 
 
+def _x_angles(text, key):
+    angles = _angles(text, key)
+    if not all(a > 0 for a in angles):
+        raise ManifestError(f"field {key!r}: X-gate angles must be positive, "
+                            f"got {text!r}")
+    return angles
+
+
 def _name(*allowed):
     def parse(text, key):
         if text not in allowed:
@@ -246,7 +254,7 @@ def _rx_noise_common(m: Manifest, variants):
 
 
 _RX_NOISE_FIELDS = dict(
-    thetas=(_angles, REQUIRED),
+    thetas=(_x_angles, REQUIRED),
     sigmas=(_quantities(_EFIELD_UNITS, at_least=0.0), REQUIRED),
     samples=(_integer(1), 200))
 

@@ -79,7 +79,7 @@ _M_WE = np.stack([
     I_P,                         # -Ba gn / 4
     TAU_P @ S_Z @ I_Z,           # -A s / 2
     TAU_P @ S_Z,                 # -B0 ge dgamma s / 2
-    TAU_Z,                       # -de^2 dEn Ea / (4 e0)
+    TAU_Z,                       # -de^2 dE Ea / (4 e0)
 ])
 _M_2WE = np.stack([
     TAU_P @ S_M @ I_P,           # -A s / 4
@@ -95,14 +95,14 @@ _SUPPORTS = {label: (np.abs(stack).sum(axis=0) > 1e-12)
 _SUPPORTS_DAG = {label: supp.T for label, supp in _SUPPORTS.items()}
 
 
-def _samples(params: SystemParams, dE, Ea, Ba, noise_dE):
-    """Broadcast envelope samples; returns (e0, c, s, dE + noise, Ea, Ba)."""
-    dEn = np.asarray(dE, dtype=float) + noise_dE
-    e0 = charge_splitting(params, dEn)
-    c, s = orbital_mixing(params, dEn)
+def _samples(params: SystemParams, dE, Ea, Ba):
+    """Broadcast envelope samples; returns (e0, c, s, dE, Ea, Ba)."""
+    dE = np.asarray(dE, dtype=float)
+    e0 = charge_splitting(params, dE)
+    c, s = orbital_mixing(params, dE)
     shape = np.broadcast_shapes(e0.shape, np.shape(Ea), np.shape(Ba))
     return tuple(np.broadcast_to(np.asarray(a, dtype=float), shape)
-                 for a in (e0, c, s, dEn, Ea, Ba))
+                 for a in (e0, c, s, dE, Ea, Ba))
 
 
 def _coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B):
@@ -122,7 +122,7 @@ def _coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B):
     ], axis=-1)
 
 
-def _coeffs_harmonics(params, e0, c, s, dEn, Ea, Ba):
+def _coeffs_harmonics(params, e0, c, s, dE, Ea, Ba):
     gez = params.B0 * params.gamma_e
     A = params.hyperfine_A
     de = params.de_over_hbar
@@ -133,7 +133,7 @@ def _coeffs_harmonics(params, e0, c, s, dEn, Ea, Ba):
         -Ba * params.gamma_n / 4 * one,
         -A * s / 2,
         -gez * params.delta_gamma * s / 2,
-        -de**2 * dEn * Ea / (4 * e0),
+        -de**2 * dE * Ea / (4 * e0),
     ], axis=-1)
     c_2we = np.stack([-A * s / 4, -de * Ea * s / 4 * one], axis=-1)
     c_2wb = (Ba * params.gamma_e / 4 * one)[..., None]
@@ -146,12 +146,12 @@ def _assemble(coeffs, stack):
 
 
 def rwa_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
-                    noise_dE=0.0, warn: bool = False):
+                    warn: bool = False):
     """Static rotating-frame Hamiltonian H~0 (instantaneous envelopes).
 
-    Broadcasts over leading array dimensions of dE + noise_dE, Ea and Ba.
+    Broadcasts over leading array dimensions of dE, Ea and Ba.
     """
-    e0, c, s, _, Ea, Ba = _samples(params, dE, Ea, Ba, noise_dE)
+    e0, c, s, _, Ea, Ba = _samples(params, dE, Ea, Ba)
     if warn:
         scale = np.max(e0) / 10
         if np.max(np.abs(e0 - omega_E)) > scale or \
@@ -162,23 +162,21 @@ def rwa_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
     return _assemble(_coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B), _M0)
 
 
-def frequency_components(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
-                         noise_dE=0.0):
+def frequency_components(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
     """The four positive-frequency harmonics of H~(t) (exact).
 
     Each returned matrix multiplies exp(-i*frequency*t); negative-frequency
     harmonics are the Hermitian conjugates.
     """
-    coeffs = _coeffs_harmonics(params, *_samples(params, dE, Ea, Ba, noise_dE))
+    coeffs = _coeffs_harmonics(params, *_samples(params, dE, Ea, Ba))
     return [FrequencyComponent(label, label[0] * omega_E + label[1] * omega_B,
                                _assemble(coeffs[label], _OP_STACKS[label]))
             for label in COMPONENT_LABELS]
 
 
-def effective_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
-                          noise_dE=0.0):
-    """H' for instantaneous envelope values, broadcast over dE + noise_dE,
-    Ea and Ba (scalar inputs give one 8x8 matrix).
+def effective_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
+    """H' for instantaneous envelope values, broadcast over dE, Ea and Ba
+    (scalar inputs give one 8x8 matrix).
 
     The second-order reduction of the central Floquet block, built straight
     from the harmonics: only the central-row blocks and the diagonal shifts
@@ -186,10 +184,10 @@ def effective_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
     NearDegeneracyError when a coupled state of a shifted block lies within
     DEGENERACY_GUARD of the target block.
     """
-    e0, c, s, dEn, Ea, Ba = _samples(params, dE, Ea, Ba, noise_dE)
+    e0, c, s, dE, Ea, Ba = _samples(params, dE, Ea, Ba)
     comp0 = _assemble(_coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B),
                       _M0)
-    harm = _coeffs_harmonics(params, e0, c, s, dEn, Ea, Ba)
+    harm = _coeffs_harmonics(params, e0, c, s, dE, Ea, Ba)
     diag0 = np.real(comp0[..., np.arange(DIM), np.arange(DIM)])
     Vmats = {label: _assemble(coeffs, _OP_STACKS[label])
              for label, coeffs in harm.items()

@@ -646,15 +646,8 @@ def build_sweep_echo_rx(params: SystemParams, theta_x: float,
             "theta_x_prime": sens.theta_x_prime}
 
     def core_for(t1_, t2_):
-        segs = []
-        if t2_ >= 0:
-            segs.append(make_echo_rz_schedule(params, t2_))
-        segs.append(x_gate)
-        segs.append(sweep)
-        segs.append(x_gate)
-        if t1_ >= 0:
-            segs.append(make_echo_rz_schedule(params, t1_))
-        return segs
+        return [make_echo_rz_schedule(params, t2_), x_gate, sweep, x_gate,
+                make_echo_rz_schedule(params, t1_)]
 
     # one Newton step on the measured residual slopes of the composite:
     # its left z-slope is s1 - theta_z1' and its right one s2 - theta_z2'

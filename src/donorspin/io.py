@@ -54,65 +54,80 @@ def parse_keyvalues(text: str) -> dict:
     return out
 
 
+def _finite(value: float, text: str, field: str) -> float:
+    if not math.isfinite(value):
+        raise ManifestError(f"field {field!r}: {text!r} is not a finite "
+                            "number")
+    return value
+
+
 def parse_quantity(text: str, units: dict | None, field: str) -> float:
-    """Parse a number with an optional unit token."""
+    """Parse a finite number with an optional unit token."""
     parts = text.split()
     try:
-        value = float(parts[0])
+        number, *unit = parts
+        value = float(number)
     except ValueError as exc:
         raise ManifestError(f"field {field!r}: cannot parse number from "
                             f"{text!r}") from exc
-    if len(parts) == 1:
-        return value
+    if not unit:
+        return _finite(value, text, field)
     if units is None:
         raise ManifestError(f"field {field!r} is dimensionless but got unit "
-                            f"{parts[1]!r}")
-    unit = parts[1].lower()
-    if unit not in units:
-        raise ManifestError(f"field {field!r}: unknown unit {parts[1]!r} "
+                            f"{unit[0]!r}")
+    if len(unit) > 1 or unit[0].lower() not in units:
+        raise ManifestError(f"field {field!r}: unknown unit {' '.join(unit)!r} "
                             f"(expected one of {sorted(units)})")
-    return value * units[unit]
+    return _finite(value * units[unit[0].lower()], text, field)
 
 
 def parse_angle(text: str, field: str) -> float:
-    """Angles in rad; accepts 'pi', '-pi/4', '3pi/4', '0.5 pi' and degrees."""
+    """Finite angles in rad; accepts 'pi', '-pi/4', '3pi/4', '0.5 pi' and
+    degrees."""
     t = text.strip().lower().replace(" ", "")
-    if t.endswith("deg"):
-        return float(t[:-3]) * math.pi / 180
     m = re.fullmatch(r"([+-]?[\d.e+-]*)\*?pi(?:/([\d.]+))?", t)
-    if m:
-        num = m.group(1)
-        sign_only = num in ("", "+", "-")
-        factor = float(num + "1") if sign_only else float(num)
-        if m.group(2):
-            factor /= float(m.group(2))
-        return factor * math.pi
     try:
-        return float(t)
-    except ValueError as exc:
-        raise ManifestError(f"field {field!r}: cannot parse angle {text!r}") from exc
+        if t.endswith("deg"):
+            value = float(t[:-3]) * math.pi / 180
+        elif m:
+            num = m.group(1)
+            sign_only = num in ("", "+", "-")
+            value = float(num + "1") if sign_only else float(num)
+            if m.group(2):
+                value /= float(m.group(2))
+            value *= math.pi
+        else:
+            value = float(t)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ManifestError(f"field {field!r}: cannot parse angle "
+                            f"{text!r}") from exc
+    return _finite(value, text, field)
 
 
 def parse_list(text: str, item_parser, field: str):
     return [item_parser(part.strip(), field) for part in text.split(",") if part.strip()]
 
 
-def load_params(path_or_text: str) -> SystemParams:
-    """Build SystemParams from a parameter file or its contents."""
-    text = path_or_text
-    if "\n" not in path_or_text and "=" not in path_or_text:
-        with open(path_or_text) as fh:
+def load_params(path: str) -> SystemParams:
+    """Build SystemParams from a parameter file."""
+    try:
+        with open(path) as fh:
             text = fh.read()
-    raw = parse_keyvalues(text)
+    except OSError as exc:
+        raise ManifestError(f"field 'params_file': cannot read {path!r} "
+                            f"({exc.strerror})") from exc
     kwargs = {}
-    for key, value in raw.items():
+    for key, value in parse_keyvalues(text).items():
         if key not in PARAM_UNITS:
             raise ManifestError(f"unknown parameter {key!r} (expected one of "
                                 f"{sorted(PARAM_UNITS)})")
         if key == "Vt" and value.lower() == "auto":
             continue
         kwargs[key] = parse_quantity(value, PARAM_UNITS[key], key)
-    return SystemParams(**kwargs)
+    try:
+        return SystemParams(**kwargs)
+    except ValueError as exc:
+        raise ManifestError(f"params file {path!r}: {exc}") from exc
 
 
 def format_params(params: SystemParams) -> dict:

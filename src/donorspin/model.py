@@ -32,9 +32,6 @@ class PhysicalConstants:
                 raise ValueError(f"{name} must be positive")
 
 
-CONSTANTS = PhysicalConstants()
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Device parameters of one donor-interface qubit.
@@ -111,15 +108,6 @@ def dephasing_sensitivity(params: SystemParams, dE):
     """d(delta_q)/d(dE) = -A d e Vt^2 / (4 hbar eps0^3), rad/s per (V/m)."""
     e0 = charge_splitting(params, dE)
     return -params.hyperfine_A * params.de_over_hbar * params.Vt**2 / (4 * e0**3)
-
-
-def dephasing_sensitivity_large_field(params: SystemParams, dE):
-    """Large-field simplification -A hbar^2 Vt^2 / (4 d^2 e^2 dE^3).
-
-    Valid for |d e dE / hbar| > ~10 Vt; provided for quick estimates.
-    """
-    dE = np.asarray(dE, dtype=float)
-    return -params.hyperfine_A * params.Vt**2 / (4 * params.de_over_hbar**2 * dE**3)
 
 
 def transition_energies(params: SystemParams, dE) -> TransitionEnergies:

@@ -104,8 +104,3 @@ def frame_generator_diag(params: SystemParams, omega_E: float, omega_B: float):
          - omega_B * (np.diag(S_Z).real + np.diag(I_Z).real))
     return g
 
-
-def interface_projector(params: SystemParams, dE):
-    """|i><i| (x) 1_spin expressed in the orbital basis at field dE."""
-    c, s = orbital_mixing(params, dE)
-    return (IDENT + c * TAU_Z + s * TAU_X) / 2

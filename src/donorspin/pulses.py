@@ -6,7 +6,6 @@ starts and ends at the idling point with the AC drives off.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,9 +41,6 @@ class Constant(Envelope):
 
     def is_zero(self):
         return self.level == 0.0
-
-    def serialize(self):
-        return f"constant({float(self.level)!r})"
 
 
 @dataclass(frozen=True)
@@ -84,9 +80,6 @@ class Window(Envelope):
         out[m] = -np.pi / (2 * tau) * np.sin(np.pi * (T - t[m]) / tau)
         return out
 
-    def serialize(self):
-        return f"window({float(self.tau)!r}, {float(self.duration)!r})"
-
 
 @dataclass(frozen=True)
 class Ramp(Envelope):
@@ -124,11 +117,6 @@ class Ramp(Envelope):
         out[m] = -self.y2 / (self.duration - self.tau2)
         return out
 
-    def serialize(self):
-        return (f"ramp({float(self.tau1)!r}, {float(self.y1)!r}, "
-                f"{float(self.tau2)!r}, {float(self.y2)!r}, "
-                f"{float(self.duration)!r})")
-
 
 @dataclass(frozen=True)
 class Scaled(Envelope):
@@ -144,9 +132,6 @@ class Scaled(Envelope):
     def is_zero(self):
         return self.factor == 0.0 or self.inner.is_zero()
 
-    def serialize(self):
-        return f"scaled({float(self.factor)!r}, {self.inner.serialize()})"
-
 
 @dataclass(frozen=True)
 class Squared(Envelope):
@@ -160,9 +145,6 @@ class Squared(Envelope):
 
     def is_zero(self):
         return self.inner.is_zero()
-
-    def serialize(self):
-        return f"squared({self.inner.serialize()})"
 
 
 @dataclass(frozen=True)
@@ -180,9 +162,6 @@ class Shifted(Envelope):
 
     def is_zero(self):
         return self.inner.is_zero()
-
-    def serialize(self):
-        return f"shifted({float(self.offset)!r}, {self.inner.serialize()})"
 
 
 @dataclass(frozen=True)
@@ -204,61 +183,8 @@ class Sum(Envelope):
     def is_zero(self):
         return all(term.is_zero() for term in self.terms)
 
-    def serialize(self):
-        inner = ", ".join(term.serialize() for term in self.terms)
-        return f"sum({inner})"
-
 
 ZERO = Constant(0.0)
-
-
-# ---------------------------------------------------------------------------
-# envelope (de)serialization: name(arg, ...) with nested envelopes
-_TOKEN = re.compile(r"\s*([a-z]+)\s*\(")
-
-
-def parse_envelope(text: str) -> Envelope:
-    env, rest = _parse_one(text)
-    if rest.strip():
-        raise ValueError(f"trailing input in envelope text: {rest!r}")
-    return env
-
-
-def _parse_one(text):
-    m = _TOKEN.match(text)
-    if not m:
-        raise ValueError(f"expected envelope primitive at {text[:40]!r}")
-    name = m.group(1)
-    rest = text[m.end():]
-    args = []
-    while True:
-        rest = rest.lstrip()
-        if rest.startswith(")"):
-            rest = rest[1:]
-            break
-        if rest.startswith(","):
-            rest = rest[1:].lstrip()
-        if _TOKEN.match(rest):
-            sub, rest = _parse_one(rest)
-            args.append(sub)
-        else:
-            m2 = re.match(r"[^,()]+", rest)
-            if not m2:
-                raise ValueError(f"bad envelope argument at {rest[:40]!r}")
-            args.append(float(m2.group(0)))
-            rest = rest[m2.end():]
-    makers = {
-        "constant": lambda a: Constant(a[0]),
-        "window": lambda a: Window(a[0], a[1]),
-        "ramp": lambda a: Ramp(*a),
-        "scaled": lambda a: Scaled(a[0], a[1]),
-        "squared": lambda a: Squared(a[0]),
-        "shifted": lambda a: Shifted(a[0], a[1]),
-        "sum": lambda a: Sum(tuple(a)),
-    }
-    if name not in makers:
-        raise ValueError(f"unknown envelope primitive {name!r}")
-    return makers[name](args), rest
 
 
 # ---------------------------------------------------------------------------
@@ -282,37 +208,6 @@ class PulseSchedule:
     def sample(self, t):
         return (self.dE_envelope.value(t), self.Ea_envelope.value(t),
                 self.Ba_envelope.value(t))
-
-    def serialize(self) -> str:
-        lines = [
-            f"label = {self.label}",
-            f"total_time = {float(self.total_time)!r}",
-            f"omega_E = {float(self.omega_E)!r}",
-            f"omega_B = {float(self.omega_B)!r}",
-            f"dE_envelope = {self.dE_envelope.serialize()}",
-            f"Ea_envelope = {self.Ea_envelope.serialize()}",
-            f"Ba_envelope = {self.Ba_envelope.serialize()}",
-        ]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def deserialize(cls, text: str) -> "PulseSchedule":
-        fields = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-        return cls(
-            dE_envelope=parse_envelope(fields["dE_envelope"]),
-            Ea_envelope=parse_envelope(fields["Ea_envelope"]),
-            Ba_envelope=parse_envelope(fields["Ba_envelope"]),
-            omega_E=float(fields["omega_E"]),
-            omega_B=float(fields["omega_B"]),
-            total_time=float(fields["total_time"]),
-            label=fields.get("label", ""),
-        )
 
 
 # default drive setup of the sweep-style gates: field drive referenced to

@@ -25,9 +25,8 @@ from scipy.optimize import brentq
 from .model import SystemParams, orbital_mixing
 from .operators import (DIM, IDENT, TAU_Z, TAU_X, TAU_P, TAU_M,
                         QUBIT_UP_INDEX, QUBIT_DN_INDEX, frame_generator_diag,
-                        interface_projector, qubit_gauge)
-from .pulses import (PulseSchedule, make_cphase_schedule,
-                     cphase_drive_frequency, CPHASE_DE_GATE)
+                        qubit_gauge)
+from .pulses import PulseSchedule, make_cphase_schedule
 from .gates import idle_frame_block, idle_qubit_frame
 from .propagation import _effective_h_stack, propagate
 
@@ -85,13 +84,6 @@ def dipole_coupling_strength(layout: TwoQubitLayout) -> float:
     return num / den / consts.hbar
 
 
-def interface_weight(params: SystemParams, state: np.ndarray, dE) -> float:
-    """<psi| (|i><i| x 1_spin) |psi> at the instantaneous field."""
-    P = interface_projector(params, np.asarray(dE, dtype=float))
-    w = float(np.real(state.conj() @ P @ state))
-    return w
-
-
 def _weight_parts(params, states, dEn):
     """(w_bar, x, s) of dressed states (..., 8) at fields dEn (...): static
     interface weight, half the coherent orbital-dipole amplitude, and the
@@ -111,25 +103,14 @@ class TrackedStates:
     min_overlap: float
 
 
-def track_dressed_qubit_states(params: SystemParams, schedule: PulseSchedule,
-                               times: np.ndarray, noise_dE: float = 0.0,
-                               mean_field: np.ndarray | None = None
-                               ) -> TrackedStates:
-    """Follow the two dressed qubit eigenstates of H' along a schedule.
+def _follow_dressed_states(H, times) -> TrackedStates:
+    """Follow the two dressed qubit eigenstates of an (n, 8, 8) H' stack
+    at `times`.
 
     Each sample's state is the eigenvector of largest overlap with the
     previous sample's; raises if that overlap drops below TRACK_MIN_OVERLAP
-    (level crossing). `mean_field`, an optional (n, 8, 8) array, is added
-    to H' at the samples (the partner qubit's average dipole shift).
+    (level crossing).
     """
-    H = _effective_h_stack(params, schedule, times, noise_dE)[:, 0]
-    if mean_field is not None:
-        H = H + mean_field
-    return _follow_dressed_states(H, times)
-
-
-def _follow_dressed_states(H, times) -> TrackedStates:
-    """The tracker on a given (n, 8, 8) Hamiltonian stack at `times`."""
     vecs = np.linalg.eigh(H)[1]
     # overlaps[i, a, b] = |<v_a(t_i) | v_b(t_i+1)>|
     overlaps = np.abs(vecs[:-1].conj().swapaxes(-1, -2) @ vecs[1:])
@@ -215,26 +196,6 @@ def cphase_angle(layout: TwoQubitLayout, schedule_1: PulseSchedule,
     (alpha, beta), (gamma, delta) = -np.trapezoid(e - e[..., :1], ts)
     nonadiab = 1.0 - min(tr1.min_overlap, tr2.min_overlap) ** 2
     return CphaseReport(alpha, beta, gamma, delta, nonadiab, T)
-
-
-def coupled_drive_frequency(layout: TwoQubitLayout,
-                            dE_gate: float = CPHASE_DE_GATE) -> float:
-    """Re-reference the drive to the dipole-shifted orbital transition.
-
-    With the partner parked in its ground orbital, the dn-sector transition
-    of each qubit shifts by V (w_e - w_g) w_partner; the returned frequency
-    keeps the requested detuning from the shifted line.
-
-    Caution: at the default layout the shift (~2pi*38 MHz) is comparable to
-    the dn-up sector spacing (~2pi*46 MHz), so re-referencing parks the
-    drive near the up-sector orbital resonance and the coupled evolution
-    leaks; the default workflows therefore drive at the bare frequency.
-    """
-    params = layout.params_1
-    V = dipole_coupling_strength(layout)
-    c, _ = orbital_mixing(params, dE_gate)
-    shift = V * (-c) * (1 + c) / 2
-    return cphase_drive_frequency(params, dE_gate) + shift
 
 
 # tau+ x tau- + h.c. on the 64-dim product space: entries 1 at these

@@ -32,11 +32,10 @@ class FloquetBlock:
 
 
 def reconstruct_rotating_hamiltonian(params: SystemParams, dE, Ea, Ba,
-                                     omega_E, omega_B, t, noise_dE=0.0):
+                                     omega_E, omega_B, t):
     """Sum the harmonics back into the exact rotating-frame Hamiltonian."""
-    H = rwa_hamiltonian(params, dE, Ea, Ba, omega_E, omega_B, noise_dE)
-    for comp in frequency_components(params, dE, Ea, Ba, omega_E, omega_B,
-                                     noise_dE):
+    H = rwa_hamiltonian(params, dE, Ea, Ba, omega_E, omega_B)
+    for comp in frequency_components(params, dE, Ea, Ba, omega_E, omega_B):
         phase = np.exp(-1j * comp.frequency * t)
         H = H + comp.matrix * phase + comp.matrix.conj().swapaxes(-1, -2) / phase
     return H
@@ -107,9 +106,9 @@ def schrieffer_wolff(HF: np.ndarray, guard: float = DEGENERACY_GUARD) -> np.ndar
 
 
 def build_floquet_block(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
-                        noise_dE=0.0, guard: float = DEGENERACY_GUARD) -> FloquetBlock:
-    comp0 = rwa_hamiltonian(params, dE, Ea, Ba, omega_E, omega_B, noise_dE)
-    comps = frequency_components(params, dE, Ea, Ba, omega_E, omega_B, noise_dE)
+                        guard: float = DEGENERACY_GUARD) -> FloquetBlock:
+    comp0 = rwa_hamiltonian(params, dE, Ea, Ba, omega_E, omega_B)
+    comps = frequency_components(params, dE, Ea, Ba, omega_E, omega_B)
     HF, shifts = floquet_hamiltonian(comps, comp0, omega_E, omega_B)
     Hp = schrieffer_wolff(HF, guard)
     return FloquetBlock(HF, shifts, CENTRAL_BLOCK, Hp)

@@ -91,7 +91,7 @@ class TestFrequencyComponents:
             dE, Ea, Ba = (float(x) for x in sched.sample(t))
             direct = exact_rotating_hamiltonian(P, sched, t, noise)
             summed = reconstruct_rotating_hamiltonian(
-                P, dE, Ea, Ba, sched.omega_E, sched.omega_B, t, noise)
+                P, dE + noise, Ea, Ba, sched.omega_E, sched.omega_B, t)
             worst = max(worst, np.abs(direct - summed).max()
                         / np.abs(direct).max())
         assert worst < 1e-9

@@ -47,21 +47,44 @@ class TestParsing:
         assert parse_angle("90 deg", "a") == pytest.approx(math.pi / 2)
         assert parse_angle("1.25", "a") == 1.25
 
-    def test_params_file_roundtrip(self):
-        params = load_params(PARAM_TEXT)
+    def test_params_file_roundtrip(self, tmp_path):
+        path = tmp_path / "device.params"
+        path.write_text(PARAM_TEXT)
+        params = load_params(str(path))
         assert params.hyperfine_A == pytest.approx(TWO_PI * 117e6)
         assert params.Vt == pytest.approx(params.B0 *
                                           (params.gamma_e + params.gamma_n))
         # header view parses back to the same numbers
         view = format_params(params)
-        text = "\n".join(f"{k} = {v}" for k, v in view.items())
-        clone = load_params(text)
+        path.write_text("\n".join(f"{k} = {v}" for k, v in view.items()))
+        clone = load_params(str(path))
         assert clone.gamma_e == pytest.approx(params.gamma_e, rel=1e-9)
         assert clone.dE_idle == params.dE_idle
 
-    def test_rejects_unknown_parameter(self):
+    def test_rejects_unknown_parameter(self, tmp_path):
+        path = tmp_path / "device.params"
+        path.write_text("mystery_knob = 2\n")
         with pytest.raises(ManifestError, match="unknown parameter"):
-            load_params("mystery_knob = 2")
+            load_params(str(path))
+
+    def test_out_of_range_parameter_names_it(self, tmp_path):
+        path = tmp_path / "device.params"
+        path.write_text("B0 = -0.2 T\n")
+        with pytest.raises(ManifestError, match="B0 must be positive"):
+            load_params(str(path))
+
+    def test_params_file_path_containing_equals(self, tmp_path, capsys):
+        # a path is read as a path even where it looks like 'key = value'
+        folder = tmp_path / "run=1"
+        folder.mkdir()
+        path = folder / "device.params"
+        path.write_text(PARAM_TEXT.replace("B0 = 0.2 T", "B0 = 0.25 T"))
+        assert load_params(str(path)).B0 == 0.25
+        man = tmp_path / "m.txt"
+        man.write_text(f"kind = splitting-curve\npoints = 3\n"
+                       f"params_file = {path}\noutput = x\n")
+        assert main(["validate", str(man)]) == 0
+        assert load_manifest(str(man)).params.B0 == 0.25
 
     def test_keyvalue_bad_line(self):
         with pytest.raises(ManifestError, match="line 1"):
@@ -272,7 +295,20 @@ class TestCliRuns:
      "frame"),
     ("kind = rx-noise\nthetas = pi/2\nsigmas = 10 V/m\nvariants = bogus\n",
      "variants"),
-], ids=["points", "samples", "frame", "variants"])
+    ("kind = rx-noise\nthetas = pi/0\nsigmas = 10 V/m\n", "thetas"),
+    ("kind = rx-noise\nthetas = 1.2.3pi\nsigmas = 10 V/m\n", "thetas"),
+    ("kind = rx-noise\nthetas = --pi\nsigmas = 10 V/m\n", "thetas"),
+    ("kind = rx-noise\nthetas = nan\nsigmas = 10 V/m\n", "thetas"),
+    ("kind = splitting-curve\npoints = 3\ndE_min = nan\n", "dE_min"),
+    ("kind = splitting-curve\npoints = 3\ndE_min = inf V/m\n", "dE_min"),
+    ("kind = rx-noise\nthetas = 0\nsigmas = 10 V/m\n", "thetas"),
+    ("kind = sweep-echo-noise\nthetas = 0\nsigmas = 10 V/m\n", "thetas"),
+    ("kind = splitting-curve\npoints = 3\n"
+     "params_file = no-such-dir/device.params\n", "params_file"),
+], ids=["points", "samples", "frame", "variants", "angle-over-zero",
+        "angle-two-points", "angle-two-signs", "angle-nan", "quantity-nan",
+        "quantity-inf", "rx-zero-angle", "sweep-echo-zero-angle",
+        "missing-params-file"])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, body, field):
     man = tmp_path / "m.txt"
     man.write_text(body + f"output = {tmp_path / 'out.txt'}\n")

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from donorspin.model import (TWO_PI, PhysicalConstants, SystemParams,
                              charge_splitting, hyperfine_expectation,
                              qubit_splitting_approx, dephasing_sensitivity,
-                             dephasing_sensitivity_large_field,
                              transition_energies)
 
 P = SystemParams()
@@ -100,13 +99,6 @@ def test_dephasing_sensitivity_finite_difference():
           - qubit_splitting_approx(P, grid - h)) / (2 * h)
     exact = dephasing_sensitivity(P, grid)
     assert np.max(np.abs(fd - exact) / np.abs(exact)) < 1e-6
-
-
-def test_dephasing_sensitivity_large_field_limit():
-    dE = 10 * P.Vt / P.de_over_hbar * 1.5
-    full = dephasing_sensitivity(P, dE)
-    approx = dephasing_sensitivity_large_field(P, dE)
-    assert approx == pytest.approx(full, rel=2e-2)
 
 
 def test_transition_energy_identity():

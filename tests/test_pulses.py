@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from donorspin.model import TWO_PI, SystemParams, charge_splitting
-from donorspin.pulses import (Window, Ramp, Constant, Scaled, Squared,
-                              Shifted, Sum, parse_envelope,
-                              PulseSchedule, make_rz_schedule,
+from donorspin.pulses import (Window, Ramp, Squared, make_rz_schedule,
                               make_rx_sweep_schedule, make_naive_rx_schedule,
                               make_cphase_schedule, make_echo_rz_schedule,
                               sweep_drive_frequencies, SWEEP_TAU1,
@@ -70,26 +68,6 @@ class TestRamp:
     def test_rejects_nonmonotone_breakpoints(self):
         with pytest.raises(ValueError):
             Ramp(5.0, 1.0, 2.0, 1.0, 10.0)
-
-
-def test_envelope_serialization_roundtrip():
-    env = Sum((Constant(1e4),
-               Scaled(-2e4, Window(5e-9, 2e-8)),
-               Shifted(5e-9, Squared(Window(1e-9, 1e-8))),
-               Ramp(1e-9, 3.0, 2e-9, -1.0, 5e-9)))
-    clone = parse_envelope(env.serialize())
-    ts = np.linspace(-1e-9, 2.1e-8, 301)
-    assert np.allclose(env.value(ts), clone.value(ts), atol=0)
-
-
-def test_schedule_serialization_roundtrip():
-    sched = make_rx_sweep_schedule(P, 0.73)
-    clone = PulseSchedule.deserialize(sched.serialize())
-    ts = np.linspace(0, sched.total_time, 257)
-    for a, b in zip(sched.sample(ts), clone.sample(ts)):
-        assert np.allclose(a, b, atol=0)
-    assert clone.omega_E == sched.omega_E
-    assert clone.total_time == sched.total_time
 
 
 class TestRzSchedule:

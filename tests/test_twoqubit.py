@@ -6,10 +6,10 @@ import pytest
 from donorspin.model import TWO_PI, SystemParams
 from donorspin.pulses import make_cphase_schedule, make_idle_schedule
 from donorspin.twoqubit import (TwoQubitLayout, CphaseReport,
-                                dipole_coupling_strength, interface_weight,
-                                track_dressed_qubit_states, cphase_angle,
+                                dipole_coupling_strength, cphase_angle,
                                 simulate_two_qubit, cz_duration_search,
-                                coupled_drive_frequency)
+                                _follow_dressed_states, _weight_parts)
+from donorspin.propagation import _effective_h_stack
 from donorspin.pulses import CPHASE_EA_PEAK, cphase_drive_frequency
 
 P = SystemParams()
@@ -34,20 +34,28 @@ class TestDipoleCoupling:
             TwoQubitLayout(separation_r=0.0)
 
 
+def _interface_weight(states, dE):
+    """<psi| (|i><i| x 1_spin) |psi> = w_bar + s x from the quadrature's
+    weight parts."""
+    w_bar, x, s = _weight_parts(P, states, dE)
+    return w_bar + s * x
+
+
 class TestInterfaceWeight:
     def test_bounded(self):
         rng = np.random.default_rng(1)
-        for _ in range(30):
-            v = rng.normal(size=8) + 1j * rng.normal(size=8)
-            v /= np.linalg.norm(v)
-            w = interface_weight(P, v, rng.uniform(-2e4, 2e4))
-            assert -1e-12 <= w <= 1 + 1e-12
+        v = rng.normal(size=(30, 8)) + 1j * rng.normal(size=(30, 8))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        w = _interface_weight(v, rng.uniform(-2e4, 2e4, 30))
+        assert (w >= -1e-12).all() and (w <= 1 + 1e-12).all()
 
     def test_idle_states_share_weight(self):
         sched = make_idle_schedule(P, 1.0)
-        tr = track_dressed_qubit_states(P, sched, np.array([0.0]))
-        wu = interface_weight(P, tr.up_states[0], P.dE_idle)
-        wd = interface_weight(P, tr.dn_states[0], P.dE_idle)
+        ts = np.array([0.0])
+        tr = _follow_dressed_states(_effective_h_stack(P, sched, ts, 0.0)[:, 0],
+                                    ts)
+        wu, wd = _interface_weight(np.stack([tr.up_states[0],
+                                             tr.dn_states[0]]), P.dE_idle)
         assert wu == pytest.approx(wd, abs=2e-4)
 
     def test_square_pulse_dressed_states(self):
@@ -122,14 +130,6 @@ class TestCphaseQuadrature:
                                noise_dE=(100.0, 100.0)).phi
         slope = (shifted - base) / 100.0
         assert abs(slope) > 1e-5   # rad per (V/m): the gate is noise-soft
-
-
-class TestCoupledAdjustment:
-    def test_partner_shifts_transition(self):
-        bare = cphase_drive_frequency(P, 2000.0)
-        coupled = coupled_drive_frequency(LAYOUT, 2000.0)
-        shift = coupled - bare
-        assert -TWO_PI * 60e6 < shift < -TWO_PI * 20e6
 
 
 class TestTwoQubitSimulation:
@@ -219,9 +219,9 @@ def _per_sample_track(params, schedule, times, noise_dE, mean_field):
     dE, Ea, Ba = schedule.sample(times)
     ups, dns, worst, prev = [], [], 1.0, None
     for i in range(len(times)):
-        Hp = effective_hamiltonian(params, dE[i], Ea[i], Ba[i],
-                                   schedule.omega_E, schedule.omega_B,
-                                   noise_dE) + mean_field[i]
+        Hp = effective_hamiltonian(params, dE[i] + noise_dE, Ea[i], Ba[i],
+                                   schedule.omega_E, schedule.omega_B
+                                   ) + mean_field[i]
         vec = np.linalg.eigh(Hp)[1]
         if prev is None:
             iu = int(np.argmax(np.abs(vec[1])))
@@ -246,7 +246,8 @@ def test_array_tracker_matches_per_sample_tracking():
     c, _ = orbital_mixing(P, sched.dE_envelope.value(ts) + 0.5)
     mf = (dipole_coupling_strength(LAYOUT) * np.linspace(0.2, 0.6, 120)
           )[:, None, None] * (IDENT + c[:, None, None] * TAU_Z) / 2
-    tr = track_dressed_qubit_states(P, sched, ts, 0.5, mean_field=mf)
+    tr = _follow_dressed_states(_effective_h_stack(P, sched, ts, 0.5)[:, 0]
+                                + mf, ts)
     up, dn, worst = _per_sample_track(P, sched, ts, 0.5, mf)
     assert np.abs(tr.up_states - up).max() < 1e-12
     assert np.abs(tr.dn_states - dn).max() < 1e-12
@@ -266,7 +267,6 @@ def test_symmetric_pair_shares_its_track():
 def test_pair_stack_matches_kron_construction():
     from donorspin.operators import IDENT, TAU_Z, TAU_P, TAU_M
     from donorspin.model import orbital_mixing
-    from donorspin.propagation import _effective_h_stack
     from donorspin.twoqubit import _pair_h_stack
     sched = make_cphase_schedule(P, 300e-9)
     tmid = np.linspace(10e-9, 290e-9, 7)
