@@ -170,7 +170,7 @@ def run_splitting_curve(m: Manifest):
     def one(dE):
         sched = make_rz_schedule(params, 1e-9)  # any schedule; static sample
         H = lab_hamiltonian(params, sched, 0.0, noise_dE=dE - float(
-            sched.dE_envelope.value(0.0)), basis="position").matrix
+            sched.dE_envelope.value(0.0))).matrix
         ev = np.linalg.eigvalsh(H)
         return dE, ev[1] - ev[0], float(qubit_splitting_approx(params, dE))
 

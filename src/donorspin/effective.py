@@ -24,7 +24,6 @@ assemble in single einsum passes.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +45,6 @@ COUPLING_FLOOR = 2 * np.pi * 1e-3         # ignore couplings below ~mHz
 class NearDegeneracyError(RuntimeError):
     """A coupled Floquet state is too close to the target block for the
     second-order reduction to be trusted."""
-
-
-class RwaValidityWarning(UserWarning):
-    """Drive frequencies far from the splittings they rotate out."""
 
 
 @dataclass(frozen=True)
@@ -145,20 +140,12 @@ def _assemble(coeffs, stack):
     return np.einsum("...k,kij->...ij", coeffs.astype(complex), stack)
 
 
-def rwa_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B,
-                    warn: bool = False):
+def rwa_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
     """Static rotating-frame Hamiltonian H~0 (instantaneous envelopes).
 
     Broadcasts over leading array dimensions of dE, Ea and Ba.
     """
     e0, c, s, _, Ea, Ba = _samples(params, dE, Ea, Ba)
-    if warn:
-        scale = np.max(e0) / 10
-        if np.max(np.abs(e0 - omega_E)) > scale or \
-           abs(params.B0 * params.gamma_e - omega_B) > scale:
-            warnings.warn("drive detunings exceed eps0/10; rotating-wave "
-                          "treatment may be inaccurate", RwaValidityWarning,
-                          stacklevel=2)
     return _assemble(_coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B), _M0)
 
 

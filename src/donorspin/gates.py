@@ -4,8 +4,8 @@ composite noise-resistant X gate.
 Gates are defined in the idling frame: the phases a qubit accumulates while
 parked at the idling point are divided out, so idling maps to the identity.
 Calibrations and gate builders run in the effective frame (H'); the lab
-frames enter through `evolve`, `composite_qubit_block` and
-`run_noise_monte_carlo`, which check the calibrated gates against them.
+frame enters through `evolve`, `composite_qubit_block` and
+`run_noise_monte_carlo`, which check the calibrated gates against it.
 All 2x2 gates use the (up~, dn~) ordering with sigma_z = diag(+1, -1) and
 Rz(th) = exp(-i th sigma_z / 2), Rx(th) = exp(-i th sigma_x / 2).
 """
@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 from .effective import effective_hamiltonian
 from .model import SystemParams, qubit_splitting_approx, dephasing_sensitivity
 from .operators import (QUBIT_UP_INDEX, QUBIT_DN_INDEX, frame_generator_diag,
-                        qubit_gauge)
+                        orbital_transform, qubit_gauge)
 from .propagation import (EvolutionResult, evolve, lab_hamiltonian, leakage,
                           to_lab_orbital)
 from .pulses import (PulseSchedule, make_rz_schedule, make_rx_sweep_schedule,
@@ -105,7 +105,8 @@ def idle_qubit_frame(params: SystemParams, frame: str,
     Gates are defined on the dressed idle eigenstates (not the bare basis
     states), so idling extracts to the identity in every frame. In the
     effective frame they are the eigenstates of H' at the schedule's drive
-    frequencies, in the lab frames those of the orbital-basis Hamiltonian.
+    frequencies, in the lab frame those of the lab Hamiltonian in the
+    orbital basis, Lambda H_position Lambda^dag.
     Returns (energies[2], vectors 8x2) with energies in the lab frame.
     """
     if frame == "effective":
@@ -114,7 +115,8 @@ def idle_qubit_frame(params: SystemParams, frame: str,
         g = frame_generator_diag(params, schedule.omega_E, schedule.omega_B)
     else:
         idle = make_idle_schedule(params, 1.0)
-        H = lab_hamiltonian(params, idle, 0.0, basis="orbital").matrix
+        lam = orbital_transform(params, params.dE_idle)
+        H = lam @ lab_hamiltonian(params, idle, 0.0).matrix @ lam.conj().T
         g = np.zeros(H.shape[0])
     ev, vec = np.linalg.eigh(H)
     iu = int(np.argmax(np.abs(vec[QUBIT_UP_INDEX, :])))
@@ -127,8 +129,9 @@ def idle_qubit_frame(params: SystemParams, frame: str,
 
 
 def idle_frame_block(U: np.ndarray, energies, basis, T: float) -> np.ndarray:
-    """exp(i E T) basis^H U basis: the block of lab-orbital propagator(s) U
-    on `basis` with the idle phases over T divided out; U may be a batch."""
+    """exp(i E T) basis^H U basis: the block of lab-frame, orbital-basis
+    propagator(s) U on `basis` with the idle phases over a duration T
+    divided out; U may be a batch."""
     return np.exp(1j * energies * T)[:, None] * (basis.conj().T @ U @ basis)
 
 
@@ -157,10 +160,11 @@ def _gate_from_block(block):
 
 
 def extract_qubit_block(result: EvolutionResult, params: SystemParams):
-    """Subnormalized 2x2 idle-frame block(s), for fidelity accounting."""
+    """Subnormalized 2x2 idle-frame block(s) of the evolved interval, for
+    fidelity accounting."""
     energies, basis = idle_qubit_frame(params, result.frame, result.schedule)
     return idle_frame_block(to_lab_orbital(result, params), energies, basis,
-                            result.schedule.total_time)
+                            result.t1 - result.t0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +278,7 @@ class NoiseModel:
 
 def evolve_segments(params: SystemParams, segments, noise_dE=0.0,
                     frame: str = "effective", dt: float | None = None):
-    """Chained lab-orbital propagator of a schedule sequence.
+    """Chained lab-frame, orbital-basis propagator of a schedule sequence.
 
     Each segment is evolved in `frame` and converted to the lab orbital
     basis; drive phases restart at each segment boundary. A schedule

@@ -105,7 +105,13 @@ def parse_angle(text: str, field: str) -> float:
 
 
 def parse_list(text: str, item_parser, field: str):
-    return [item_parser(part.strip(), field) for part in text.split(",") if part.strip()]
+    """Comma-separated items, at least one."""
+    items = [item_parser(part.strip(), field) for part in text.split(",")
+             if part.strip()]
+    if not items:
+        raise ManifestError(f"field {field!r}: expected at least one item, "
+                            f"got {text!r}")
+    return items
 
 
 def load_params(path: str) -> SystemParams:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SystemParams, charge_splitting, orbital_mixing
+from .model import SystemParams, orbital_mixing
 
 DIM = 8
 
@@ -80,18 +80,6 @@ def qubit_gauge(vecs, index):
     """Eigenvector(s) (..., 8) rephased so component `index` is real and
     non-negative (the package's dressed-state gauge)."""
     return vecs * np.exp(-1j * np.angle(vecs[..., index]))[..., None]
-
-
-def basis_change_correction(params: SystemParams, dE, dE_rate):
-    """Hermitian term -i Lambda dLambda/dt^dag from the moving orbital basis.
-
-    Equals -(d e Vt / 2 hbar eps0^2) * (d dE/dt) * sigma_y on the orbital
-    factor; maximal in magnitude at dE = 0 and zero for a static field.
-    Array-valued dE and dE_rate broadcast to a stack of 8x8 matrices.
-    """
-    e0 = charge_splitting(params, dE)
-    coeff = -params.de_over_hbar * params.Vt / (2 * e0**2) * dE_rate
-    return np.asarray(coeff)[..., None, None] * TAU_Y
 
 
 def frame_generator_diag(params: SystemParams, omega_E: float, omega_B: float):

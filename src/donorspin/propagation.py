@@ -6,10 +6,10 @@ matrix exponential per step (Hermitian eigendecomposition). One step loop,
 frame only supplies its Hamiltonian stack, and steps are processed in
 vectorized chunks, so a whole batch of quasi-static noise offsets can be
 propagated at once. `_position_h_stack` is the one lab-frame Hamiltonian;
-the orbital basis is the orbital transform applied to it.
-`_effective_h_stack` is the one way the package samples H' along a
-schedule. `unitarity_defect` and `leakage` are the package's two numerical
-contracts on propagators.
+a lab propagator reaches the orbital basis only at its endpoints, through
+the orbital transform (`to_lab_orbital`). `_effective_h_stack` is the one
+way the package samples H' along a schedule. `unitarity_defect` and
+`leakage` are the package's two numerical contracts on propagators.
 
 Each chunk is split into the sectors its Hamiltonians leave invariant:
 the connected components of the exact nonzero pattern of the stack,
@@ -32,14 +32,14 @@ from .effective import effective_hamiltonian
 from .model import SystemParams, charge_splitting
 from .operators import (DIM, TAU_Z, TAU_X, S_Z, S_X, I_Z, I_X, S_DOT_I,
                         DONOR_PROJECTOR, QUBIT_INDICES, orbital_transform,
-                        basis_change_correction, frame_generator_diag)
+                        frame_generator_diag)
 from .pulses import PulseSchedule
 
 DEFAULT_DT_LAB = 0.1e-12
 DEFAULT_DT_LAB_NO_AC = 1e-12
 DEFAULT_DT_EFFECTIVE = 0.05e-9
 
-FRAMES = ("lab-position", "lab-orbital", "effective")
+FRAMES = ("lab-position", "effective")
 UNITARITY_LIMIT = 1e-8      # a propagator with a larger defect is invalid
 RESONANCE_SAMPLES = 2001    # schedule samples of the two-photon check
 
@@ -67,6 +67,8 @@ class EvolutionResult:
     step_count: int
     max_unitarity_defect: float
     schedule: PulseSchedule
+    t0: float                   # the evolved interval [t0, t1]
+    t1: float
     noise_dE: float | np.ndarray = 0.0
     leakage_trace: np.ndarray | None = None   # columns (t, leakage)
 
@@ -76,17 +78,10 @@ class EvolutionResult:
 
 
 def lab_hamiltonian(params: SystemParams, schedule: PulseSchedule, t: float,
-                    noise_dE: float = 0.0, basis: str = "position"
-                    ) -> OperatorMatrix:
-    """Sample the lab-frame Hamiltonian of a schedule at time t (the
-    orbital basis without the basis-change correction)."""
-    tmid = np.array([float(t)])
-    if basis == "position":
-        H = _position_h_stack(params, schedule, tmid, noise_dE)
-    elif basis == "orbital":
-        H = _orbital_h_stack(params, schedule, tmid, noise_dE, False)
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
+                    noise_dE: float = 0.0) -> OperatorMatrix:
+    """Sample the lab-frame Hamiltonian of a schedule at time t (position
+    basis)."""
+    H = _position_h_stack(params, schedule, np.array([float(t)]), noise_dE)
     return OperatorMatrix(H[0, 0])
 
 
@@ -106,22 +101,6 @@ def _position_h_stack(params: SystemParams, schedule, tmid, noise_dE):
     M_b = params.gamma_e * S_X - params.gamma_n * I_X
     H = (H_const[None, None] + f_total[..., None, None] * M_field
          + drive_B[..., None, None] * M_b)
-    return H
-
-
-def _orbital_h_stack(params: SystemParams, schedule, tmid, noise_dE,
-                     include_correction):
-    """(n, S, 8, 8) lab Hamiltonian in the orbital basis, which follows the
-    DC field dE + noise: Lambda H_position Lambda^dag, plus the
-    basis-change term of the moving basis when include_correction."""
-    noise = np.atleast_1d(np.asarray(noise_dE, dtype=float))
-    dEn = schedule.dE_envelope.value(tmid)[:, None] + noise[None, :]
-    lam = orbital_transform(params, dEn)
-    H = (lam @ _position_h_stack(params, schedule, tmid, noise)
-         @ lam.conj().swapaxes(-1, -2))
-    if include_correction:
-        rate = schedule.dE_envelope.derivative(tmid)[:, None]
-        H = H + basis_change_correction(params, dEn, rate)
     return H
 
 
@@ -251,8 +230,7 @@ def check_two_photon_resonance(params: SystemParams,
 
 def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
            frame: str = "lab-position", dt: float | None = None,
-           include_correction: bool = True, t0: float = 0.0,
-           t1: float | None = None, record_leakage: int = 0
+           t0: float = 0.0, t1: float | None = None, record_leakage: int = 0
            ) -> EvolutionResult:
     """Propagate a schedule from t0 to t1 (default: its full duration).
 
@@ -281,20 +259,16 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
     if frame == "effective":
         def h_stack(tmid):
             return _effective_h_stack(params, schedule, tmid, noise)
-    elif frame == "lab-position":
-        def h_stack(tmid):
-            return _position_h_stack(params, schedule, tmid, noise)
     else:
         def h_stack(tmid):
-            return _orbital_h_stack(params, schedule, tmid, noise,
-                                    include_correction)
+            return _position_h_stack(params, schedule, tmid, noise)
 
     record_every = max(1, n // record_leakage) if record_leakage else 0
     U, defect, trace = propagate(h_stack, t0, dt_eff, n, noise.size,
                                  record_every=record_every)
     Umat = U if np.ndim(noise_dE) > 0 else U[0]
     return EvolutionResult(OperatorMatrix(Umat), frame, n, defect, schedule,
-                           noise_dE, trace)
+                           t0, t1, noise_dE, trace)
 
 
 def unitarity_defect(U: np.ndarray):
@@ -316,12 +290,13 @@ def leakage(U: np.ndarray, subspace=QUBIT_INDICES):
 
 
 def to_lab_orbital(result: EvolutionResult, params: SystemParams) -> np.ndarray:
-    """Express a propagator in the lab frame and orbital basis.
+    """Express a propagator over [t0, t1] in the lab frame and orbital basis.
 
     Position-basis propagators are conjugated by the orbital transform at
-    the endpoint fields; rotating-frame propagators get the inverse frame
-    phase exp(+i T G). Raises ValueError for an invalid result (unitarity
-    defect at or above UNITARITY_LIMIT).
+    the fields of t1 and t0, Lambda(dE(t1)) U Lambda(dE(t0))^dag;
+    rotating-frame propagators become exp(+i t1 G) U exp(-i t0 G). Raises
+    ValueError for an invalid result (unitarity defect at or above
+    UNITARITY_LIMIT).
     """
     if not result.valid:
         raise ValueError(f"propagator unitarity defect "
@@ -329,15 +304,13 @@ def to_lab_orbital(result: EvolutionResult, params: SystemParams) -> np.ndarray:
                          f"{UNITARITY_LIMIT:.0e}; refine dt")
     U = result.propagator.matrix
     sched = result.schedule
+    t0, t1 = result.t0, result.t1
     if result.frame == "lab-position":
-        lam_end = orbital_transform(params, float(sched.dE_envelope.value(sched.total_time)))
-        lam_start = orbital_transform(params, float(sched.dE_envelope.value(0.0)))
+        lam_end = orbital_transform(params, float(sched.dE_envelope.value(t1)))
+        lam_start = orbital_transform(params, float(sched.dE_envelope.value(t0)))
         return lam_end @ U @ lam_start.conj().T
-    if result.frame == "lab-orbital":
-        return U
     g = frame_generator_diag(params, sched.omega_E, sched.omega_B)
-    phase = np.exp(1j * sched.total_time * g)
-    return phase[..., :, None] * U
+    return np.exp(1j * t1 * g)[:, None] * U * np.exp(-1j * t0 * g)
 
 
 def write_trace(result: EvolutionResult, path) -> None:

@@ -19,9 +19,6 @@ class Envelope:
     def value(self, t):
         raise NotImplementedError
 
-    def derivative(self, t):
-        raise NotImplementedError
-
     def __call__(self, t):
         return self.value(np.asarray(t, dtype=float))
 
@@ -35,9 +32,6 @@ class Constant(Envelope):
 
     def value(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.level)
-
-    def derivative(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
 
     def is_zero(self):
         return self.level == 0.0
@@ -70,16 +64,6 @@ class Window(Envelope):
         out[m] = (1 - np.cos(np.pi * (T - t[m]) / tau)) / 2
         return out
 
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        tau, T = self.tau, self.duration
-        m = (t >= 0) & (t < tau)
-        out[m] = np.pi / (2 * tau) * np.sin(np.pi * t[m] / tau)
-        m = (t >= T - tau) & (t <= T)
-        out[m] = -np.pi / (2 * tau) * np.sin(np.pi * (T - t[m]) / tau)
-        return out
-
 
 @dataclass(frozen=True)
 class Ramp(Envelope):
@@ -106,17 +90,6 @@ class Ramp(Envelope):
         out[m] = self.y2 * (self.duration - t[m]) / (self.duration - self.tau2)
         return out
 
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        m = (t >= 0) & (t < self.tau1)
-        out[m] = self.y1 / self.tau1
-        m = (t >= self.tau1) & (t < self.tau2)
-        out[m] = (self.y2 - self.y1) / (self.tau2 - self.tau1)
-        m = (t >= self.tau2) & (t <= self.duration)
-        out[m] = -self.y2 / (self.duration - self.tau2)
-        return out
-
 
 @dataclass(frozen=True)
 class Scaled(Envelope):
@@ -125,9 +98,6 @@ class Scaled(Envelope):
 
     def value(self, t):
         return self.factor * self.inner.value(t)
-
-    def derivative(self, t):
-        return self.factor * self.inner.derivative(t)
 
     def is_zero(self):
         return self.factor == 0.0 or self.inner.is_zero()
@@ -139,9 +109,6 @@ class Squared(Envelope):
 
     def value(self, t):
         return self.inner.value(t) ** 2
-
-    def derivative(self, t):
-        return 2 * self.inner.value(t) * self.inner.derivative(t)
 
     def is_zero(self):
         return self.inner.is_zero()
@@ -157,9 +124,6 @@ class Shifted(Envelope):
     def value(self, t):
         return self.inner.value(np.asarray(t, dtype=float) - self.offset)
 
-    def derivative(self, t):
-        return self.inner.derivative(np.asarray(t, dtype=float) - self.offset)
-
     def is_zero(self):
         return self.inner.is_zero()
 
@@ -172,12 +136,6 @@ class Sum(Envelope):
         out = np.zeros_like(np.asarray(t, dtype=float))
         for term in self.terms:
             out = out + term.value(t)
-        return out
-
-    def derivative(self, t):
-        out = np.zeros_like(np.asarray(t, dtype=float))
-        for term in self.terms:
-            out = out + term.derivative(t)
         return out
 
     def is_zero(self):

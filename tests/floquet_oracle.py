@@ -17,7 +17,8 @@ from donorspin.effective import (BLOCK_SHIFTS, COUPLING_FLOOR,
                                  DEGENERACY_GUARD, NearDegeneracyError,
                                  frequency_components, rwa_hamiltonian)
 from donorspin.model import SystemParams
-from donorspin.operators import BASIS_LABELS, DIM, frame_generator_diag
+from donorspin.operators import (BASIS_LABELS, DIM, frame_generator_diag,
+                                 orbital_transform)
 from donorspin.propagation import lab_hamiltonian
 
 CENTRAL_BLOCK = BLOCK_SHIFTS.index((0, 0))
@@ -43,8 +44,12 @@ def reconstruct_rotating_hamiltonian(params: SystemParams, dE, Ea, Ba,
 
 def exact_rotating_hamiltonian(params: SystemParams, schedule, t,
                                noise_dE=0.0):
-    """Independent construction Lam H Lam^dag - i Lam dLam/dt^dag."""
-    H = lab_hamiltonian(params, schedule, t, noise_dE, basis="orbital").matrix
+    """Independent construction Lam H Lam^dag - i Lam dLam/dt^dag, with H
+    the lab Hamiltonian in the orbital basis at the instantaneous field."""
+    lam = orbital_transform(
+        params, float(schedule.dE_envelope.value(t)) + noise_dE)
+    H_position = lab_hamiltonian(params, schedule, t, noise_dE).matrix
+    H = lam @ H_position @ lam.conj().T
     g = frame_generator_diag(params, schedule.omega_E, schedule.omega_B)
     phase = np.exp(-1j * t * g)
     return phase[:, None] * H * phase.conj()[None, :] + np.diag(g)

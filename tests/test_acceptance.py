@@ -50,8 +50,7 @@ def test_criterion_1_splitting_curve(params):
 
     def exact(dE):
         H = lab_hamiltonian(params, idle, 0.0,
-                            noise_dE=dE - params.dE_idle,
-                            basis="position").matrix
+                            noise_dE=dE - params.dE_idle).matrix
         ev = np.linalg.eigvalsh(H)
         return ev[1] - ev[0]
 
@@ -322,7 +321,7 @@ def test_criterion_9_property_suites(params):
     unit_ok = True
     for sched in factories:
         for t in rng.uniform(0, sched.total_time, 5):
-            H = lab_hamiltonian(params, sched, t, basis="position")
+            H = lab_hamiltonian(params, sched, t)
             herm_ok &= H.hermiticity_defect() < 1e-12
         res = evolve(params, sched, frame="effective", dt=0.1e-9)
         unit_ok &= res.max_unitarity_defect < 1e-8

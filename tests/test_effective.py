@@ -6,7 +6,7 @@ from donorspin.operators import (DIM, QUBIT_UP_INDEX, QUBIT_DN_INDEX, S_M,
                                  S_X, S_Y, I_X, I_Y, TAU_P)
 from donorspin.effective import (rwa_hamiltonian, frequency_components,
                                  effective_hamiltonian, NearDegeneracyError,
-                                 RwaValidityWarning, BLOCK_SHIFTS, hprime_text)
+                                 BLOCK_SHIFTS, hprime_text)
 from donorspin.pulses import (make_rx_sweep_schedule, make_rz_schedule,
                               sweep_drive_frequencies, idle_frequencies)
 from donorspin.propagation import evolve
@@ -45,10 +45,6 @@ class TestRwaHamiltonian:
             split = (H[QUBIT_DN_INDEX, QUBIT_DN_INDEX]
                      - H[QUBIT_UP_INDEX, QUBIT_UP_INDEX]).real + (W_E - W_B)
             assert abs(split - qubit_splitting_approx(P, dE)) < TWO_PI * 0.2e6
-
-    def test_validity_warning(self):
-        with pytest.warns(RwaValidityWarning):
-            rwa_hamiltonian(P, 1e4, 0.0, 0.0, W_E, W_B, warn=True)
 
 
 class TestFrequencyComponents:

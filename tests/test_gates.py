@@ -9,7 +9,8 @@ from donorspin.pulses import (make_rz_schedule, make_rx_sweep_schedule,
                               make_echo_rz_schedule)
 from donorspin.gates import (QubitGate, EulerAngles, euler_decompose,
                              gate_infidelity, rz_matrix, rx_matrix,
-                             extract_qubit_gate, composite_qubit_block,
+                             extract_qubit_gate, extract_qubit_block,
+                             composite_qubit_block,
                              predict_rz_angle, simulate_rz_angle,
                              rz_duration_for_angle, NoiseModel,
                              run_noise_monte_carlo, noise_sensitivity,
@@ -124,6 +125,16 @@ class TestExtraction:
         gate, leak = extract_qubit_gate(res, P)
         assert leak < 1e-9
         assert gate_infidelity(gate.matrix, np.eye(2), 2) < 1e-8
+
+    @pytest.mark.parametrize("frame", ["lab-position", "effective"])
+    @pytest.mark.parametrize("t0, t1", [(0.0, 5e-9), (2.5e-9, 7.5e-9)])
+    def test_partial_interval_idle_is_identity(self, frame, t0, t1):
+        # the endpoint maps and the idle phases follow the evolved
+        # interval, not the schedule's full duration
+        res = evolve(P, make_idle_schedule(P, 10e-9), frame=frame,
+                     t0=t0, t1=t1)
+        block = extract_qubit_block(res, P)
+        assert np.abs(block - np.eye(2)).max() < 1e-10
 
     def test_rz_pi_reference_duration(self):
         res = evolve(P, make_rz_schedule(P, 13.560e-9), frame="effective")

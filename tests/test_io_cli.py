@@ -305,10 +305,13 @@ class TestCliRuns:
     ("kind = sweep-echo-noise\nthetas = 0\nsigmas = 10 V/m\n", "thetas"),
     ("kind = splitting-curve\npoints = 3\n"
      "params_file = no-such-dir/device.params\n", "params_file"),
+    ("kind = rz-noise\nangles = ,\nsigmas = 10 V/m\n", "angles"),
+    ("kind = rz-noise\nangles = pi\nsigmas = 10 V/m\nframe = lab-orbital\n",
+     "frame"),
 ], ids=["points", "samples", "frame", "variants", "angle-over-zero",
         "angle-two-points", "angle-two-signs", "angle-nan", "quantity-nan",
         "quantity-inf", "rx-zero-angle", "sweep-echo-zero-angle",
-        "missing-params-file"])
+        "missing-params-file", "empty-list", "removed-frame"])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, body, field):
     man = tmp_path / "m.txt"
     man.write_text(body + f"output = {tmp_path / 'out.txt'}\n")

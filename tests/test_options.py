@@ -20,7 +20,7 @@ SRC = ROOT / "src" / "donorspin"
 OTHER_CALLERS = sorted([*(ROOT / "tests").glob("*.py"),
                         *(ROOT / "scripts").glob("*.py"),
                         ROOT / "benchmark" / "workloads.py"])
-OPTION_COUNT = 44          # defaulted parameters in the package
+OPTION_COUNT = 41          # defaulted parameters in the package
 
 
 def _functions(tree):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from donorspin.model import TWO_PI, SystemParams, charge_splitting
-from donorspin.operators import (DIM, QUBIT_INDICES, orbital_transform,
-                                 basis_change_correction, TAU_Y)
+from donorspin.model import SystemParams, charge_splitting
+from donorspin.operators import DIM, QUBIT_INDICES, orbital_transform
 from donorspin.propagation import (EvolutionResult, OperatorMatrix, evolve,
                                    lab_hamiltonian, unitarity_defect,
                                    leakage, to_lab_orbital, propagate,
@@ -22,9 +21,8 @@ class TestLabHamiltonian:
         sched = make_rx_sweep_schedule(P, 1.0)
         rng = np.random.default_rng(3)
         for t in rng.uniform(0, sched.total_time, 50):
-            for basis in ("position", "orbital"):
-                H = lab_hamiltonian(P, sched, t, noise_dE=37.0, basis=basis)
-                assert H.hermiticity_defect() < 1e-12
+            H = lab_hamiltonian(P, sched, t, noise_dE=37.0)
+            assert H.hermiticity_defect() < 1e-12
 
     def test_decoupled_spectrum_without_couplings(self):
         # A = 0 and delta_gamma = 0 leave a tensor sum of three two-level
@@ -32,7 +30,7 @@ class TestLabHamiltonian:
         import dataclasses
         p0 = dataclasses.replace(P, hyperfine_A=1e-300, delta_gamma=0.0)
         sched = make_idle_schedule(p0, 1.0)
-        H = lab_hamiltonian(p0, sched, 0.0, basis="position").matrix
+        H = lab_hamiltonian(p0, sched, 0.0).matrix
         ev = np.sort(np.linalg.eigvalsh(H))
         e0 = charge_splitting(p0, p0.dE_idle)
         expect = np.sort([orb * e0 / 2 + se * p0.B0 * p0.gamma_e / 2
@@ -44,9 +42,15 @@ class TestLabHamiltonian:
     def test_hyperfine_flip_flop_element_on_donor(self):
         # <d up Dn| H_A |d dn Up> = A/2 when the electron sits on the donor
         sched = make_idle_schedule(P, 1.0)
-        H = lab_hamiltonian(P, sched, 0.0, basis="position").matrix
+        H = lab_hamiltonian(P, sched, 0.0).matrix
         # position basis indices: d up Dn = 6, d dn Up = 5
         assert H[6, 5] == pytest.approx(P.hyperfine_A / 2)
+
+
+def _orbital_basis(p, H_position):
+    """Lambda H Lambda^dag at the idle field of p."""
+    lam = orbital_transform(p, p.dE_idle)
+    return lam @ H_position @ lam.conj().T
 
 
 class TestOrbitalTransform:
@@ -77,8 +81,8 @@ class TestOrbitalTransform:
         # orbital basis that is -eps0/2 tau_z at any static field
         for dE in (-2e4, 0.0, 3e3):
             p = SystemParams(dE_idle=dE)
-            Ho = lab_hamiltonian(p, make_idle_schedule(p, 1.0), 0.0,
-                                 basis="orbital").matrix
+            Ho = _orbital_basis(p, lab_hamiltonian(
+                p, make_idle_schedule(p, 1.0), 0.0).matrix)
             charge = np.einsum("aibi->ab", Ho.reshape(2, 4, 2, 4)) / 4
             e0 = charge_splitting(p, dE)
             assert np.abs(charge - np.diag([-e0 / 2, e0 / 2])).max() < 1e-12 * e0
@@ -91,8 +95,8 @@ class TestOrbitalTransform:
         for dE in (-2e4, 0.0, 3e3, P.dE_idle):
             p = SystemParams(dE_idle=dE)
             sched = make_idle_schedule(p, 1.0)
-            Hp = lab_hamiltonian(p, sched, 0.0, basis="position").matrix
-            Ho = lab_hamiltonian(p, sched, 0.0, basis="orbital").matrix
+            Hp = lab_hamiltonian(p, sched, 0.0).matrix
+            Ho = _orbital_basis(p, Hp)
             charge = np.einsum("aibi->ab", Hp.reshape(2, 4, 2, 4)) / 4
             ev, vecs = np.linalg.eigh(charge)
             g, e = vecs[:, 0], vecs[:, 1]
@@ -106,42 +110,12 @@ class TestOrbitalTransform:
             assert ev == pytest.approx([-e0 / 2, e0 / 2], rel=1e-12)
 
 
-class TestBasisChangeCorrection:
-    def test_zero_for_static_field(self):
-        assert np.abs(basis_change_correction(P, 123.0, 0.0)).max() == 0.0
-
-    def test_coefficient_at_zero_field(self):
-        got = basis_change_correction(P, 0.0, 1.0)
-        coeff = P.de_over_hbar * P.Vt / (2 * charge_splitting(P, 0.0) ** 2)
-        assert np.abs(np.abs(got) - coeff * np.abs(TAU_Y)).max() < 1e-12
-
-    def test_magnitude_at_fast_ramp(self):
-        # order 2*pi*1 GHz at the steepest factory ramps
-        mag = np.abs(basis_change_correction(P, 0.0, 1e13)).max()
-        assert TWO_PI * 0.3e9 < mag < TWO_PI * 3e9
-
-    def test_maximal_at_zero_field(self):
-        m0 = np.abs(basis_change_correction(P, 0.0, 1.0)).max()
-        for dE in (500.0, -1200.0, 1e4):
-            assert np.abs(basis_change_correction(P, dE, 1.0)).max() < m0
-
-    def test_matches_numerical_lambda_derivative(self):
-        # -i Lam dLam/dt^dag with dLam/dt by finite differences
-        dE, rate, h = 789.0, 3e12, 1e-3
-        lam = orbital_transform(P, dE)
-        dlam = (orbital_transform(P, dE + h) - orbital_transform(P, dE - h)) \
-            / (2 * h) * rate
-        expect = -1j * lam @ dlam.conj().T
-        got = basis_change_correction(P, dE, rate)
-        assert np.abs(got - expect).max() < 1e-6 * np.abs(got).max()
-
-
 class TestEvolve:
     def test_static_idle_commutes_and_leaks_nothing(self):
         from donorspin.gates import extract_qubit_gate
         sched = make_idle_schedule(P, 7e-9)
         res = evolve(P, sched, frame="lab-position", dt=2e-12)
-        H = lab_hamiltonian(P, sched, 0.0, basis="position").matrix
+        H = lab_hamiltonian(P, sched, 0.0).matrix
         U = res.propagator.matrix
         assert np.abs(U @ H - H @ U).max() / np.abs(H).max() < 1e-9
         gate, leak = extract_qubit_gate(res, P)
@@ -160,7 +134,8 @@ class TestEvolve:
         from donorspin.gates import extract_qubit_gate
         sched = make_rz_schedule(P, 8e-9)
         res = EvolutionResult(OperatorMatrix(np.eye(8, dtype=complex)),
-                              "lab-orbital", 1, 1e-6, sched)
+                              "lab-position", 1, 1e-6, sched, 0.0,
+                              sched.total_time)
         assert not res.valid
         with pytest.raises(ValueError, match="unitarity defect 1.00e-06"):
             extract_qubit_gate(res, P)
@@ -176,30 +151,6 @@ class TestEvolve:
         second = evolve(P, sched, frame="lab-position", dt=dt,
                         t0=4e-9, t1=8e-9).propagator.matrix
         assert np.linalg.norm(second @ first - full, 2) < 1e-9
-
-    def test_position_orbital_agreement_with_correction(self):
-        sched = make_rz_schedule(P, 6e-9)
-        dt = 0.1e-12
-        upos = evolve(P, sched, frame="lab-position", dt=dt)
-        uorb = evolve(P, sched, frame="lab-orbital", dt=dt,
-                      include_correction=True)
-        lam = orbital_transform(P, P.dE_idle)
-        diff = np.linalg.norm(
-            lam.conj().T @ uorb.propagator.matrix @ lam
-            - upos.propagator.matrix, 2)
-        assert diff < 1e-6
-
-    def test_correction_negligible_at_gate_level(self):
-        from donorspin.gates import extract_qubit_gate, gate_infidelity
-        sched = make_rz_schedule(P, 6e-9)
-        dt = 0.5e-12
-        g_on, _ = extract_qubit_gate(
-            evolve(P, sched, frame="lab-orbital", dt=dt,
-                   include_correction=True), P)
-        g_off, _ = extract_qubit_gate(
-            evolve(P, sched, frame="lab-orbital", dt=dt,
-                   include_correction=False), P)
-        assert gate_infidelity(g_on.matrix, g_off.matrix, 2) < 1e-4
 
     def test_dt_convergence_of_gate_angle(self):
         from donorspin.gates import extract_qubit_gate, euler_decompose
@@ -219,16 +170,6 @@ class TestEvolve:
         for i, dn in enumerate(noise):
             single = evolve(P, sched, noise_dE=float(dn),
                             frame="lab-position", dt=2e-12).propagator.matrix
-            assert np.abs(batch[i] - single).max() < 1e-12
-
-    def test_batched_lab_orbital_matches_scalar_runs(self):
-        sched = make_rz_schedule(P, 5e-9)
-        noise = np.array([-50.0, 0.0, 80.0])
-        batch = evolve(P, sched, noise_dE=noise, frame="lab-orbital",
-                       dt=2e-12).propagator.matrix
-        for i, dn in enumerate(noise):
-            single = evolve(P, sched, noise_dE=float(dn),
-                            frame="lab-orbital", dt=2e-12).propagator.matrix
             assert np.abs(batch[i] - single).max() < 1e-12
 
     def test_rejects_unknown_frame(self):

@@ -1,14 +1,18 @@
-"""Every module-level function and class in the package is run by a program.
+"""Every module-level function and class, and every method, in the package
+is run by a program.
 
 A definition that only its own unit test reaches is library surface that no
 program uses. This AST check (no linter is assumed installed) builds the
 name graph of `src/donorspin`: each module-level function, class or
 assignment points at every name its body, decorators and defaults mention,
-attribute names included, so `ds.gates.evolve` mentions `evolve`. The roots
-are `cli.main` and the experiments it registers, every name that
-`scripts/*.py` and `benchmark/workloads.py` mention, and TEST_REFERENCES.
-`__init__` re-exports are not roots. Names are matched without their
-module, as in test_options.py.
+attribute names included, so `ds.gates.evolve` mentions `evolve`. Each
+method of a class other than a dunder is a definition of its own,
+`Class.method`, and the class points only at what the rest of its body
+mentions. A definition reaches a method by mentioning its name as an
+attribute (`x.method`). The roots are `cli.main` and the experiments it
+registers, every name that `scripts/*.py` and `benchmark/workloads.py`
+mention, and TEST_REFERENCES. `__init__` re-exports are not roots. Names
+are matched without their module or class, as in test_options.py.
 """
 import ast
 from pathlib import Path
@@ -28,13 +32,27 @@ TEST_REFERENCES = {
                                   "criterion 6 checks",
     "read_columns": "reads back the columns the CLI writes",
     "write_trace": "dumps the leakage trace of record_leakage (observability)",
+    "EulerAngles.compose": "rebuilds the gate in criterion 9's Euler "
+                           "round-trip suite",
+    "OperatorMatrix.hermiticity_defect": "criterion 9's Hermiticity check of "
+                                         "sampled lab Hamiltonians",
 }
 
 
 def _mentions(node):
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+    """Names and attribute names a node mentions; an attribute `x.a` also
+    gives `.a`, the key that reaches every method named `a`."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out |= {n.attr, "." + n.attr}
+    return out
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def _experiments(tree):
@@ -46,11 +64,12 @@ def _experiments(tree):
 
 
 def unreachable(package, programs, references=()):
-    """Sorted module-level function and class names of `package` (module
-    name -> source) that no root reaches; the roots are `main` and the
-    experiments of module `cli`, every name the `programs` sources
-    mention, and `references`."""
-    graph = {}               # name -> names its definitions mention
+    """Sorted module-level function and class names and `Class.method`
+    names of `package` (module name -> source) that no root reaches; the
+    roots are `main` and the experiments of module `cli`, every name the
+    `programs` sources mention, and `references`."""
+    graph = {}               # name -> names its definitions mention, and
+                             # ".m" -> every method "Class.m"
     checked = set()
     roots = set(references)
     for module, source in package.items():
@@ -58,7 +77,23 @@ def unreachable(package, programs, references=()):
             continue
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                checked.add(node.name)
+                rest = node.bases + node.keywords + node.decorator_list
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not _is_dunder(item.name)):
+                        method = f"{node.name}.{item.name}"
+                        checked.add(method)
+                        graph.setdefault("." + item.name, set()).add(method)
+                        graph.setdefault(method, set()).update(
+                            _mentions(item))
+                    else:
+                        rest.append(item)
+                graph.setdefault(node.name, set()).update(
+                    *(_mentions(part) for part in rest))
+                continue
+            if isinstance(node, ast.FunctionDef):
                 names = [node.name]
                 checked.add(node.name)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -95,6 +130,7 @@ def test_detects_unreachable_definitions():
               "def chain():\n    return chain_end()\n"
               "class Model:\n"
               "    def method(self):\n        return TABLE\n"
+              "    def dead(self):\n        return only_tested()\n"
               "def only_tested():\n    pass\n"
               "def oracle_input():\n    pass\n"),
         "cli": ("from .a import chain\n"
@@ -105,7 +141,7 @@ def test_detects_unreachable_definitions():
     }
     programs = ["import donorspin as ds\nds.a.Model().method()\n"]
     assert unreachable(package, programs, ["oracle_input"]) == [
-        "only_tested", "orphan_runner", "reexported"]
+        "Model.dead", "only_tested", "orphan_runner", "reexported"]
 
 
 def test_every_definition_is_run_by_a_program():
