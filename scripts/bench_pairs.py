@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Before/after record of a change: benchmark/run.py on two checkouts.
+
+Usage: python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR OUT.json
+
+PARENT_DIR and CHANGE_DIR are fresh copies of the two commits (for example
+from `git archive`). For every workload and seeds 1-10, both copies run
+`python3 benchmark/run.py --workload W --seed S --seconds 30 --trace 0`,
+one run at a time, the parent first on odd seeds and the change first on
+even ones. OUT.json gets, per workload and end-to-end metric, each side's
+runs, median and quartiles (statistics.quantiles, n=4), and the number of
+pairs (same seed) in which the change reads better, plus the unscaled
+median pass (`solve_wall_s`) and the machine note of the last run. Then
+each copy makes one traced run (`--trace 1`) per workload at seed 1, whose
+per-layer metrics go under `per_layer_seed1_trace1`.
+"""
+import json
+import statistics
+import subprocess
+import sys
+
+WORKLOADS = ("noise-mc", "lab-oracle", "cz-search")
+SEEDS = range(1, 11)
+SECONDS = 30
+SIDES = ("parent", "change")
+
+
+def bench(root, workload, seed, trace=0):
+    """(metric values incl. solve_wall_s, correct, machine note) of one
+    run.py run in checkout `root`."""
+    out = subprocess.run(
+        [sys.executable, "benchmark/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(SECONDS),
+         "--trace", str(trace)],
+        cwd=root, stdout=subprocess.PIPE, text=True, check=True).stdout
+    lines = out.strip().splitlines()
+    result = json.loads(lines[-1])
+    values = {k: m["value"] for k, m in result["metrics"].items()}
+    for line in lines:
+        if line.startswith("host "):
+            values["solve_wall_s"] = json.loads(line[5:])["solve_wall_s"]
+    machine = next(json.loads(line[8:]) for line in lines
+                   if line.startswith("machine "))
+    return values, result["correct"], machine
+
+
+def summary(runs):
+    q1, _, q3 = statistics.quantiles(runs, n=4)
+    return {"n": len(runs), "median": statistics.median(runs),
+            "q1": q1, "q3": q3, "runs": runs}
+
+
+def main():
+    if len(sys.argv) != 4:
+        sys.exit(__doc__)
+    dirs = dict(zip(SIDES, sys.argv[1:3]))
+    record = {"command": f"benchmark/run.py --seconds {SECONDS} --trace 0",
+              "end_to_end": {}}
+    higher_better = {"op_success_rate"}
+    for workload in WORKLOADS:
+        runs = {side: [] for side in SIDES}
+        correct = {side: True for side in SIDES}
+        for seed in SEEDS:
+            for side in (SIDES if seed % 2 else SIDES[::-1]):
+                values, ok, machine = bench(dirs[side], workload, seed)
+                runs[side].append(values)
+                correct[side] &= ok
+                print(workload, seed, side, json.dumps(values), flush=True)
+        entry = {"seeds": list(SEEDS), "correct": correct}
+        for metric in runs["parent"][0]:
+            p = [r[metric] for r in runs["parent"]]
+            c = [r[metric] for r in runs["change"]]
+            sign = -1 if metric in higher_better else 1
+            entry[metric] = {
+                "parent": summary(p), "change": summary(c),
+                "change_better_pairs": sum(sign * (b - a) < 0
+                                           for a, b in zip(p, c)),
+                "tied_pairs": sum(a == b for a, b in zip(p, c))}
+        record["end_to_end"][workload] = entry
+        record["machine"] = machine
+    record["per_layer_seed1_trace1"] = {
+        workload: {side: bench(dirs[side], workload, 1, trace=1)[0]
+                   for side in SIDES}
+        for workload in WORKLOADS}
+    with open(sys.argv[3], "w") as fh:
+        json.dump(record, fh, indent=1)
+
+
+if __name__ == "__main__":
+    main()

@@ -20,7 +20,8 @@ propagation test against the exact rotating-frame evolution.
 
 Internally every matrix is a fixed operator basis contracted with
 sample-dependent real coefficients, so batches of envelope samples
-assemble in single einsum passes.
+assemble in single einsum passes. The basis operators have real matrix
+elements, so H' is real symmetric.
 """
 from __future__ import annotations
 
@@ -137,7 +138,7 @@ def _coeffs_harmonics(params, e0, c, s, dE, Ea, Ba):
 
 
 def _assemble(coeffs, stack):
-    return np.einsum("...k,kij->...ij", coeffs.astype(complex), stack)
+    return np.einsum("...k,kij->...ij", coeffs, stack)
 
 
 def rwa_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
@@ -175,7 +176,7 @@ def effective_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
     comp0 = _assemble(_coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B),
                       _M0)
     harm = _coeffs_harmonics(params, e0, c, s, dE, Ea, Ba)
-    diag0 = np.real(comp0[..., np.arange(DIM), np.arange(DIM)])
+    diag0 = comp0[..., np.arange(DIM), np.arange(DIM)]
     Vmats = {label: _assemble(coeffs, _OP_STACKS[label])
              for label, coeffs in harm.items()
              if np.abs(coeffs).max() >= COUPLING_FLOOR}

@@ -22,14 +22,18 @@ QUBIT_DN_INDEX = 0   # |g dn Dn>
 QUBIT_INDICES = (QUBIT_UP_INDEX, QUBIT_DN_INDEX)
 
 
-_I2 = np.eye(2, dtype=complex)
-_PZ = np.array([[1, 0], [0, -1]], dtype=complex)      # +1 on first basis state
-_PX = np.array([[0, 1], [1, 0]], dtype=complex)
-_PY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+# Every operator with real matrix elements is float64, so the Hamiltonian
+# stacks built from them are real symmetric; only the y components are
+# complex.
+_I2 = np.eye(2)
+_PZ = np.array([[1.0, 0.0], [0.0, -1.0]])      # +1 on first basis state
+_PX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_PP = np.array([[0.0, 1.0], [0.0, 0.0]])       # |first><second|
+_PY = np.array([[0, -1j], [1j, 0]])
 # spin-1/2 in (dn, up) ordering: Sz = diag(-1/2, +1/2), S+ = |up><dn|
-_SZ = 0.5 * np.array([[-1, 0], [0, 1]], dtype=complex)
-_SP = np.array([[0, 0], [1, 0]], dtype=complex)
-_SM = _SP.conj().T
+_SZ = 0.5 * np.array([[-1.0, 0.0], [0.0, 1.0]])
+_SP = np.array([[0.0, 0.0], [1.0, 0.0]])
+_SM = _SP.T
 _SX = (_SP + _SM) / 2
 _SY = (_SP - _SM) / 2j
 
@@ -42,8 +46,8 @@ def _k3(a, b, c):
 TAU_Z = _k3(_PZ, _I2, _I2)
 TAU_X = _k3(_PX, _I2, _I2)
 TAU_Y = _k3(_PY, _I2, _I2)
-TAU_P = (TAU_X + 1j * TAU_Y) / 2    # |g><e|
-TAU_M = (TAU_X - 1j * TAU_Y) / 2
+TAU_P = _k3(_PP, _I2, _I2)    # |g><e|
+TAU_M = TAU_P.T
 
 S_Z = _k3(_I2, _SZ, _I2)
 S_X = _k3(_I2, _SX, _I2)
@@ -57,8 +61,9 @@ I_Y = _k3(_I2, _I2, _SY)
 I_P = _k3(_I2, _I2, _SP)
 I_M = _k3(_I2, _I2, _SM)
 
-S_DOT_I = S_X @ I_X + S_Y @ I_Y + S_Z @ I_Z
-IDENT = np.eye(DIM, dtype=complex)
+# S.I = Sz Iz + (S+ I- + S- I+)/2, the real form of Sx Ix + Sy Iy + Sz Iz
+S_DOT_I = S_Z @ I_Z + (S_P @ I_M + S_M @ I_P) / 2
+IDENT = np.eye(DIM)
 
 DONOR_PROJECTOR = (IDENT - TAU_Z) / 2   # position basis (1 - tau_z^id)/2
 
@@ -88,7 +93,7 @@ def frame_generator_diag(params: SystemParams, omega_E: float, omega_B: float):
     The rotating frame is Lambda_rot(t) = exp(-i t G); a rotating-frame
     propagator U maps to the lab (orbital) frame as exp(+i T G) U.
     """
-    g = (omega_E * (np.diag(TAU_Z).real / 2 + np.diag(I_Z).real)
-         - omega_B * (np.diag(S_Z).real + np.diag(I_Z).real))
+    g = (omega_E * (np.diag(TAU_Z) / 2 + np.diag(I_Z))
+         - omega_B * (np.diag(S_Z) + np.diag(I_Z)))
     return g
 

@@ -1,7 +1,13 @@
 """Time-ordered propagation of the lab-frame and effective Hamiltonians.
 
-The integrator is piecewise-constant with midpoint sampling and an exact
-matrix exponential per step (Hermitian eigendecomposition). One step loop,
+The integrator is piecewise-constant with midpoint sampling and a step
+exp(-i H dt) = cos(H dt) - i sin(H dt) exact to round-off: Taylor series
+of cos and sin, with halving and the double-angle formulas where H dt is
+large (`_step_unitaries`). Every Hamiltonian the package builds is real
+symmetric (its operators and coefficients are real; only tau_y, S_y and
+I_y are complex, and no Hamiltonian uses them), so cos and sin are real
+and come from real matrix products; a complex Hermitian stack goes
+through the same code in complex arithmetic. One step loop,
 `propagate`, serves every frame and the 64-dim two-qubit simulation: a
 frame only supplies its Hamiltonian stack, and steps are processed in
 vectorized chunks, so a whole batch of quasi-static noise offsets can be
@@ -23,6 +29,7 @@ no option for this: the split follows from the Hamiltonian alone.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +49,16 @@ DEFAULT_DT_EFFECTIVE = 0.05e-9
 FRAMES = ("lab-position", "effective")
 UNITARITY_LIMIT = 1e-8      # a propagator with a larger defect is invalid
 RESONANCE_SAMPLES = 2001    # schedule samples of the two-photon check
+
+# Taylor coefficients of the step's cos (to A**12) and sin (to A**13).
+# The first term left out, |A|**14 / 14!, is one unit of double round-off
+# at the 1-norm STEP_THETA (0.44), so below it the series is exact to
+# round-off. Series to A**8 and A**9 would need two more halvings on the
+# effective and 64-dim stacks (1-norms 5 to 20): as many products as the
+# two extra terms, and four times the round-off.
+_COS = [(-1) ** k / math.factorial(2 * k) for k in range(7)]
+_SIN = [(-1) ** k / math.factorial(2 * k + 1) for k in range(7)]
+STEP_THETA = (2.0 ** -53 * math.factorial(14)) ** (1 / 14)
 
 
 class TwoPhotonResonanceWarning(UserWarning):
@@ -69,7 +86,6 @@ class EvolutionResult:
     schedule: PulseSchedule
     t0: float                   # the evolved interval [t0, t1]
     t1: float
-    noise_dE: float | np.ndarray = 0.0
     leakage_trace: np.ndarray | None = None   # columns (t, leakage)
 
     @property
@@ -114,11 +130,38 @@ def _effective_h_stack(params: SystemParams, schedule, tmid, noise_dE):
                                  schedule.omega_E, schedule.omega_B)
 
 
+def _add_identity(X, c):
+    """X + c 1 for each matrix of a (..., d, d) stack, in place."""
+    np.einsum("...ii->...i", X)[...] += c
+    return X
+
+
 def _step_unitaries(H, dt):
-    ev, V = np.linalg.eigh(H)
-    W = V * np.exp(-1j * ev * dt)[..., None, :]
-    # conjugating in place keeps one chunk-sized array fewer alive
-    return W @ np.conjugate(V, out=V).swapaxes(-1, -2)
+    """exp(-i H dt) for each matrix of a (..., d, d) Hermitian stack, as
+    cos A - i sin A with A = H dt.
+
+    C = cos A and S = sin A are their Taylor series (_COS, _SIN), evaluated
+    by Horner in B = A @ A. When the stack's largest 1-norm of A exceeds
+    STEP_THETA, A is first halved s times (exact powers of two), and the
+    double-angle formulas restore it s times: cos 2A = (C + S)(C - S) and
+    sin 2A = 2 S C, since C and S commute. A real symmetric stack runs in
+    real arithmetic up to U itself.
+    """
+    theta = dt * float(np.linalg.norm(H, 1, axis=(-2, -1)).max())
+    s = math.ceil(math.log2(theta / STEP_THETA)) if theta > STEP_THETA else 0
+    A = H * (dt * 2.0 ** -s)
+    B = A @ A
+    C = _add_identity(_COS[-1] * B, _COS[-2])
+    S = _add_identity(_SIN[-1] * B, _SIN[-2])
+    for c_k, s_k in zip(_COS[-3::-1], _SIN[-3::-1]):
+        C = _add_identity(B @ C, c_k)
+        S = _add_identity(B @ S, s_k)
+    S = A @ S
+    for _ in range(s):
+        C, S = (C + S) @ (C - S), 2 * (S @ C)
+    U = np.multiply(S, -1j)
+    U += C
+    return U
 
 
 def _ordered_product(Us):
@@ -268,7 +311,7 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
                                  record_every=record_every)
     Umat = U if np.ndim(noise_dE) > 0 else U[0]
     return EvolutionResult(OperatorMatrix(Umat), frame, n, defect, schedule,
-                           t0, t1, noise_dE, trace)
+                           t0, t1, trace)
 
 
 def unitarity_defect(U: np.ndarray):

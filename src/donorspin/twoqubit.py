@@ -217,7 +217,7 @@ def _pair_h_stack(layout: TwoQubitLayout, schedule: PulseSchedule, tmid,
     c1, s1 = orbital_mixing(p1, dE + noise_dE[0])
     c2, s2 = orbital_mixing(p2, dE + noise_dE[1])
     # axes (a, b, a', b') for qubit-1 level a and qubit-2 level b
-    H = np.zeros((n, DIM, DIM, DIM, DIM), dtype=complex)
+    H = np.zeros((n, DIM, DIM, DIM, DIM))
     diag = np.arange(DIM)
     H[:, :, diag, :, diag] = _effective_h_stack(p1, schedule, tmid,
                                                 noise_dE[0])[:, 0]
@@ -226,7 +226,7 @@ def _pair_h_stack(layout: TwoQubitLayout, schedule: PulseSchedule, tmid,
     H = H.reshape(n, DIM * DIM, DIM * DIM)
     V = dipole_coupling_strength(layout)
     # P1 x P2 is diagonal: w1[a] w2[b] on level (a, b), w = diag of P
-    tz = np.diag(TAU_Z).real
+    tz = np.diag(TAU_Z)
     w1 = (1 + c1[:, None] * tz) / 2
     w2 = (1 + c2[:, None] * tz) / 2
     static = V * (w1[:, :, None] * w2[:, None, :])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from donorspin.propagation import (EvolutionResult, OperatorMatrix, evolve,
                                    leakage, to_lab_orbital, propagate,
                                    check_two_photon_resonance,
                                    TwoPhotonResonanceWarning,
-                                   _position_h_stack, _ordered_product,
-                                   _sectors, _step_unitaries)
+                                   _position_h_stack, _effective_h_stack,
+                                   _ordered_product, _sectors,
+                                   _step_unitaries, STEP_THETA)
 from donorspin.pulses import (make_rz_schedule, make_rx_sweep_schedule,
                               make_idle_schedule, make_cphase_schedule)
+from donorspin.twoqubit import TwoQubitLayout, _pair_h_stack
 
 P = SystemParams()
 
@@ -278,6 +282,46 @@ def _dense_reference(H, dt):
         ev, V = np.linalg.eigh(Hk)
         U = (V * np.exp(-1j * ev * dt)[..., None, :]) @ V.conj().swapaxes(-1, -2) @ U
     return U
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("theta", [1e-3, 0.3, 0.43, 3.0, 30.0])
+    @pytest.mark.parametrize("kind", ["real", "complex", "diagonal"])
+    def test_each_step_matches_eigh(self, theta, kind):
+        # theta is the stack's largest 1-norm of H dt: from no halving
+        # (s = 0) to s = 7; each halving may double the round-off. A
+        # diagonal stack's spectral norm is its 1-norm, so at theta = 0.43,
+        # just below STEP_THETA, it shows any missing series term
+        rng = np.random.default_rng(21)
+        if kind == "diagonal":
+            H = rng.normal(size=(40, 3, DIM))[..., None] * np.eye(DIM)
+        else:
+            X = rng.normal(size=(40, 3, DIM, DIM))
+            if kind == "complex":
+                X = X + 1j * rng.normal(size=X.shape)
+            H = X + X.conj().swapaxes(-1, -2)
+        dt = theta / np.linalg.norm(H, 1, axis=(-2, -1)).max()
+        s = max(0, math.ceil(math.log2(theta / STEP_THETA)))
+        assert s == {1e-3: 0, 0.3: 0, 0.43: 0, 3.0: 3, 30.0: 7}[theta]
+        U = _step_unitaries(H, dt)
+        ev, V = np.linalg.eigh(H)
+        ref = ((V * np.exp(-1j * ev * dt)[..., None, :])
+               @ V.conj().swapaxes(-1, -2))
+        assert np.abs(U - ref).max() < 2e-14 * 2**s
+        assert unitarity_defect(U).max() < 1e-12
+
+    def test_hamiltonian_stacks_are_real(self):
+        # the kernel's real arithmetic rests on every builder returning
+        # float64 stacks
+        sched = make_rx_sweep_schedule(P, 1.0)
+        tmid = np.linspace(0.0, sched.total_time, 9)
+        noise = np.array([0.0, 30.0])
+        assert _position_h_stack(P, sched, tmid, noise).dtype == np.float64
+        assert _effective_h_stack(P, sched, tmid, noise).dtype == np.float64
+        cz = make_cphase_schedule(P, 400e-9)
+        pair = _pair_h_stack(TwoQubitLayout(), cz,
+                             np.linspace(0.0, cz.total_time, 9), (0.3, -0.7))
+        assert pair.dtype == np.float64
 
 
 class TestSectors:
