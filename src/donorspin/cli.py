@@ -16,7 +16,7 @@ from .io import (ManifestError, parse_keyvalues, parse_quantity, parse_angle,
                  _TIME_UNITS, _EFIELD_UNITS, _FREQ_UNITS, _LENGTH_UNITS)
 from .model import (TWO_PI, SystemParams, qubit_splitting_approx)
 from .pulses import (make_cphase_schedule, make_rz_schedule, idle_frequencies,
-                     make_rx_sweep_schedule)
+                     make_rx_sweep_schedule, CPHASE_MIN_DURATION)
 from .propagation import FRAMES, lab_hamiltonian
 from .gates import (predict_rz_angle, simulate_rz_angle, rz_duration_for_angle,
                     NoiseModel, run_noise_monte_carlo, rz_matrix,
@@ -170,7 +170,7 @@ def run_splitting_curve(m: Manifest):
     def one(dE):
         sched = make_rz_schedule(params, 1e-9)  # any schedule; static sample
         H = lab_hamiltonian(params, sched, 0.0, noise_dE=dE - float(
-            sched.dE_envelope.value(0.0))).matrix
+            sched.dE_envelope(0.0))).matrix
         ev = np.linalg.eigvalsh(H)
         return dE, ev[1] - ev[0], float(qubit_splitting_approx(params, dE))
 
@@ -281,8 +281,8 @@ def run_sweep_echo_noise(m: Manifest):
 
 
 @experiment("cphase-curve", points=(_integer(1), REQUIRED),
-            t_min=(_quantity(_TIME_UNITS, above=0.0), 100e-9),
-            t_max=(_quantity(_TIME_UNITS, above=0.0), 750e-9),
+            t_min=(_quantity(_TIME_UNITS, above=CPHASE_MIN_DURATION), 100e-9),
+            t_max=(_quantity(_TIME_UNITS, above=CPHASE_MIN_DURATION), 750e-9),
             separation=(_quantity(_LENGTH_UNITS, above=0.0), 5e-7),
             find_cz=(_flag, False))
 def run_cphase_curve(m: Manifest):

@@ -192,7 +192,7 @@ def predict_rz_angle(params: SystemParams, T: float):
 
     def integrand(t):
         return qubit_splitting_approx(
-            params, float(sched.dE_envelope.value(t))) - dq0
+            params, float(sched.dE_envelope(t))) - dq0
 
     theta = -_window_quadrature(integrand, rz_ramp(T), T)
     return theta % (2 * np.pi), theta
@@ -502,7 +502,7 @@ def echo_slope(params: SystemParams, flat_time: float) -> float:
     sched = make_echo_rz_schedule(params, flat_time)
 
     def integrand(t):
-        return -dephasing_sensitivity(params, float(sched.dE_envelope.value(t)))
+        return -dephasing_sensitivity(params, float(sched.dE_envelope(t)))
 
     return _window_quadrature(integrand, ECHO_RAMP, sched.total_time)
 

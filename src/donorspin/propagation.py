@@ -226,11 +226,7 @@ def propagate(h_stack, t0: float, dt: float, n: int, nbatch: int,
             m = min(m, record_every - i % record_every)
         tmid = t0 + (np.arange(i, i + m) + 0.5) * dt
         H = h_stack(tmid)
-        # a first step that connects every level settles it: the chunk's
-        # pattern can only connect more, so the full scan is skipped
-        groups = _sectors(H[:1])
-        if groups[0].shape != (1, dim):
-            groups = _sectors(H)
+        groups = _sectors(H)
         # Both paths free H before the next chunk's is built, the dense one
         # before its tree product. The dense path's Us stays alive until
         # the next dense chunk replaces it, as in a plain step loop: freeing
@@ -288,10 +284,10 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
     if dt is None:
         if frame == "effective":
             dt = DEFAULT_DT_EFFECTIVE
-        elif schedule.Ea_envelope.is_zero() and schedule.Ba_envelope.is_zero():
-            dt = DEFAULT_DT_LAB_NO_AC
-        else:
+        elif schedule.driven:
             dt = DEFAULT_DT_LAB
+        else:
+            dt = DEFAULT_DT_LAB_NO_AC
     if dt <= 0:
         raise ValueError("dt must be positive")
 
@@ -349,8 +345,8 @@ def to_lab_orbital(result: EvolutionResult, params: SystemParams) -> np.ndarray:
     sched = result.schedule
     t0, t1 = result.t0, result.t1
     if result.frame == "lab-position":
-        lam_end = orbital_transform(params, float(sched.dE_envelope.value(t1)))
-        lam_start = orbital_transform(params, float(sched.dE_envelope.value(t0)))
+        lam_end = orbital_transform(params, float(sched.dE_envelope(t1)))
+        lam_start = orbital_transform(params, float(sched.dE_envelope(t0)))
         return lam_end @ U @ lam_start.conj().T
     g = frame_generator_diag(params, sched.omega_E, sched.omega_B)
     return np.exp(1j * t1 * g)[:, None] * U * np.exp(-1j * t0 * g)

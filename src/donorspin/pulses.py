@@ -1,11 +1,13 @@
 """Pulse envelopes and control-schedule factories.
 
-Envelopes are symbolic compositions of named primitives so integrators can
-sample exact values at any time step. Every factory-produced schedule
-starts and ends at the idling point with the AC drives off.
+An envelope is a plain function of time. Every factory builds its
+envelopes from two shapes, the cosine `window` and the linear `ramp`, and
+gives a drive that is off the `off` envelope. Every factory-produced
+schedule starts and ends at the idling point with the AC drives off.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,136 +15,44 @@ import numpy as np
 from .model import TWO_PI, SystemParams, charge_splitting, hyperfine_expectation
 
 
-class Envelope:
-    """Real-valued function of time; zero outside its support."""
-
-    def value(self, t):
-        raise NotImplementedError
-
-    def __call__(self, t):
-        return self.value(np.asarray(t, dtype=float))
-
-    def is_zero(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class Constant(Envelope):
-    level: float
-
-    def value(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.level)
-
-    def is_zero(self):
-        return self.level == 0.0
-
-
-@dataclass(frozen=True)
-class Window(Envelope):
+def window(t, tau, T):
     """Cosine window: half-cosine rise over tau, flat top, mirrored fall.
 
     w(t) = (1 - cos(pi t / tau))/2 on [0, tau), 1 on [tau, T - tau),
     (1 - cos(pi (T - t)/tau))/2 on [T - tau, T], and 0 outside [0, T].
     """
-
-    tau: float
-    duration: float
-
-    def __post_init__(self):
-        if not 0 < self.tau <= self.duration / 2:
-            raise ValueError("window requires 0 < tau <= duration/2")
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        tau, T = self.tau, self.duration
-        m = (t >= 0) & (t < tau)
-        out[m] = (1 - np.cos(np.pi * t[m] / tau)) / 2
-        m = (t >= tau) & (t < T - tau)
-        out[m] = 1.0
-        m = (t >= T - tau) & (t <= T)
-        out[m] = (1 - np.cos(np.pi * (T - t[m]) / tau)) / 2
-        return out
+    if not 0 < tau <= T / 2:
+        raise ValueError("window requires 0 < tau <= duration/2")
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    m = (t >= 0) & (t < tau)
+    out[m] = (1 - np.cos(np.pi * t[m] / tau)) / 2
+    m = (t >= tau) & (t < T - tau)
+    out[m] = 1.0
+    m = (t >= T - tau) & (t <= T)
+    out[m] = (1 - np.cos(np.pi * (T - t[m]) / tau)) / 2
+    return out
 
 
-@dataclass(frozen=True)
-class Ramp(Envelope):
-    """Piecewise-linear: 0 -> y1 at tau1 -> y2 at tau2 -> 0 at duration."""
-
-    tau1: float
-    y1: float
-    tau2: float
-    y2: float
-    duration: float
-
-    def __post_init__(self):
-        if not 0 < self.tau1 < self.tau2 < self.duration:
-            raise ValueError("ramp requires 0 < tau1 < tau2 < duration")
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        m = (t >= 0) & (t < self.tau1)
-        out[m] = self.y1 * t[m] / self.tau1
-        m = (t >= self.tau1) & (t < self.tau2)
-        out[m] = self.y1 + (self.y2 - self.y1) * (t[m] - self.tau1) / (self.tau2 - self.tau1)
-        m = (t >= self.tau2) & (t <= self.duration)
-        out[m] = self.y2 * (self.duration - t[m]) / (self.duration - self.tau2)
-        return out
+def ramp(t, tau1, y1, tau2, y2, T):
+    """Piecewise-linear: 0 -> y1 at tau1 -> y2 at tau2 -> 0 at T, and 0
+    outside [0, T]."""
+    if not 0 < tau1 < tau2 < T:
+        raise ValueError("ramp requires 0 < tau1 < tau2 < duration")
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    m = (t >= 0) & (t < tau1)
+    out[m] = y1 * t[m] / tau1
+    m = (t >= tau1) & (t < tau2)
+    out[m] = y1 + (y2 - y1) * (t[m] - tau1) / (tau2 - tau1)
+    m = (t >= tau2) & (t <= T)
+    out[m] = y2 * (T - t[m]) / (T - tau2)
+    return out
 
 
-@dataclass(frozen=True)
-class Scaled(Envelope):
-    factor: float
-    inner: Envelope
-
-    def value(self, t):
-        return self.factor * self.inner.value(t)
-
-    def is_zero(self):
-        return self.factor == 0.0 or self.inner.is_zero()
-
-
-@dataclass(frozen=True)
-class Squared(Envelope):
-    inner: Envelope
-
-    def value(self, t):
-        return self.inner.value(t) ** 2
-
-    def is_zero(self):
-        return self.inner.is_zero()
-
-
-@dataclass(frozen=True)
-class Shifted(Envelope):
-    """inner evaluated at t - offset."""
-
-    offset: float
-    inner: Envelope
-
-    def value(self, t):
-        return self.inner.value(np.asarray(t, dtype=float) - self.offset)
-
-    def is_zero(self):
-        return self.inner.is_zero()
-
-
-@dataclass(frozen=True)
-class Sum(Envelope):
-    terms: tuple
-
-    def value(self, t):
-        out = np.zeros_like(np.asarray(t, dtype=float))
-        for term in self.terms:
-            out = out + term.value(t)
-        return out
-
-    def is_zero(self):
-        return all(term.is_zero() for term in self.terms)
-
-
-ZERO = Constant(0.0)
+def off(t):
+    """Envelope of a drive that is off."""
+    return np.zeros(np.shape(t))
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +60,28 @@ ZERO = Constant(0.0)
 class PulseSchedule:
     """Three control envelopes plus the two drive frequencies.
 
-    dE_envelope is the absolute field offset trajectory (V/m), Ea_envelope
-    and Ba_envelope the AC drive amplitudes (V/m, T). Drive phases restart
-    at zero at the start of each schedule.
+    Each envelope is a function of time (scalar or array). dE_envelope is
+    the absolute field offset trajectory (V/m), Ea_envelope and
+    Ba_envelope the AC drive amplitudes (V/m, T); a drive that is off is
+    `off` itself. Drive phases restart at zero at the start of each
+    schedule.
     """
 
-    dE_envelope: Envelope
-    Ea_envelope: Envelope
-    Ba_envelope: Envelope
+    dE_envelope: Callable
+    Ea_envelope: Callable
+    Ba_envelope: Callable
     omega_E: float
     omega_B: float
     total_time: float
     label: str = ""
 
+    @property
+    def driven(self) -> bool:
+        """Whether either AC drive is on."""
+        return self.Ea_envelope is not off or self.Ba_envelope is not off
+
     def sample(self, t):
-        return (self.dE_envelope.value(t), self.Ea_envelope.value(t),
-                self.Ba_envelope.value(t))
+        return self.dE_envelope(t), self.Ea_envelope(t), self.Ba_envelope(t)
 
 
 # default drive setup of the sweep-style gates: field drive referenced to
@@ -181,6 +97,7 @@ CPHASE_DETUNING = -TWO_PI * 10e6
 CPHASE_DE_GATE = 2000.0        # V/m
 CPHASE_EA_PEAK = 40.0          # V/m
 CPHASE_TAU2_CAP = 300e-9
+CPHASE_MIN_DURATION = 10e-9    # the entangling pulse's two 5 ns dE ramps
 ECHO_RAMP = 5e-9               # cosine ramp of the echo idle
 
 
@@ -203,9 +120,10 @@ def make_rz_schedule(params: SystemParams, T: float) -> PulseSchedule:
     if T <= 0:
         raise ValueError("T must be positive")
     S = 2e4 * min(1.0, T / 10e-9)
-    dE = Sum((Constant(params.dE_idle), Scaled(-S, Window(rz_ramp(T), T))))
+    dE_idle, tau = params.dE_idle, rz_ramp(T)
     wE, wB = idle_frequencies(params)
-    return PulseSchedule(dE, ZERO, ZERO, wE, wB, T, label=f"rz(T={T:.4g})")
+    return PulseSchedule(lambda t: dE_idle + (-S) * window(t, tau, T),
+                         off, off, wE, wB, T, label=f"rz(T={T:.4g})")
 
 
 def sweep_drive_frequencies(params: SystemParams):
@@ -225,14 +143,19 @@ def make_rx_sweep_schedule(params: SystemParams, lam: float,
     tau1, taus = SWEEP_TAU1, SWEEP_DURATION
     T = 2 * tau1 + taus
     tau2 = tau1 + taus
-    D = sweep_range
-    dE = Sum((Constant(params.dE_idle),
-              Ramp(tau1, -params.dE_idle - D, tau1 + taus, -params.dE_idle + D, T)))
-    win2 = Shifted(tau1, Squared(Window(tau2 / 5, tau2)))
+    D, dE_idle = sweep_range, params.dE_idle
+
+    def dE(t):
+        return dE_idle + ramp(t, tau1, -dE_idle - D, tau2, -dE_idle + D, T)
+
+    def drive(peak):        # squared cosine window over the sweep
+        if lam == 0:
+            return off
+        return lambda t: (lam * peak) * window(t - tau1, tau2 / 5, tau2) ** 2
+
     wE, wB = sweep_drive_frequencies(params)
-    return PulseSchedule(dE, Scaled(lam * SWEEP_EA_PEAK, win2),
-                         Scaled(lam * SWEEP_BA_PEAK, win2), wE, wB, T,
-                         label=f"rx-sweep(lam={lam:.4g})")
+    return PulseSchedule(dE, drive(SWEEP_EA_PEAK), drive(SWEEP_BA_PEAK),
+                         wE, wB, T, label=f"rx-sweep(lam={lam:.4g})")
 
 
 def make_naive_rx_schedule(params: SystemParams, lam: float,
@@ -254,11 +177,11 @@ def make_echo_rz_schedule(params: SystemParams,
     if flat_time < 0:
         raise ValueError("flat_time must be non-negative")
     T = 2 * ECHO_RAMP + flat_time
-    dE = Sum((Constant(params.dE_idle),
-              Scaled(-params.dE_idle, Window(ECHO_RAMP, T))))
+    dE_idle = params.dE_idle
     wE, wB = idle_frequencies(params)
-    return PulseSchedule(dE, ZERO, ZERO, wE, wB, T,
-                         label=f"rz-echo(t={flat_time:.4g})")
+    return PulseSchedule(
+        lambda t: dE_idle + (-dE_idle) * window(t, ECHO_RAMP, T),
+        off, off, wE, wB, T, label=f"rz-echo(t={flat_time:.4g})")
 
 
 def cphase_drive_frequency(params: SystemParams, dE_gate: float,
@@ -273,23 +196,27 @@ def make_cphase_schedule(params: SystemParams, T: float) -> PulseSchedule:
     """Entangling pulse: park dE at +CPHASE_DE_GATE and drive the electric
     field CPHASE_DETUNING from the dn-sector orbital transition. No
     magnetic drive."""
-    tau1 = 5e-9
-    if T <= 2 * tau1:
-        raise ValueError("T must exceed 10 ns")
+    if T <= CPHASE_MIN_DURATION:
+        raise ValueError(f"T must exceed {CPHASE_MIN_DURATION * 1e9:g} ns")
+    tau1 = CPHASE_MIN_DURATION / 2
     tau_ac = T - 2 * tau1
     tau2 = min(CPHASE_TAU2_CAP, tau_ac / 2)
     e_max = CPHASE_EA_PEAK * min(1.0, (T / 300e-9) ** 2)
-    dE = Sum((Constant(params.dE_idle),
-              Ramp(tau1, -params.dE_idle + CPHASE_DE_GATE, tau1 + tau_ac,
-                   -params.dE_idle + CPHASE_DE_GATE, T)))
-    Ea = Scaled(e_max, Shifted(tau1, Window(tau2, tau_ac)))
+    dE_idle = params.dE_idle
+
+    def dE(t):
+        return dE_idle + ramp(t, tau1, -dE_idle + CPHASE_DE_GATE,
+                              tau1 + tau_ac, -dE_idle + CPHASE_DE_GATE, T)
+
     wE = cphase_drive_frequency(params, CPHASE_DE_GATE)
     wB = params.B0 * params.gamma_e
-    return PulseSchedule(dE, Ea, ZERO, wE, wB, T, label=f"cphase(T={T:.4g})")
+    return PulseSchedule(dE, lambda t: e_max * window(t - tau1, tau2, tau_ac),
+                         off, wE, wB, T, label=f"cphase(T={T:.4g})")
 
 
 def make_idle_schedule(params: SystemParams, T: float) -> PulseSchedule:
     """Hold everything at the idling point for time T."""
     wE, wB = idle_frequencies(params)
-    return PulseSchedule(Constant(params.dE_idle), ZERO, ZERO, wE, wB, T,
-                         label=f"idle(T={T:.4g})")
+    dE_idle = params.dE_idle
+    return PulseSchedule(lambda t: np.full(np.shape(t), dE_idle), off, off,
+                         wE, wB, T, label=f"idle(T={T:.4g})")

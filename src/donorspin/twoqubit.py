@@ -161,7 +161,7 @@ def cphase_angle(layout: TwoQubitLayout, schedule_1: PulseSchedule,
         pair = pair[:1]
     # per distinct qubit: params, fields, and its one H' stack, to which
     # the mean-field passes add
-    qubits = [(params, sched.dE_envelope.value(ts) + dn,
+    qubits = [(params, sched.dE_envelope(ts) + dn,
                _effective_h_stack(params, sched, ts, dn)[:, 0])
               for params, sched, dn in pair]
 
@@ -213,7 +213,7 @@ def _pair_h_stack(layout: TwoQubitLayout, schedule: PulseSchedule, tmid,
     oscillating terms drop."""
     p1, p2 = layout.params_1, layout.params_2
     n = len(tmid)
-    dE = schedule.dE_envelope.value(tmid)
+    dE = schedule.dE_envelope(tmid)
     c1, s1 = orbital_mixing(p1, dE + noise_dE[0])
     c2, s2 = orbital_mixing(p2, dE + noise_dE[1])
     # axes (a, b, a', b') for qubit-1 level a and qubit-2 level b

@@ -47,7 +47,7 @@ def exact_rotating_hamiltonian(params: SystemParams, schedule, t,
     """Independent construction Lam H Lam^dag - i Lam dLam/dt^dag, with H
     the lab Hamiltonian in the orbital basis at the instantaneous field."""
     lam = orbital_transform(
-        params, float(schedule.dE_envelope.value(t)) + noise_dE)
+        params, float(schedule.dE_envelope(t)) + noise_dE)
     H_position = lab_hamiltonian(params, schedule, t, noise_dE).matrix
     H = lam @ H_position @ lam.conj().T
     g = frame_generator_diag(params, schedule.omega_E, schedule.omega_B)

@@ -308,10 +308,12 @@ class TestCliRuns:
     ("kind = rz-noise\nangles = ,\nsigmas = 10 V/m\n", "angles"),
     ("kind = rz-noise\nangles = pi\nsigmas = 10 V/m\nframe = lab-orbital\n",
      "frame"),
+    ("kind = cphase-curve\npoints = 2\nt_min = 5 ns\n", "t_min"),
 ], ids=["points", "samples", "frame", "variants", "angle-over-zero",
         "angle-two-points", "angle-two-signs", "angle-nan", "quantity-nan",
         "quantity-inf", "rx-zero-angle", "sweep-echo-zero-angle",
-        "missing-params-file", "empty-list", "removed-frame"])
+        "missing-params-file", "empty-list", "removed-frame",
+        "cphase-shorter-than-its-ramps"])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, body, field):
     man = tmp_path / "m.txt"
     man.write_text(body + f"output = {tmp_path / 'out.txt'}\n")

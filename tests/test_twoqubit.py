@@ -243,7 +243,7 @@ def test_array_tracker_matches_per_sample_tracking():
     from donorspin.model import orbital_mixing
     sched = make_cphase_schedule(P, 300e-9)
     ts = np.linspace(0.0, 300e-9, 120)
-    c, _ = orbital_mixing(P, sched.dE_envelope.value(ts) + 0.5)
+    c, _ = orbital_mixing(P, sched.dE_envelope(ts) + 0.5)
     mf = (dipole_coupling_strength(LAYOUT) * np.linspace(0.2, 0.6, 120)
           )[:, None, None] * (IDENT + c[:, None, None] * TAU_Z) / 2
     tr = _follow_dressed_states(_effective_h_stack(P, sched, ts, 0.5)[:, 0]
@@ -274,7 +274,7 @@ def test_pair_stack_matches_kron_construction():
     H1 = _effective_h_stack(P, sched, tmid, noise[0])[:, 0]
     H2 = _effective_h_stack(P, sched, tmid, noise[1])[:, 0]
     V = dipole_coupling_strength(LAYOUT)
-    dE = sched.dE_envelope.value(tmid)
+    dE = sched.dE_envelope(tmid)
     got = _pair_h_stack(LAYOUT, sched, tmid, noise)
     for k in range(len(tmid)):
         c1, s1 = orbital_mixing(P, dE[k] + noise[0])
