@@ -18,7 +18,6 @@ ORDER = ["splitting_curve", "rz_angle_curve", "hprime_dump", "rz_noise",
 
 
 def run(selected=None):
-    (ROOT / "out").mkdir(exist_ok=True)
     failures = []
     for name in selected or ORDER:
         manifest = ROOT / "manifests" / f"{name}.txt"

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -139,9 +140,12 @@ class Manifest:
                                     f"required field {key!r}")
             else:
                 self.values[key] = default
+        if kind == "cphase-curve" and not self["t_min"] < self["t_max"]:
+            raise ManifestError("field 't_max': must be above 't_min'")
         if "output" not in raw:
             raise ManifestError("manifest is missing required field 'output'")
         self.output = raw["output"]
+        _check_output_path(self.output)
         self.params = (load_params(raw["params_file"])
                        if "params_file" in raw else SystemParams())
 
@@ -153,6 +157,15 @@ class Manifest:
         out.update(self.raw)
         out.update({f"param_{k}": v for k, v in format_params(self.params).items()})
         return out
+
+
+def _check_output_path(path: str) -> None:
+    """Raise ManifestError if `path` is a directory or lies under a file."""
+    ancestor = Path(path).parent
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if Path(path).is_dir() or not ancestor.is_dir():
+        raise ManifestError(f"field 'output': cannot write a file at {path!r}")
 
 
 def load_manifest(path: str) -> Manifest:
@@ -357,11 +370,10 @@ def main(argv=None) -> int:
             raw.update((key, getattr(args, key)) for key in dump_keys
                        if getattr(args, key) is not None)
             manifest = Manifest(raw)
-            note = run_hprime_dump(manifest)
-            print(note)
-            return 0
-        manifest = load_manifest(args.manifest)
+        else:
+            manifest = load_manifest(args.manifest)
         fn, _ = EXPERIMENTS[manifest.kind]
+        Path(manifest.output).parent.mkdir(parents=True, exist_ok=True)
         note = fn(manifest)
         print(f"{manifest.kind}: {note} -> {manifest.output}")
         return 0

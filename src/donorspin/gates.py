@@ -31,7 +31,6 @@ from .pulses import (PulseSchedule, make_rz_schedule, make_rx_sweep_schedule,
 MAX_LEAKAGE = 0.01           # a qubit block leaking more defines no gate
 RZ_T_MAX = 24e-9             # longest Rz pulse the duration search tries
 CALIBRATION_FRAME = "effective"   # the frame every calibration runs in
-BLOCK_INDICES = (0, 1)       # both states of a 2x2 qubit block, for `leakage`
 
 def rz_matrix(theta: float) -> np.ndarray:
     return np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
@@ -136,23 +135,15 @@ def idle_frame_block(U: np.ndarray, energies, basis, T: float) -> np.ndarray:
 
 
 def extract_qubit_gate(result: EvolutionResult, params: SystemParams):
-    """Project a propagator onto the qubit subspace in the idling frame.
-
-    Returns (QubitGate, leakage) for scalar-noise results or lists for
-    batched ones; raises ValueError when a block leaks more than
-    MAX_LEAKAGE.
-    """
-    blocks = extract_qubit_block(result, params)
-    if blocks.ndim == 3:
-        pairs = [_gate_from_block(b) for b in blocks]
-        return [g for g, _ in pairs], np.array([lk for _, lk in pairs])
-    return _gate_from_block(blocks)
+    """(QubitGate, leakage) of a scalar-noise result's idle-frame qubit
+    block; raises ValueError when it leaks more than MAX_LEAKAGE."""
+    return _gate_from_block(extract_qubit_block(result, params))
 
 
 def _gate_from_block(block):
     """(QubitGate, leakage) of a 2x2 idle-frame block; raises ValueError
     when the leakage exceeds MAX_LEAKAGE."""
-    lk = leakage(block, BLOCK_INDICES)
+    lk = leakage(block)
     if lk > MAX_LEAKAGE:
         raise ValueError(f"leakage {lk:.3e} exceeds {MAX_LEAKAGE}; "
                          "the qubit block does not define a gate")
@@ -335,7 +326,7 @@ def run_noise_monte_carlo(params: SystemParams, segments, target: np.ndarray,
     draws = model.draw()
     blocks = composite_qubit_block(params, segments, draws, frame, dt)
     infids = np.array([gate_infidelity(b, target, 2) for b in blocks])
-    leaks = leakage(blocks, BLOCK_INDICES)
+    leaks = leakage(blocks)
     return MonteCarloResult(float(infids.mean()), infids, draws, leaks)
 
 
@@ -347,14 +338,11 @@ SENSITIVITY_PROBES = np.array([-40.0, -20.0, 0.0, 20.0, 40.0])
 
 @dataclass(frozen=True)
 class NoiseSensitivity:
-    theta_z1_0: float
     theta_z1_prime: float
-    theta_z2_0: float
     theta_z2_prime: float
     theta_x_0: float
     theta_x_prime: float
     residual: float
-    ambiguous: bool
 
 
 def noise_sensitivity(params: SystemParams, segments) -> NoiseSensitivity:
@@ -367,23 +355,17 @@ def noise_sensitivity(params: SystemParams, segments) -> NoiseSensitivity:
     decomposed = [euler_decompose(_gate_from_block(block)[0])
                   for block in blocks]
     raw = np.array([(a.theta_z1, a.theta_x, a.theta_z2) for a in decomposed])
-    ambiguous = bool((np.abs(np.diff(raw, axis=0)) > np.pi - 0.2).any())
-    z1 = np.unwrap(raw[:, 0])
-    x = np.unwrap(raw[:, 1])
-    z2 = np.unwrap(raw[:, 2])
-    fits = [np.polyfit(probes, col, 1) for col in (z1, x, z2)]
+    cols = np.unwrap(raw, axis=0).T          # z1, x, z2
+    fits = [np.polyfit(probes, col, 1) for col in cols]
     resid = max(float(np.abs(col - np.polyval(fit, probes)).max())
-                for col, fit in zip((z1, x, z2), fits))
+                for col, fit in zip(cols, fits))
     (pz1, px, pz2) = fits
     return NoiseSensitivity(
-        theta_z1_0=float(np.polyval(pz1, 0.0)) % (2 * np.pi),
         theta_z1_prime=float(pz1[0]),
-        theta_z2_0=float(np.polyval(pz2, 0.0)) % (2 * np.pi),
         theta_z2_prime=float(pz2[0]),
         theta_x_0=float(np.polyval(px, 0.0)),
         theta_x_prime=float(px[0]),
         residual=resid,
-        ambiguous=ambiguous,
     )
 
 
@@ -402,24 +384,15 @@ class LambdaCalibration:
         return float(self.thetas[-1])
 
     def lambda_for_theta(self, theta_x: float) -> float:
-        """Interpolated lambda, refined by root finding on `measure`."""
+        """Root of measure(lambda) = theta_x between the table entries
+        around theta_x, which bracket it since measure reproduces the table."""
         if theta_x <= 0:
             raise ValueError("theta_x must be positive")
         if theta_x >= self.thetas[-1]:
             return float(self.lambdas[-1])
-        lam0 = float(np.interp(theta_x, self.thetas, self.lambdas))
         i = int(np.searchsorted(self.thetas, theta_x))
-        lo = float(self.lambdas[max(i - 1, 0)])
-        hi = float(self.lambdas[min(i, len(self.lambdas) - 1)])
-        if lo == hi:
-            return lam0
-
-        def f(lam):
-            return self.measure(lam) - theta_x
-
-        if f(lo) * f(hi) > 0:
-            return lam0
-        return float(brentq(f, lo, hi, xtol=1e-4))
+        return float(brentq(lambda lam: self.measure(lam) - theta_x,
+                            self.lambdas[i - 1], self.lambdas[i], xtol=1e-4))
 
 
 def calibrate_lambda(params: SystemParams, maker, n_points: int = 11,
@@ -449,19 +422,19 @@ def calibrate_lambda(params: SystemParams, maker, n_points: int = 11,
     return LambdaCalibration(lams, thetas, measure)
 
 
-def calibrate_naive_resonance(params: SystemParams, lam: float = 1.0) -> float:
+def calibrate_naive_resonance(params: SystemParams) -> float:
     """Drive-field magnetic frequency putting the parked gate on two-photon
-    resonance at its plateau, including AC Stark shifts.
+    resonance at its full-drive plateau, including AC Stark shifts.
 
     Root-finds the rotating-frame qubit-block detuning of H' at the plateau
-    envelope values (dE = 0, drive amplitudes scaled by lam). The Stark
-    shifts move with the drive strength, so each lam needs its own tuning.
+    envelope values (dE = 0, SWEEP_EA_PEAK, SWEEP_BA_PEAK). The Stark shifts
+    move with the drive strength, so the tuning holds at full drive only.
     """
     wE, wB0 = sweep_drive_frequencies(params)
 
     def detuning(wB):
-        Hp = effective_hamiltonian(params, 0.0, lam * SWEEP_EA_PEAK,
-                                   lam * SWEEP_BA_PEAK, wE, wB)
+        Hp = effective_hamiltonian(params, 0.0, SWEEP_EA_PEAK,
+                                   SWEEP_BA_PEAK, wE, wB)
         return float((Hp[QUBIT_DN_INDEX, QUBIT_DN_INDEX]
                       - Hp[QUBIT_UP_INDEX, QUBIT_UP_INDEX]).real)
 
@@ -477,7 +450,7 @@ def naive_maker(params: SystemParams):
     window; the retune anchors it there and the lambda table keeps the
     rising branch.
     """
-    omega_B = calibrate_naive_resonance(params, 1.0)
+    omega_B = calibrate_naive_resonance(params)
 
     def maker(p, lam):
         return make_naive_rx_schedule(p, lam, omega_B=omega_B)

@@ -19,7 +19,6 @@ BASIS_LABELS = tuple(
 
 QUBIT_UP_INDEX = 1   # |g dn Up>
 QUBIT_DN_INDEX = 0   # |g dn Dn>
-QUBIT_INDICES = (QUBIT_UP_INDEX, QUBIT_DN_INDEX)
 
 
 # Every operator with real matrix elements is float64, so the Hamiltonian

@@ -15,7 +15,8 @@ propagated at once. `_position_h_stack` is the one lab-frame Hamiltonian;
 a lab propagator reaches the orbital basis only at its endpoints, through
 the orbital transform (`to_lab_orbital`). `_effective_h_stack` is the one
 way the package samples H' along a schedule. `unitarity_defect` and
-`leakage` are the package's two numerical contracts on propagators.
+`leakage`, the population lost from levels 0 and 1, are the package's two
+numerical contracts on propagators.
 
 Each chunk is split into the sectors its Hamiltonians leave invariant:
 the connected components of the exact nonzero pattern of the stack,
@@ -38,7 +39,7 @@ import numpy as np
 from .effective import effective_hamiltonian
 from .model import SystemParams, charge_splitting
 from .operators import (DIM, TAU_Z, TAU_X, S_Z, S_X, I_Z, I_X, S_DOT_I,
-                        DONOR_PROJECTOR, QUBIT_INDICES, orbital_transform,
+                        DONOR_PROJECTOR, orbital_transform,
                         frame_generator_diag)
 from .pulses import PulseSchedule
 
@@ -86,7 +87,6 @@ class EvolutionResult:
     schedule: PulseSchedule
     t0: float                   # the evolved interval [t0, t1]
     t1: float
-    leakage_trace: np.ndarray | None = None   # columns (t, leakage)
 
     @property
     def valid(self) -> bool:
@@ -205,25 +205,20 @@ def _sector_product(H, groups, dt):
 
 
 def propagate(h_stack, t0: float, dt: float, n: int, nbatch: int,
-              dim: int = DIM, record_every: int = 0):
+              dim: int = DIM):
     """Time-ordered product of n exact steps exp(-i H dt) from t0.
 
     h_stack(tmid) returns the (m, nbatch, dim, dim) Hamiltonians at the
     step midpoints tmid. Steps run in chunks of at most 2**20 matrix
     elements, each propagated sector by sector (see the module docstring).
-    With record_every > 0 a chunk also ends after every record_every-th
-    step, where the mean qubit-subspace leakage is recorded. Returns (U of
-    shape (nbatch, dim, dim), its largest unitarity defect over the batch,
-    (t, leakage) rows or None).
+    Returns (U of shape (nbatch, dim, dim), its largest unitarity defect
+    over the batch).
     """
     chunk = max(1, 2**20 // (nbatch * dim**2))
     U = np.broadcast_to(np.eye(dim, dtype=complex), (nbatch, dim, dim)).copy()
-    rows = []
     i = 0
     while i < n:
         m = min(chunk, n - i)
-        if record_every:
-            m = min(m, record_every - i % record_every)
         tmid = t0 + (np.arange(i, i + m) + 0.5) * dt
         H = h_stack(tmid)
         groups = _sectors(H)
@@ -241,10 +236,7 @@ def propagate(h_stack, t0: float, dt: float, n: int, nbatch: int,
             del H
         U = np.matmul(P, U)
         i += m
-        if record_every and i % record_every == 0:
-            rows.append((t0 + i * dt, float(np.mean(leakage(U)))))
-    trace = np.array(rows) if rows else None
-    return U, float(unitarity_defect(U).max()), trace
+    return U, float(unitarity_defect(U).max())
 
 
 def check_two_photon_resonance(params: SystemParams,
@@ -269,13 +261,13 @@ def check_two_photon_resonance(params: SystemParams,
 
 def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
            frame: str = "lab-position", dt: float | None = None,
-           t0: float = 0.0, t1: float | None = None, record_leakage: int = 0
-           ) -> EvolutionResult:
+           t0: float = 0.0, t1: float | None = None) -> EvolutionResult:
     """Propagate a schedule from t0 to t1 (default: its full duration).
 
     noise_dE may be a scalar or a 1-D array of quasi-static offsets; with an
     array the result's propagator matrix has shape (S, 8, 8). The effective
-    frame delegates Hamiltonian sampling to the Floquet-reduced model.
+    frame delegates Hamiltonian sampling to the Floquet-reduced model. A
+    driven schedule is first checked for the two-photon resonance.
     """
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}")
@@ -290,6 +282,8 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
             dt = DEFAULT_DT_LAB_NO_AC
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if schedule.driven:
+        check_two_photon_resonance(params, schedule)
 
     n = max(1, int(round((t1 - t0) / dt)))
     dt_eff = (t1 - t0) / n
@@ -302,12 +296,10 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
         def h_stack(tmid):
             return _position_h_stack(params, schedule, tmid, noise)
 
-    record_every = max(1, n // record_leakage) if record_leakage else 0
-    U, defect, trace = propagate(h_stack, t0, dt_eff, n, noise.size,
-                                 record_every=record_every)
+    U, defect = propagate(h_stack, t0, dt_eff, n, noise.size)
     Umat = U if np.ndim(noise_dE) > 0 else U[0]
     return EvolutionResult(OperatorMatrix(Umat), frame, n, defect, schedule,
-                           t0, t1, trace)
+                           t0, t1)
 
 
 def unitarity_defect(U: np.ndarray):
@@ -318,13 +310,11 @@ def unitarity_defect(U: np.ndarray):
     return float(defect) if defect.ndim == 0 else defect
 
 
-def leakage(U: np.ndarray, subspace=QUBIT_INDICES):
-    """Population lost from a subspace, 1 - Tr(P U P U+ P) / dim(P), per
-    matrix: a float for one matrix, an array over the leading axes of a
-    batch."""
-    idx = np.asarray(subspace)
-    block = U[..., idx[:, None], idx]
-    lk = 1 - (np.abs(block) ** 2).sum(axis=(-2, -1)) / idx.size
+def leakage(U: np.ndarray):
+    """Population lost from levels 0 and 1 (the qubit levels of an 8x8
+    propagator, both states of a 2x2 block), per matrix: a float for one
+    matrix, an array over the leading axes of a batch."""
+    lk = 1 - (np.abs(U[..., :2, :2]) ** 2).sum(axis=(-2, -1)) / 2
     return float(lk) if lk.ndim == 0 else lk
 
 
@@ -350,14 +340,3 @@ def to_lab_orbital(result: EvolutionResult, params: SystemParams) -> np.ndarray:
         return lam_end @ U @ lam_start.conj().T
     g = frame_generator_diag(params, sched.omega_E, sched.omega_B)
     return np.exp(1j * t1 * g)[:, None] * U * np.exp(-1j * t0 * g)
-
-
-def write_trace(result: EvolutionResult, path) -> None:
-    """Dump the recorded (t, leakage) series as columnar text."""
-    if result.leakage_trace is None:
-        raise ValueError("evolution was run without record_leakage")
-    header = f"# schedule = {result.schedule.label}\n# columns: t_s leakage\n"
-    with open(path, "w") as fh:
-        fh.write(header)
-        for t, lk in result.leakage_trace:
-            fh.write(f"{t:.9e} {lk:.9e}\n")

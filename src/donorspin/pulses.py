@@ -73,7 +73,6 @@ class PulseSchedule:
     omega_E: float
     omega_B: float
     total_time: float
-    label: str = ""
 
     @property
     def driven(self) -> bool:
@@ -123,7 +122,7 @@ def make_rz_schedule(params: SystemParams, T: float) -> PulseSchedule:
     dE_idle, tau = params.dE_idle, rz_ramp(T)
     wE, wB = idle_frequencies(params)
     return PulseSchedule(lambda t: dE_idle + (-S) * window(t, tau, T),
-                         off, off, wE, wB, T, label=f"rz(T={T:.4g})")
+                         off, off, wE, wB, T)
 
 
 def sweep_drive_frequencies(params: SystemParams):
@@ -155,7 +154,7 @@ def make_rx_sweep_schedule(params: SystemParams, lam: float,
 
     wE, wB = sweep_drive_frequencies(params)
     return PulseSchedule(dE, drive(SWEEP_EA_PEAK), drive(SWEEP_BA_PEAK),
-                         wE, wB, T, label=f"rx-sweep(lam={lam:.4g})")
+                         wE, wB, T)
 
 
 def make_naive_rx_schedule(params: SystemParams, lam: float,
@@ -163,7 +162,7 @@ def make_naive_rx_schedule(params: SystemParams, lam: float,
     """Sweep-free X gate: the sweep gate with dE parked at 0 during the
     drive segment, optionally with a retuned magnetic drive frequency."""
     sched = make_rx_sweep_schedule(params, lam, sweep_range=0.0)
-    return replace(sched, label=f"rx-naive(lam={lam:.4g})",
+    return replace(sched,
                    omega_B=sched.omega_B if omega_B is None else omega_B)
 
 
@@ -181,7 +180,7 @@ def make_echo_rz_schedule(params: SystemParams,
     wE, wB = idle_frequencies(params)
     return PulseSchedule(
         lambda t: dE_idle + (-dE_idle) * window(t, ECHO_RAMP, T),
-        off, off, wE, wB, T, label=f"rz-echo(t={flat_time:.4g})")
+        off, off, wE, wB, T)
 
 
 def cphase_drive_frequency(params: SystemParams, dE_gate: float,
@@ -211,7 +210,7 @@ def make_cphase_schedule(params: SystemParams, T: float) -> PulseSchedule:
     wE = cphase_drive_frequency(params, CPHASE_DE_GATE)
     wB = params.B0 * params.gamma_e
     return PulseSchedule(dE, lambda t: e_max * window(t - tau1, tau2, tau_ac),
-                         off, wE, wB, T, label=f"cphase(T={T:.4g})")
+                         off, wE, wB, T)
 
 
 def make_idle_schedule(params: SystemParams, T: float) -> PulseSchedule:
@@ -219,4 +218,4 @@ def make_idle_schedule(params: SystemParams, T: float) -> PulseSchedule:
     wE, wB = idle_frequencies(params)
     dE_idle = params.dE_idle
     return PulseSchedule(lambda t: np.full(np.shape(t), dE_idle), off, off,
-                         wE, wB, T, label=f"idle(T={T:.4g})")
+                         wE, wB, T)

@@ -255,7 +255,7 @@ def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
     def h_stack(tmid):
         return _pair_h_stack(layout, schedule_1, tmid, noise_dE)[:, None]
 
-    U, defect, _ = propagate(h_stack, 0.0, T / n, n, 1, dim=DIM * DIM)
+    U, defect = propagate(h_stack, 0.0, T / n, n, 1, dim=DIM * DIM)
     U = U[0]
     # back to the lab frame and the product of the per-qubit idle frames
     g1 = frame_generator_diag(p1, schedule_1.omega_E, schedule_1.omega_B)

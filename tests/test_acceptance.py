@@ -9,8 +9,7 @@ import pytest
 
 from donorspin.model import (TWO_PI, qubit_splitting_approx, dephasing_sensitivity,
                              hyperfine_expectation)
-from donorspin.operators import QUBIT_INDICES
-from donorspin.propagation import (evolve, lab_hamiltonian, leakage,
+from donorspin.propagation import (evolve, lab_hamiltonian,
                                    to_lab_orbital, check_two_photon_resonance,
                                    TwoPhotonResonanceWarning)
 from donorspin.pulses import (make_rz_schedule, make_rx_sweep_schedule,

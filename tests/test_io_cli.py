@@ -309,11 +309,13 @@ class TestCliRuns:
     ("kind = rz-noise\nangles = pi\nsigmas = 10 V/m\nframe = lab-orbital\n",
      "frame"),
     ("kind = cphase-curve\npoints = 2\nt_min = 5 ns\n", "t_min"),
+    ("kind = cphase-curve\npoints = 2\nt_min = 400 ns\nt_max = 300 ns\n"
+     "find_cz = yes\n", "t_max"),
 ], ids=["points", "samples", "frame", "variants", "angle-over-zero",
         "angle-two-points", "angle-two-signs", "angle-nan", "quantity-nan",
         "quantity-inf", "rx-zero-angle", "sweep-echo-zero-angle",
         "missing-params-file", "empty-list", "removed-frame",
-        "cphase-shorter-than-its-ramps"])
+        "cphase-shorter-than-its-ramps", "cphase-reversed-bracket"])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, body, field):
     man = tmp_path / "m.txt"
     man.write_text(body + f"output = {tmp_path / 'out.txt'}\n")
@@ -324,7 +326,33 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, body, field):
     assert not (tmp_path / "out.txt").exists()
 
 
+@pytest.mark.parametrize("output", ["plain/hp.txt", "plain/deeper/hp.txt",
+                                    "folder"])
+def test_unwritable_output_rejected_at_load(tmp_path, capsys, output):
+    # a path under a regular file, or a directory, cannot be written
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "plain").write_text("")
+    man = tmp_path / "m.txt"
+    man.write_text(f"kind = hprime-dump\noutput = {tmp_path / output}\n")
+    for verb in ("validate", "run"):
+        assert main([verb, str(man)]) == 2
+        err = capsys.readouterr().err
+        assert "manifest error" in err and "'output'" in err
+
+
+def test_run_creates_missing_output_directories(tmp_path):
+    out = tmp_path / "new" / "hp.txt"
+    man = tmp_path / "m.txt"
+    man.write_text(f"kind = hprime-dump\noutput = {out}\n")
+    assert main(["validate", str(man)]) == 0
+    assert not out.parent.exists()
+    assert main(["run", str(man)]) == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize("path", MANIFESTS, ids=lambda p: p.name)
-def test_shipped_manifest_validates(path, capsys):
+def test_shipped_manifest_validates(path, capsys, tmp_path, monkeypatch):
+    # from a directory without the manifests' out/ directory
+    monkeypatch.chdir(tmp_path)
     assert main(["validate", str(path)]) == 0
     assert "manifest is valid" in capsys.readouterr().out

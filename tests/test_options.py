@@ -23,14 +23,12 @@ SRC = ROOT / "src" / "donorspin"
 PROGRAMS = sorted([*(ROOT / "scripts").glob("*.py"),
                    ROOT / "benchmark" / "workloads.py"])
 TESTS = sorted((ROOT / "tests").glob("*.py"))
-OPTION_COUNT = 41          # defaulted parameters in the package
+OPTION_COUNT = 37          # defaulted parameters in the package
 
 # options that only tests set, with the reason
 TEST_REFERENCES = {
     "evolve(t0)": "criterion 9's semigroup check evolves part of a schedule",
     "evolve(t1)": "criterion 9's semigroup check evolves part of a schedule",
-    "evolve(record_leakage)": "the leakage trace, which no program records "
-                              "yet",
     "cphase_drive_frequency(detuning)": "criterion 8a's square-pulse rate "
                                         "at a chosen detuning",
     "cphase_angle(schedule_2)": "the check with one qubit idle",

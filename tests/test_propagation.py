@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from donorspin.model import SystemParams, charge_splitting
-from donorspin.operators import DIM, QUBIT_INDICES, orbital_transform
+from donorspin.operators import DIM, orbital_transform
 from donorspin.propagation import (EvolutionResult, OperatorMatrix, evolve,
                                    lab_hamiltonian, unitarity_defect,
                                    leakage, to_lab_orbital, propagate,
@@ -186,23 +186,23 @@ class TestLeakage:
         U = np.zeros((DIM, DIM), dtype=complex)
         U[:2, :2] = np.array([[0, 1], [1, 0]])
         U[2:, 2:] = np.eye(6)
-        assert leakage(U, (0, 1)) == pytest.approx(0.0)
+        assert leakage(U) == pytest.approx(0.0)
 
     def test_full_swap_leaks_half(self):
         U = np.eye(DIM, dtype=complex)
         U[[0, 5], [0, 5]] = 0
         U[0, 5] = U[5, 0] = 1.0
-        assert leakage(U, (0, 1)) == pytest.approx(0.5)
+        assert leakage(U) == pytest.approx(0.5)
 
     def test_per_item_values_on_a_batch(self):
         swap = np.eye(DIM, dtype=complex)
         swap[[0, 5], [0, 5]] = 0
         swap[0, 5] = swap[5, 0] = 1.0
         batch = np.stack([np.eye(DIM, dtype=complex), swap])
-        lk = leakage(batch, (0, 1))
+        lk = leakage(batch)
         assert lk.shape == (2,)
         assert lk == pytest.approx([0.0, 0.5])
-        assert isinstance(leakage(swap, (0, 1)), float)
+        assert isinstance(leakage(swap), float)
 
 
 class TestUnitarityDefect:
@@ -232,24 +232,12 @@ class TestTwoPhotonGuard:
         sched = make_rz_schedule(P, 20e-9)
         assert check_two_photon_resonance(P, sched) is False
 
-
-def test_leakage_trace_and_dump(tmp_path):
-    sched = make_rx_sweep_schedule(P, 1.0)
-    res = evolve(P, sched, frame="effective", dt=0.1e-9, record_leakage=40)
-    assert res.leakage_trace is not None
-    assert res.leakage_trace.shape[1] == 2
-    assert np.all(res.leakage_trace[:, 1] < 0.6)
-    # each row is the leakage of the propagator evolved up to its time
-    for t_k, lk in res.leakage_trace[[0, len(res.leakage_trace) // 2, -1]]:
-        U = evolve(P, sched, frame="effective", dt=0.1e-9,
-                   t1=t_k).propagator.matrix
-        assert abs(lk - leakage(U, QUBIT_INDICES)) < 1e-12
-    from donorspin.propagation import write_trace
-    out = tmp_path / "trace.txt"
-    write_trace(res, out)
-    body = [ln for ln in out.read_text().splitlines()
-            if not ln.startswith("#")]
-    assert len(body) == len(res.leakage_trace)
+    def test_evolve_checks_driven_schedules(self):
+        # the guard runs where a propagator is made, not only where a test
+        # asks for it
+        sched = make_rx_sweep_schedule(P, 1.0, sweep_range=3000.0)
+        with pytest.warns(TwoPhotonResonanceWarning):
+            evolve(P, sched, frame="effective", dt=1e-9)
 
 
 # the S_z + I_z sectors of one qubit: non-contiguous level sets
@@ -331,7 +319,7 @@ class TestSectors:
         H = _random_stack(rng, (n, nbatch), SECTORS)
         assert [g.tolist() for g in _sectors(H)] == [[[0, 4], [3, 7]],
                                                      [[1, 2, 5, 6]]]
-        U, defect, _ = propagate(_stack_of(H, t0, dt), t0, dt, n, nbatch)
+        U, defect = propagate(_stack_of(H, t0, dt), t0, dt, n, nbatch)
         assert np.abs(U - _dense_reference(H, dt)).max() < 1e-12
         assert defect < 1e-12
         # no amplitude crosses a sector
@@ -361,12 +349,12 @@ class TestSectors:
             H[0] = _random_stack(rng, (nbatch,), SECTORS)
         assert len(_sectors(H[:1])) == (2 if first_step_split else 1)
         assert len(_sectors(H)) == 1
-        U, _, _ = propagate(_stack_of(H, 0.0, dt), 0.0, dt, n, nbatch)
+        U, _ = propagate(_stack_of(H, 0.0, dt), 0.0, dt, n, nbatch)
         eye = np.broadcast_to(np.eye(DIM, dtype=complex), (nbatch, DIM, DIM))
         dense = np.matmul(_ordered_product(_step_unitaries(H.copy(), dt)), eye)
         assert np.array_equal(U, dense)
 
-    def test_recorded_leakage_on_a_split_schedule(self):
+    def test_split_schedule_matches_dense_path(self):
         # the lab Rz schedule splits into the three sectors; a 1e-300
         # all-level coupling (numerically nothing) forces the dense path
         sched = make_rz_schedule(P, 8e-9)
@@ -380,10 +368,6 @@ class TestSectors:
             return split(tmid) + 1e-300 * (1 - np.eye(DIM))
 
         assert len(_sectors(split(np.array([1e-9, 4e-9])))) == 2
-        U_s, _, rows_s = propagate(split, 0.0, dt, n, 2, record_every=500)
-        U_d, _, rows_d = propagate(dense, 0.0, dt, n, 2, record_every=500)
-        assert rows_s.shape == rows_d.shape == (8, 2)
-        assert np.array_equal(rows_s[:, 0], rows_d[:, 0])
-        assert np.abs(rows_s[:, 1] - rows_d[:, 1]).max() < 1e-12
-        assert rows_s[:, 1].max() > 1e-6          # the trace is not trivial
+        U_s, _ = propagate(split, 0.0, dt, n, 2)
+        U_d, _ = propagate(dense, 0.0, dt, n, 2)
         assert np.abs(U_s - U_d).max() < 1e-12

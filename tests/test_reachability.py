@@ -28,10 +28,7 @@ TEST_REFERENCES = {
     "frequency_components": "harmonics of H~ that the Floquet oracle builds on",
     "transition_energies": "closed-form lines the H' spectrum is checked "
                            "against",
-    "check_two_photon_resonance": "the two-photon leakage guard that "
-                                  "criterion 6 checks",
     "read_columns": "reads back the columns the CLI writes",
-    "write_trace": "dumps the leakage trace of record_leakage (observability)",
     "EulerAngles.compose": "rebuilds the gate in criterion 9's Euler "
                            "round-trip suite",
     "OperatorMatrix.hermiticity_defect": "criterion 9's Hermiticity check of "
