@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .model import (PhysicalConstants, SystemParams, charge_splitting,
+from .model import (SystemParams, charge_splitting,
                     hyperfine_expectation, qubit_splitting_approx,
                     dephasing_sensitivity, transition_energies)
 from .operators import orbital_transform

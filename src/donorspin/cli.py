@@ -148,6 +148,15 @@ class Manifest:
         _check_output_path(self.output)
         self.params = (load_params(raw["params_file"])
                        if "params_file" in raw else SystemParams())
+        if kind == "sweep-echo-noise" or "sweep-echo" in self.values.get(
+                "variants", ()):
+            # every lambda table ends at lambda = 1: two points give theta_max
+            theta_max = calibrate_lambda(self.params, make_rx_sweep_schedule,
+                                         n_points=2).theta_max()
+            if max(self["thetas"]) > theta_max + 1e-9:
+                raise ManifestError(
+                    f"field 'thetas': the sweep-echo gate reaches at most "
+                    f"{theta_max:.4f} rad, got {raw['thetas']!r}")
 
     def __getitem__(self, key):
         return self.values[key]
@@ -183,7 +192,7 @@ def run_splitting_curve(m: Manifest):
     def one(dE):
         sched = make_rz_schedule(params, 1e-9)  # any schedule; static sample
         H = lab_hamiltonian(params, sched, 0.0, noise_dE=dE - float(
-            sched.dE_envelope(0.0))).matrix
+            sched.dE_envelope(0.0)))
         ev = np.linalg.eigvalsh(H)
         return dE, ev[1] - ev[0], float(qubit_splitting_approx(params, dE))
 
@@ -239,8 +248,7 @@ def run_rz_noise(m: Manifest):
 
 def _rx_noise_common(m: Manifest, variants):
     params = m.params
-    sweep_cal = calibrate_lambda(
-        params, lambda p, lam: make_rx_sweep_schedule(p, lam))
+    sweep_cal = calibrate_lambda(params, make_rx_sweep_schedule)
     naive_cal = None
     rows = []
     for variant in variants:

@@ -85,13 +85,11 @@ def euler_decompose(gate: QubitGate) -> EulerAngles:
     return EulerAngles(tz1 % (2 * np.pi), thx, tz2 % (2 * np.pi))
 
 
-def gate_infidelity(U: np.ndarray, U0: np.ndarray, n: int | None = None) -> float:
+def gate_infidelity(U: np.ndarray, U0: np.ndarray, n: int) -> float:
     """1 - F = 1 - [Tr(U+U) + |Tr(U0+ U)|^2] / (n (n+1)).
 
     U may be a subnormalized block (leakage reduces Tr(U+U) below n).
     """
-    if n is None:
-        n = U.shape[-1]
     t1 = np.trace(U.conj().T @ U).real
     t2 = np.abs(np.trace(U0.conj().T @ U)) ** 2
     return float(1 - (t1 + t2) / (n * (n + 1)))
@@ -115,7 +113,7 @@ def idle_qubit_frame(params: SystemParams, frame: str,
     else:
         idle = make_idle_schedule(params, 1.0)
         lam = orbital_transform(params, params.dE_idle)
-        H = lam @ lab_hamiltonian(params, idle, 0.0).matrix @ lam.conj().T
+        H = lam @ lab_hamiltonian(params, idle, 0.0) @ lam.conj().T
         g = np.zeros(H.shape[0])
     ev, vec = np.linalg.eigh(H)
     iu = int(np.argmax(np.abs(vec[QUBIT_UP_INDEX, :])))
@@ -137,7 +135,10 @@ def idle_frame_block(U: np.ndarray, energies, basis, T: float) -> np.ndarray:
 def extract_qubit_gate(result: EvolutionResult, params: SystemParams):
     """(QubitGate, leakage) of a scalar-noise result's idle-frame qubit
     block; raises ValueError when it leaks more than MAX_LEAKAGE."""
-    return _gate_from_block(extract_qubit_block(result, params))
+    energies, basis = idle_qubit_frame(params, result.frame, result.schedule)
+    return _gate_from_block(idle_frame_block(
+        to_lab_orbital(result, params), energies, basis,
+        result.schedule.total_time))
 
 
 def _gate_from_block(block):
@@ -148,14 +149,6 @@ def _gate_from_block(block):
         raise ValueError(f"leakage {lk:.3e} exceeds {MAX_LEAKAGE}; "
                          "the qubit block does not define a gate")
     return QubitGate.from_block(block), lk
-
-
-def extract_qubit_block(result: EvolutionResult, params: SystemParams):
-    """Subnormalized 2x2 idle-frame block(s) of the evolved interval, for
-    fidelity accounting."""
-    energies, basis = idle_qubit_frame(params, result.frame, result.schedule)
-    return idle_frame_block(to_lab_orbital(result, params), energies, basis,
-                            result.t1 - result.t0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +253,6 @@ class NoiseModel:
         """(sample_count + 1) // 2 Gaussian offsets followed by their
         negatives (antithetic pairs), cut to sample_count."""
         rng = np.random.default_rng(self.seed)
-        if self.sigma_dE == 0:
-            return np.zeros(self.sample_count)
         half = (self.sample_count + 1) // 2
         base = rng.normal(0.0, self.sigma_dE, half)
         return np.concatenate([base, -base])[: self.sample_count]
@@ -552,17 +543,14 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
     else:
         raise ValueError("variant must be 'sweep' or 'naive'")
     info = {"variant": variant}
-    if theta_x <= calibration.theta_max():
+    if theta_x - calibration.theta_max() < 0.1:
+        # past theta_max (3.09 for the reference tuning) lambda_for_theta
+        # clamps to full drive: a small coherent floor, not a chain
         lam = calibration.lambda_for_theta(theta_x)
         core = [maker(params, lam)]
         info["lambda"] = lam
-    elif theta_x - calibration.theta_max() < 0.1:
-        # full drive lands slightly short of the request (the reference
-        # tuning tops out near 3.09 for a pi target); clamp rather than
-        # chain and accept the small coherent floor
-        lam = float(calibration.lambdas[-1])
-        core = [maker(params, lam)]
-        info.update({"lambda": lam, "clamped": True})
+        if theta_x > calibration.theta_max():
+            info["clamped"] = True
     else:
         # chain n equal segments, each comfortably inside the calibrated
         # range where the rotation axis is clean
@@ -611,7 +599,7 @@ def build_sweep_echo_rx(params: SystemParams, theta_x: float,
         raise ValueError(
             f"theta_x must lie in (0, {calibration.theta_max():.4f}] "
             "(calibrated range)")
-    lam = calibration.lambda_for_theta(min(theta_x, calibration.theta_max()))
+    lam = calibration.lambda_for_theta(theta_x)
     sweep = make_rx_sweep_schedule(params, lam)
     sens = noise_sensitivity(params, sweep)
     x_gate = make_rx_sweep_schedule(params, 1.0)

@@ -8,28 +8,18 @@ offset from the ionization point; the absolute field never appears.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants (SI)."""
-
-    electron_charge: float = 1.602176634e-19      # C
-    hbar: float = 1.054571817e-34                 # J s
-    vacuum_permittivity: float = 8.8541878128e-12  # F/m
-    silicon_relative_permittivity: float = 11.7
-
-    def __post_init__(self):
-        for name in ("electron_charge", "hbar", "vacuum_permittivity",
-                     "silicon_relative_permittivity"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+# fundamental constants (SI)
+ELECTRON_CHARGE = 1.602176634e-19           # C
+HBAR = 1.054571817e-34                      # J s
+VACUUM_PERMITTIVITY = 8.8541878128e-12      # F/m
+SILICON_RELATIVE_PERMITTIVITY = 11.7
 
 
 @dataclass(frozen=True)
@@ -51,7 +41,6 @@ class SystemParams:
     B0: float = 0.2                              # T
     Vt: float | None = None                      # rad/s; default B0*(ge+gn)
     dE_idle: float = 1e4                         # V/m
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
         if self.Vt is None:
@@ -69,8 +58,7 @@ class SystemParams:
     @property
     def de_over_hbar(self) -> float:
         """d*e/hbar in rad/s per (V/m); converts fields to drive rates."""
-        return (self.donor_depth_d * self.constants.electron_charge
-                / self.constants.hbar)
+        return self.donor_depth_d * ELECTRON_CHARGE / HBAR
 
 
 class TransitionEnergies(NamedTuple):

@@ -73,10 +73,6 @@ class OperatorMatrix:
 
     matrix: np.ndarray
 
-    def hermiticity_defect(self) -> float:
-        m = self.matrix
-        return float(np.abs(m - m.conj().T).max() / max(np.abs(m).max(), 1e-300))
-
 
 @dataclass
 class EvolutionResult:
@@ -85,8 +81,6 @@ class EvolutionResult:
     step_count: int
     max_unitarity_defect: float
     schedule: PulseSchedule
-    t0: float                   # the evolved interval [t0, t1]
-    t1: float
 
     @property
     def valid(self) -> bool:
@@ -94,11 +88,11 @@ class EvolutionResult:
 
 
 def lab_hamiltonian(params: SystemParams, schedule: PulseSchedule, t: float,
-                    noise_dE: float = 0.0) -> OperatorMatrix:
-    """Sample the lab-frame Hamiltonian of a schedule at time t (position
+                    noise_dE: float = 0.0) -> np.ndarray:
+    """The 8x8 lab-frame Hamiltonian of a schedule at time t (position
     basis)."""
-    H = _position_h_stack(params, schedule, np.array([float(t)]), noise_dE)
-    return OperatorMatrix(H[0, 0])
+    return _position_h_stack(params, schedule, np.array([float(t)]),
+                             noise_dE)[0, 0]
 
 
 def _position_h_stack(params: SystemParams, schedule, tmid, noise_dE):
@@ -260,9 +254,9 @@ def check_two_photon_resonance(params: SystemParams,
 
 
 def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
-           frame: str = "lab-position", dt: float | None = None,
-           t0: float = 0.0, t1: float | None = None) -> EvolutionResult:
-    """Propagate a schedule from t0 to t1 (default: its full duration).
+           frame: str = "lab-position",
+           dt: float | None = None) -> EvolutionResult:
+    """Propagate a schedule over its full duration.
 
     noise_dE may be a scalar or a 1-D array of quasi-static offsets; with an
     array the result's propagator matrix has shape (S, 8, 8). The effective
@@ -271,8 +265,6 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
     """
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}")
-    if t1 is None:
-        t1 = schedule.total_time
     if dt is None:
         if frame == "effective":
             dt = DEFAULT_DT_EFFECTIVE
@@ -285,8 +277,8 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
     if schedule.driven:
         check_two_photon_resonance(params, schedule)
 
-    n = max(1, int(round((t1 - t0) / dt)))
-    dt_eff = (t1 - t0) / n
+    T = schedule.total_time
+    n = max(1, int(round(T / dt)))
     noise = np.atleast_1d(np.asarray(noise_dE, dtype=float))
 
     if frame == "effective":
@@ -296,10 +288,9 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
         def h_stack(tmid):
             return _position_h_stack(params, schedule, tmid, noise)
 
-    U, defect = propagate(h_stack, t0, dt_eff, n, noise.size)
+    U, defect = propagate(h_stack, 0.0, T / n, n, noise.size)
     Umat = U if np.ndim(noise_dE) > 0 else U[0]
-    return EvolutionResult(OperatorMatrix(Umat), frame, n, defect, schedule,
-                           t0, t1)
+    return EvolutionResult(OperatorMatrix(Umat), frame, n, defect, schedule)
 
 
 def unitarity_defect(U: np.ndarray):
@@ -319,11 +310,11 @@ def leakage(U: np.ndarray):
 
 
 def to_lab_orbital(result: EvolutionResult, params: SystemParams) -> np.ndarray:
-    """Express a propagator over [t0, t1] in the lab frame and orbital basis.
+    """Express a schedule's propagator in the lab frame and orbital basis.
 
     Position-basis propagators are conjugated by the orbital transform at
-    the fields of t1 and t0, Lambda(dE(t1)) U Lambda(dE(t0))^dag;
-    rotating-frame propagators become exp(+i t1 G) U exp(-i t0 G). Raises
+    the fields of the end and the start, Lambda(dE(T)) U Lambda(dE(0))^dag;
+    rotating-frame propagators become exp(+i T G) U. Raises
     ValueError for an invalid result (unitarity defect at or above
     UNITARITY_LIMIT).
     """
@@ -333,10 +324,10 @@ def to_lab_orbital(result: EvolutionResult, params: SystemParams) -> np.ndarray:
                          f"{UNITARITY_LIMIT:.0e}; refine dt")
     U = result.propagator.matrix
     sched = result.schedule
-    t0, t1 = result.t0, result.t1
+    T = sched.total_time
     if result.frame == "lab-position":
-        lam_end = orbital_transform(params, float(sched.dE_envelope(t1)))
-        lam_start = orbital_transform(params, float(sched.dE_envelope(t0)))
+        lam_end = orbital_transform(params, float(sched.dE_envelope(T)))
+        lam_start = orbital_transform(params, float(sched.dE_envelope(0.0)))
         return lam_end @ U @ lam_start.conj().T
     g = frame_generator_diag(params, sched.omega_E, sched.omega_B)
-    return np.exp(1j * t1 * g)[:, None] * U * np.exp(-1j * t0 * g)
+    return np.exp(1j * T * g)[:, None] * U

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import SystemParams, orbital_mixing
+from .model import (ELECTRON_CHARGE, HBAR, SILICON_RELATIVE_PERMITTIVITY,
+                    VACUUM_PERMITTIVITY, SystemParams, orbital_mixing)
 from .operators import (DIM, IDENT, TAU_Z, TAU_X, TAU_P, TAU_M,
                         QUBIT_UP_INDEX, QUBIT_DN_INDEX, frame_generator_diag,
                         qubit_gauge)
@@ -75,13 +76,11 @@ class CphaseReport:
 
 def dipole_coupling_strength(layout: TwoQubitLayout) -> float:
     """V = e^2 d1 d2 / (4 pi eps0 eps_r r^3) in rad/s (projector weight)."""
-    p = layout.params_1
-    consts = p.constants
-    num = (consts.electron_charge ** 2 * layout.params_1.donor_depth_d
+    num = (ELECTRON_CHARGE ** 2 * layout.params_1.donor_depth_d
            * layout.params_2.donor_depth_d)
-    den = (4 * np.pi * consts.vacuum_permittivity
-           * consts.silicon_relative_permittivity * layout.separation_r ** 3)
-    return num / den / consts.hbar
+    den = (4 * np.pi * VACUUM_PERMITTIVITY
+           * SILICON_RELATIVE_PERMITTIVITY * layout.separation_r ** 3)
+    return num / den / HBAR
 
 
 def _weight_parts(params, states, dEn):
@@ -95,17 +94,9 @@ def _weight_parts(params, states, dEn):
     return (1 + c * tz) / 2, tx_half, s
 
 
-@dataclass
-class TrackedStates:
-    times: np.ndarray
-    up_states: np.ndarray       # (n, 8)
-    dn_states: np.ndarray
-    min_overlap: float
-
-
-def _follow_dressed_states(H, times) -> TrackedStates:
-    """Follow the two dressed qubit eigenstates of an (n, 8, 8) H' stack
-    at `times`.
+def _follow_dressed_states(H, times):
+    """(up, dn, smallest step overlap): the two dressed qubit eigenstates,
+    each (n, 8), followed along an (n, 8, 8) H' stack at `times`.
 
     Each sample's state is the eigenvector of largest overlap with the
     previous sample's; raises if that overlap drops below TRACK_MIN_OVERLAP
@@ -129,9 +120,8 @@ def _follow_dressed_states(H, times) -> TrackedStates:
     rows = np.arange(len(times))
     up = vecs[rows, :, path[:, 0]]
     dn = vecs[rows, :, path[:, 1]]
-    return TrackedStates(times, qubit_gauge(up, QUBIT_UP_INDEX),
-                         qubit_gauge(dn, QUBIT_DN_INDEX),
-                         float(kept.min(initial=1.0)))
+    return (qubit_gauge(up, QUBIT_UP_INDEX), qubit_gauge(dn, QUBIT_DN_INDEX),
+            float(kept.min(initial=1.0)))
 
 
 def cphase_angle(layout: TwoQubitLayout, schedule_1: PulseSchedule,
@@ -166,13 +156,13 @@ def cphase_angle(layout: TwoQubitLayout, schedule_1: PulseSchedule,
               for params, sched, dn in pair]
 
     def collect(mean_fields):
-        """Per qubit: the track, the (up, dn) weights w and x, and s."""
+        """Per qubit: min track overlap, (up, dn) weights w and x, and s."""
         out = []
         for (params, dEn, H), mf in zip(qubits, mean_fields):
-            tr = _follow_dressed_states(H if mf is None else H + mf, ts)
-            w, x, s = _weight_parts(params, np.stack([tr.up_states,
-                                                      tr.dn_states]), dEn)
-            out.append((tr, w, x, s))
+            up, dn, overlap = _follow_dressed_states(
+                H if mf is None else H + mf, ts)
+            w, x, s = _weight_parts(params, np.stack([up, dn]), dEn)
+            out.append((overlap, w, x, s))
         return out * (2 // len(qubits))
 
     parts = collect((None, None))
@@ -188,13 +178,13 @@ def cphase_angle(layout: TwoQubitLayout, schedule_1: PulseSchedule,
                                * (IDENT + c[:, None, None] * TAU_Z) / 2)
         parts = collect(mean_fields)
 
-    (tr1, w1, x1, s1), (tr2, w2, x2, s2) = parts
+    (overlap1, w1, x1, s1), (overlap2, w2, x2, s2) = parts
     # pair energies e[a, b](t) for qubit 1 in a and qubit 2 in b (up, dn),
     # referred to the idling pair (both endpoints are at idle)
     e = V * (w1[:, None] * w2[None, :]
              + 0.5 * s1 * s2 * x1[:, None] * x2[None, :])
     (alpha, beta), (gamma, delta) = -np.trapezoid(e - e[..., :1], ts)
-    nonadiab = 1.0 - min(tr1.min_overlap, tr2.min_overlap) ** 2
+    nonadiab = 1.0 - min(overlap1, overlap2) ** 2
     return CphaseReport(alpha, beta, gamma, delta, nonadiab, T)
 
 

@@ -48,7 +48,7 @@ def exact_rotating_hamiltonian(params: SystemParams, schedule, t,
     the lab Hamiltonian in the orbital basis at the instantaneous field."""
     lam = orbital_transform(
         params, float(schedule.dE_envelope(t)) + noise_dE)
-    H_position = lab_hamiltonian(params, schedule, t, noise_dE).matrix
+    H_position = lab_hamiltonian(params, schedule, t, noise_dE)
     H = lam @ H_position @ lam.conj().T
     g = frame_generator_diag(params, schedule.omega_E, schedule.omega_B)
     phase = np.exp(-1j * t * g)

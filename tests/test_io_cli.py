@@ -303,6 +303,10 @@ class TestCliRuns:
     ("kind = splitting-curve\npoints = 3\ndE_min = inf V/m\n", "dE_min"),
     ("kind = rx-noise\nthetas = 0\nsigmas = 10 V/m\n", "thetas"),
     ("kind = sweep-echo-noise\nthetas = 0\nsigmas = 10 V/m\n", "thetas"),
+    ("kind = sweep-echo-noise\nthetas = pi/2, pi\nsigmas = 10 V/m\n",
+     "thetas"),
+    ("kind = rx-noise\nthetas = pi\nsigmas = 10 V/m\n"
+     "variants = sweep, sweep-echo\n", "thetas"),
     ("kind = splitting-curve\npoints = 3\n"
      "params_file = no-such-dir/device.params\n", "params_file"),
     ("kind = rz-noise\nangles = ,\nsigmas = 10 V/m\n", "angles"),
@@ -314,6 +318,7 @@ class TestCliRuns:
 ], ids=["points", "samples", "frame", "variants", "angle-over-zero",
         "angle-two-points", "angle-two-signs", "angle-nan", "quantity-nan",
         "quantity-inf", "rx-zero-angle", "sweep-echo-zero-angle",
+        "sweep-echo-beyond-range", "rx-sweep-echo-beyond-range",
         "missing-params-file", "empty-list", "removed-frame",
         "cphase-shorter-than-its-ramps", "cphase-reversed-bracket"])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, body, field):

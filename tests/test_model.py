@@ -3,7 +3,8 @@ import pytest
 import warnings
 from hypothesis import given, settings, strategies as st
 
-from donorspin.model import (TWO_PI, PhysicalConstants, SystemParams,
+from donorspin.model import (TWO_PI, SILICON_RELATIVE_PERMITTIVITY,
+                             SystemParams,
                              charge_splitting, hyperfine_expectation,
                              qubit_splitting_approx, dephasing_sensitivity,
                              transition_energies)
@@ -14,9 +15,7 @@ fields = st.floats(min_value=-2e4, max_value=2e4, allow_nan=False)
 
 
 def test_constants_fixed_silicon_permittivity():
-    assert PhysicalConstants().silicon_relative_permittivity == 11.7
-    with pytest.raises(ValueError):
-        PhysicalConstants(hbar=-1.0)
+    assert SILICON_RELATIVE_PERMITTIVITY == 11.7
 
 
 def test_default_tunnel_coupling():

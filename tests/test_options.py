@@ -1,9 +1,13 @@
-"""Every defaulted parameter in the package is set by some program.
+"""Every defaulted parameter and dataclass field in the package is set by
+some program.
 
 A keyword option that no call sets is a constant in disguise: its default
-is the only value ever used, and every branch it guards is dead. This AST
+is the only value ever used, and every branch it guards is dead. A field
+of a config object with a default is an option of the same kind. This AST
 inventory (no linter is assumed installed) lists each defaulted parameter
-of a function in `src/donorspin` and looks for a call that sets it. The
+of a function in `src/donorspin`, and each defaulted field of a
+`@dataclass` (a parameter of its constructor, which takes the init
+fields in order), and looks for a call that sets it. The
 callers that count are the programs, as in test_reachability.py: the
 package itself (the CLI included), `scripts/` and
 `benchmark/workloads.py`. An option that only tests set must be named in
@@ -23,12 +27,11 @@ SRC = ROOT / "src" / "donorspin"
 PROGRAMS = sorted([*(ROOT / "scripts").glob("*.py"),
                    ROOT / "benchmark" / "workloads.py"])
 TESTS = sorted((ROOT / "tests").glob("*.py"))
-OPTION_COUNT = 37          # defaulted parameters in the package
+OPTION_COUNT = 34          # defaulted function parameters in the package
+FIELD_COUNT = 14           # defaulted dataclass fields in the package
 
 # options that only tests set, with the reason
 TEST_REFERENCES = {
-    "evolve(t0)": "criterion 9's semigroup check evolves part of a schedule",
-    "evolve(t1)": "criterion 9's semigroup check evolves part of a schedule",
     "cphase_drive_frequency(detuning)": "criterion 8a's square-pulse rate "
                                         "at a chosen detuning",
     "cphase_angle(schedule_2)": "the check with one qubit idle",
@@ -39,11 +42,14 @@ TEST_REFERENCES = {
 
 
 def _functions(tree):
-    """(name, positional parameter names, defaulted names, is_method) of
-    every function defined in a module, nested ones included."""
+    """(name, positional parameter names, defaulted names, is_method,
+    is_dataclass) of every function defined in a module, nested ones
+    included, and of every dataclass's constructor."""
     methods = {id(node) for cls in ast.walk(tree)
                if isinstance(cls, ast.ClassDef) for node in cls.body}
     for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            yield node.name, *_init_fields(node), False, True
         if not isinstance(node, ast.FunctionDef):
             continue
         a = node.args
@@ -51,7 +57,38 @@ def _functions(tree):
         defaulted = positional[len(positional) - len(a.defaults):]
         defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
                       if d is not None]
-        yield node.name, positional, defaulted, id(node) in methods
+        yield node.name, positional, defaulted, id(node) in methods, False
+
+
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and _callee(d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _init_fields(cls):
+    """(constructor parameter names, defaulted names) of a dataclass: its
+    annotated fields in order, less those declared field(init=False). A
+    field has a default when it is assigned one, or a `field(...)` with a
+    default or default_factory."""
+    positional, defaulted = [], []
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and _callee(value) == "field":
+            keywords = {kw.arg: kw.value for kw in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            has_default = bool({"default", "default_factory"} & set(keywords))
+        else:
+            has_default = value is not None
+        positional.append(item.target.id)
+        if has_default:
+            defaulted.append(item.target.id)
+    return positional, defaulted
 
 
 def _params_in_scope(stack):
@@ -96,17 +133,19 @@ def _calls(tree, forwarding):
 
 
 def option_inventory(package_sources, other_sources):
-    """Return (every defaulted parameter of the package, the ones no call
-    in the package or the other sources sets), each a sorted list of
-    'function(parameter)' names."""
+    """Return (every defaulted function parameter of the package, every
+    defaulted dataclass field, the ones of both that no call in the package
+    or the other sources sets), each a sorted list of 'function(parameter)'
+    or 'Class(field)' names."""
     signatures = {}          # name -> [(positional, defaulted, is_method)]
-    options = set()
+    options, fields = set(), set()
     for source in package_sources:
-        for name, positional, defaulted, method in _functions(
+        for name, positional, defaulted, method, is_dataclass in _functions(
                 ast.parse(source)):
             signatures.setdefault(name, []).append(
                 (positional, defaulted, method))
-            options.update(f"{name}({p})" for p in defaulted)
+            (fields if is_dataclass else options).update(
+                f"{name}({p})" for p in defaulted)
 
     is_set = set()
     forwarded = {}           # option -> options whose being set sets it
@@ -133,7 +172,8 @@ def option_inventory(package_sources, other_sources):
             if option not in is_set and sources & is_set:
                 is_set.add(option)
                 changed = True
-    return sorted(options), sorted(options - is_set)
+    return sorted(options), sorted(fields), sorted((options | fields)
+                                                   - is_set)
 
 
 def _passed(call, positional, defaulted, method):
@@ -162,27 +202,40 @@ def test_detects_unset_and_forwarded_options():
                "def r(v=1):\n    pass\n"
                "def s(u=1):\n    pass\n"
                "class C:\n"
-               "    def m(self, z=1, w=2):\n        pass\n")
+               "    def m(self, z=1, w=2):\n        pass\n"
+               "@dataclass(frozen=True)\n"
+               "class D:\n"
+               "    a: int\n"
+               "    b: int = 1\n"
+               "    c: list = field(default_factory=list)\n"
+               "    q: int = field(init=False)\n"
+               "    e: int = 2\n"
+               "class Plain:\n"
+               "    p: int = 1\n")
     programs = ["g(0, k=2)\nh(**opts)\nC().m(3)\ns(*rest)\n",
-                "def helper(v=None):\n    r(v=v)\n"]
+                "def helper(v=None):\n    r(v=v)\n",
+                "D(0, 1, e=3)\nPlain(p=2)\n"]
     tests = ["C().m(w=4)\n"]
-    options, unset = option_inventory([package], programs)
+    options, fields, unset = option_inventory([package], programs)
     assert options == ["f(b)", "f(c)", "f(d)", "f(t)", "g(e)", "g(k)", "h(y)",
                        "m(w)", "m(z)", "r(v)", "s(u)"]
+    # a dataclass's defaulted init fields; a plain class has none
+    assert fields == ["D(b)", "D(c)", "D(e)"]
     # b by position, d from the required x, t from k, which a caller sets;
     # c only from the unset e; v from a helper's parameter; w only by a test
-    assert unset == ["f(c)", "g(e)", "m(w)", "s(u)"]
-    _, unset_by_all = option_inventory([package], programs + tests)
-    assert unset_by_all == ["f(c)", "g(e)", "s(u)"]
+    assert unset == ["D(c)", "f(c)", "g(e)", "m(w)", "s(u)"]
+    _, _, unset_by_all = option_inventory([package], programs + tests)
+    assert unset_by_all == ["D(c)", "f(c)", "g(e)", "s(u)"]
 
 
 def test_every_option_has_a_caller():
     package = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     programs = [p.read_text() for p in PROGRAMS]
-    options, unset = option_inventory(package, programs)
+    options, fields, unset = option_inventory(package, programs)
     assert unset == sorted(TEST_REFERENCES)
     assert len(options) == OPTION_COUNT
+    assert len(fields) == FIELD_COUNT
     # each test-only option is set by some test
-    _, unset_by_all = option_inventory(
+    _, _, unset_by_all = option_inventory(
         package, programs + [p.read_text() for p in TESTS])
     assert unset_by_all == []

@@ -26,7 +26,7 @@ class TestLabHamiltonian:
         rng = np.random.default_rng(3)
         for t in rng.uniform(0, sched.total_time, 50):
             H = lab_hamiltonian(P, sched, t, noise_dE=37.0)
-            assert H.hermiticity_defect() < 1e-12
+            assert np.abs(H - H.conj().T).max() < 1e-12 * np.abs(H).max()
 
     def test_decoupled_spectrum_without_couplings(self):
         # A = 0 and delta_gamma = 0 leave a tensor sum of three two-level
@@ -34,7 +34,7 @@ class TestLabHamiltonian:
         import dataclasses
         p0 = dataclasses.replace(P, hyperfine_A=1e-300, delta_gamma=0.0)
         sched = make_idle_schedule(p0, 1.0)
-        H = lab_hamiltonian(p0, sched, 0.0).matrix
+        H = lab_hamiltonian(p0, sched, 0.0)
         ev = np.sort(np.linalg.eigvalsh(H))
         e0 = charge_splitting(p0, p0.dE_idle)
         expect = np.sort([orb * e0 / 2 + se * p0.B0 * p0.gamma_e / 2
@@ -46,7 +46,7 @@ class TestLabHamiltonian:
     def test_hyperfine_flip_flop_element_on_donor(self):
         # <d up Dn| H_A |d dn Up> = A/2 when the electron sits on the donor
         sched = make_idle_schedule(P, 1.0)
-        H = lab_hamiltonian(P, sched, 0.0).matrix
+        H = lab_hamiltonian(P, sched, 0.0)
         # position basis indices: d up Dn = 6, d dn Up = 5
         assert H[6, 5] == pytest.approx(P.hyperfine_A / 2)
 
@@ -86,7 +86,7 @@ class TestOrbitalTransform:
         for dE in (-2e4, 0.0, 3e3):
             p = SystemParams(dE_idle=dE)
             Ho = _orbital_basis(p, lab_hamiltonian(
-                p, make_idle_schedule(p, 1.0), 0.0).matrix)
+                p, make_idle_schedule(p, 1.0), 0.0))
             charge = np.einsum("aibi->ab", Ho.reshape(2, 4, 2, 4)) / 4
             e0 = charge_splitting(p, dE)
             assert np.abs(charge - np.diag([-e0 / 2, e0 / 2])).max() < 1e-12 * e0
@@ -99,7 +99,7 @@ class TestOrbitalTransform:
         for dE in (-2e4, 0.0, 3e3, P.dE_idle):
             p = SystemParams(dE_idle=dE)
             sched = make_idle_schedule(p, 1.0)
-            Hp = lab_hamiltonian(p, sched, 0.0).matrix
+            Hp = lab_hamiltonian(p, sched, 0.0)
             Ho = _orbital_basis(p, Hp)
             charge = np.einsum("aibi->ab", Hp.reshape(2, 4, 2, 4)) / 4
             ev, vecs = np.linalg.eigh(charge)
@@ -119,7 +119,7 @@ class TestEvolve:
         from donorspin.gates import extract_qubit_gate
         sched = make_idle_schedule(P, 7e-9)
         res = evolve(P, sched, frame="lab-position", dt=2e-12)
-        H = lab_hamiltonian(P, sched, 0.0).matrix
+        H = lab_hamiltonian(P, sched, 0.0)
         U = res.propagator.matrix
         assert np.abs(U @ H - H @ U).max() / np.abs(H).max() < 1e-9
         gate, leak = extract_qubit_gate(res, P)
@@ -138,8 +138,7 @@ class TestEvolve:
         from donorspin.gates import extract_qubit_gate
         sched = make_rz_schedule(P, 8e-9)
         res = EvolutionResult(OperatorMatrix(np.eye(8, dtype=complex)),
-                              "lab-position", 1, 1e-6, sched, 0.0,
-                              sched.total_time)
+                              "lab-position", 1, 1e-6, sched)
         assert not res.valid
         with pytest.raises(ValueError, match="unitarity defect 1.00e-06"):
             extract_qubit_gate(res, P)
@@ -150,10 +149,11 @@ class TestEvolve:
         sched = make_rz_schedule(P, 8e-9)
         dt = 1e-12
         full = evolve(P, sched, frame="lab-position", dt=dt).propagator.matrix
-        first = evolve(P, sched, frame="lab-position", dt=dt,
-                       t0=0.0, t1=4e-9).propagator.matrix
-        second = evolve(P, sched, frame="lab-position", dt=dt,
-                        t0=4e-9, t1=8e-9).propagator.matrix
+        def h_stack(tmid):
+            return _position_h_stack(P, sched, tmid, 0.0)
+        n = int(round(4e-9 / dt))
+        first, second = (propagate(h_stack, a, (b - a) / n, n, 1)[0][0]
+                         for a, b in ((0.0, 4e-9), (4e-9, 8e-9)))
         assert np.linalg.norm(second @ first - full, 2) < 1e-9
 
     def test_dt_convergence_of_gate_angle(self):

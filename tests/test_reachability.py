@@ -31,8 +31,6 @@ TEST_REFERENCES = {
     "read_columns": "reads back the columns the CLI writes",
     "EulerAngles.compose": "rebuilds the gate in criterion 9's Euler "
                            "round-trip suite",
-    "OperatorMatrix.hermiticity_defect": "criterion 9's Hermiticity check of "
-                                         "sampled lab Hamiltonians",
 }
 
 

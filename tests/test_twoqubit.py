@@ -52,10 +52,9 @@ class TestInterfaceWeight:
     def test_idle_states_share_weight(self):
         sched = make_idle_schedule(P, 1.0)
         ts = np.array([0.0])
-        tr = _follow_dressed_states(_effective_h_stack(P, sched, ts, 0.0)[:, 0],
-                                    ts)
-        wu, wd = _interface_weight(np.stack([tr.up_states[0],
-                                             tr.dn_states[0]]), P.dE_idle)
+        up, dn, _ = _follow_dressed_states(
+            _effective_h_stack(P, sched, ts, 0.0)[:, 0], ts)
+        wu, wd = _interface_weight(np.stack([up[0], dn[0]]), P.dE_idle)
         assert wu == pytest.approx(wd, abs=2e-4)
 
     def test_square_pulse_dressed_states(self):
@@ -142,10 +141,8 @@ class TestTwoQubitSimulation:
         offdiag = block - np.diag(np.diag(block))
         assert np.abs(offdiag).max() < 1e-3
         # block equals the tensor square of the single-qubit evolution
-        from donorspin.propagation import evolve
-        from donorspin.gates import extract_qubit_block
-        single = extract_qubit_block(
-            evolve(P, sched, frame="effective", dt=0.2e-9), P)
+        from donorspin.gates import composite_qubit_block
+        single = composite_qubit_block(P, [sched], 0.0, "effective", 0.2e-9)
         pair = np.kron(single, single)
         phase = np.vdot(pair.ravel(), block.ravel())
         phase /= abs(phase)
@@ -246,12 +243,12 @@ def test_array_tracker_matches_per_sample_tracking():
     c, _ = orbital_mixing(P, sched.dE_envelope(ts) + 0.5)
     mf = (dipole_coupling_strength(LAYOUT) * np.linspace(0.2, 0.6, 120)
           )[:, None, None] * (IDENT + c[:, None, None] * TAU_Z) / 2
-    tr = _follow_dressed_states(_effective_h_stack(P, sched, ts, 0.5)[:, 0]
-                                + mf, ts)
-    up, dn, worst = _per_sample_track(P, sched, ts, 0.5, mf)
-    assert np.abs(tr.up_states - up).max() < 1e-12
-    assert np.abs(tr.dn_states - dn).max() < 1e-12
-    assert tr.min_overlap == pytest.approx(worst, abs=1e-12)
+    up, dn, overlap = _follow_dressed_states(
+        _effective_h_stack(P, sched, ts, 0.5)[:, 0] + mf, ts)
+    up_ref, dn_ref, worst = _per_sample_track(P, sched, ts, 0.5, mf)
+    assert np.abs(up - up_ref).max() < 1e-12
+    assert np.abs(dn - dn_ref).max() < 1e-12
+    assert overlap == pytest.approx(worst, abs=1e-12)
 
 
 def test_symmetric_pair_shares_its_track():
