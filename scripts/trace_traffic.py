@@ -11,9 +11,11 @@ Runs all program traffic under a `sys.settrace` line trace limited to
 - every manifest in `manifests/`, through the CLI in a temporary directory.
 
 Then prints, per module, each executable line (from the code objects'
-`co_lines`) that none of them ran. The runs share two worker processes,
-longest first; the whole trace takes about 2 minutes on 2 cores. Library
-imports happen inside the traced workers, so module-level lines count.
+`co_lines`) that none of them ran, and exits 1 if any program reported an
+error, so the trace also serves as a smoke check. The runs share two
+worker processes, longest first; the whole trace takes about 2 minutes on
+2 cores. Library imports happen inside the traced workers, so module-level
+lines count.
 
 Usage: python scripts/trace_traffic.py
 """
@@ -136,11 +138,13 @@ def executable_lines(path):
 
 def main():
     hits = set()
+    failed = False
     with ProcessPoolExecutor(WORKERS, initializer=_start_tracing) as pool:
         futures = [(job, pool.submit(_job, *job)) for job in JOBS]
         for (kind, name), future in futures:
             errors, seen = future.result()
             hits |= seen
+            failed |= bool(errors)
             status = "; ".join(errors) if errors else "ok"
             print(f"ran {kind} {name}: {status}", flush=True)
     total = 0
@@ -153,7 +157,8 @@ def main():
         for line in missed:
             print(f"  {line:4d}  {source[line - 1].strip()}")
     print(f"\n{total} executable lines not run")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

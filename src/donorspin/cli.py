@@ -14,7 +14,8 @@ import numpy as np
 from . import __version__
 from .io import (ManifestError, parse_keyvalues, parse_quantity, parse_angle,
                  parse_list, load_params, format_params, write_columns,
-                 _TIME_UNITS, _EFIELD_UNITS, _FREQ_UNITS, _LENGTH_UNITS)
+                 _TIME_UNITS, _EFIELD_UNITS, _FREQ_UNITS, _LENGTH_UNITS,
+                 _BFIELD_UNITS)
 from .model import (TWO_PI, SystemParams, qubit_splitting_approx)
 from .pulses import (make_cphase_schedule, make_rz_schedule, idle_frequencies,
                      make_rx_sweep_schedule, CPHASE_MIN_DURATION)
@@ -148,9 +149,9 @@ class Manifest:
         _check_output_path(self.output)
         self.params = (load_params(raw["params_file"])
                        if "params_file" in raw else SystemParams())
-        if kind == "sweep-echo-noise" or "sweep-echo" in self.values.get(
-                "variants", ()):
-            # every lambda table ends at lambda = 1: two points give theta_max
+        if "sweep-echo" in self.values.get("variants", ()):
+            # the sweep gate's theta_x rises all the way to lambda = 1, so
+            # a two-point table gives theta_max
             theta_max = calibrate_lambda(self.params, make_rx_sweep_schedule,
                                          n_points=2).theta_max()
             if max(self["thetas"]) > theta_max + 1e-9:
@@ -223,6 +224,13 @@ def run_rz_angle_curve(m: Manifest):
     return f"max angle gap = {gap:.4f} rad"
 
 
+def _noise_scan(m: Manifest, segments, target, frame, dt):
+    """(sigma, mean infidelity) of one gate at each manifest sigma."""
+    return [(sigma, run_noise_monte_carlo(
+        m.params, segments, target, NoiseModel(sigma, m["samples"], m["seed"]),
+        frame, dt).mean_infidelity) for sigma in m["sigmas"]]
+
+
 @experiment("rz-noise", angles=(_rz_angles, REQUIRED),
             sigmas=(_quantities(_EFIELD_UNITS, at_least=0.0), REQUIRED),
             samples=(_integer(1), 200), frame=(_name(*FRAMES), "effective"))
@@ -235,19 +243,20 @@ def run_rz_noise(m: Manifest):
             # a nonzero multiple of 2pi: one physical full turn, not T = 0
             T = rz_duration_for_angle(params, -2 * np.pi, frame=frame,
                                       unreduced=True)
-        sched = make_rz_schedule(params, T)
-        target = rz_matrix(theta)
-        for sigma in m["sigmas"]:
-            model = NoiseModel(sigma, m["samples"], m["seed"])
-            mc = run_noise_monte_carlo(params, sched, target, model, frame)
-            rows.append((theta, sigma, mc.mean_infidelity))
+        rows += [(theta, *row) for row in _noise_scan(
+            m, make_rz_schedule(params, T), rz_matrix(theta), frame, None)]
     write_columns(m.output, m.provenance(),
                   ("theta_rad", "sigma_V_per_m", "mean_infidelity"), rows)
     return f"{len(rows)} grid points"
 
 
-def _rx_noise_common(m: Manifest, variants):
-    params = m.params
+@experiment("rx-noise", thetas=(_x_angles, REQUIRED),
+            sigmas=(_quantities(_EFIELD_UNITS, at_least=0.0), REQUIRED),
+            samples=(_integer(1), 200),
+            variants=(_names("naive", "sweep", "sweep-echo"),
+                      ["naive", "sweep"]))
+def run_rx_noise(m: Manifest):
+    params, variants = m.params, m["variants"]
     sweep_cal = calibrate_lambda(params, make_rx_sweep_schedule)
     naive_cal = None
     rows = []
@@ -258,47 +267,19 @@ def _rx_noise_common(m: Manifest, variants):
             elif variant == "naive":
                 if naive_cal is None:
                     naive_cal = calibrate_lambda(params, naive_maker(params),
-                                                 n_points=21,
-                                                 truncate_at_peak=True)
+                                                 n_points=21)
                 gate = build_corrected_rx(params, theta, naive_cal,
                                           variant="naive")
             else:
                 gate = build_corrected_rx(params, theta, sweep_cal,
                                           variant="sweep")
-            for sigma in m["sigmas"]:
-                model = NoiseModel(sigma, m["samples"], m["seed"])
-                mc = run_noise_monte_carlo(params, gate.segments, gate.target,
-                                           model, dt=0.2e-9)
-                rows.append((float(variants.index(variant)), theta, sigma,
-                             mc.mean_infidelity))
-    return rows
-
-
-_RX_NOISE_FIELDS = dict(
-    thetas=(_x_angles, REQUIRED),
-    sigmas=(_quantities(_EFIELD_UNITS, at_least=0.0), REQUIRED),
-    samples=(_integer(1), 200))
-
-
-@experiment("rx-noise", **_RX_NOISE_FIELDS,
-            variants=(_names("naive", "sweep", "sweep-echo"),
-                      ["naive", "sweep"]))
-def run_rx_noise(m: Manifest):
-    variants = m["variants"]
-    rows = _rx_noise_common(m, variants)
+            rows += [(float(variants.index(variant)), theta, *row)
+                     for row in _noise_scan(m, gate.segments, gate.target,
+                                            "effective", 0.2e-9)]
     write_columns(m.output, m.provenance(),
                   ("variant_index", "theta_rad", "sigma_V_per_m",
                    "mean_infidelity"), rows)
     return f"variants {variants}, {len(rows)} grid points"
-
-
-@experiment("sweep-echo-noise", **_RX_NOISE_FIELDS)
-def run_sweep_echo_noise(m: Manifest):
-    rows = _rx_noise_common(m, ["sweep-echo"])
-    write_columns(m.output, m.provenance(),
-                  ("variant_index", "theta_rad", "sigma_V_per_m",
-                   "mean_infidelity"), rows)
-    return f"{len(rows)} grid points"
 
 
 @experiment("cphase-curve", points=(_integer(1), REQUIRED),
@@ -327,7 +308,7 @@ def run_cphase_curve(m: Manifest):
 
 @experiment("hprime-dump", dE=(_quantity(_EFIELD_UNITS), None),
             Ea=(_quantity(_EFIELD_UNITS), 0.0),
-            Ba=(_quantity({"t": 1.0, "mt": 1e-3}), 0.0),
+            Ba=(_quantity(_BFIELD_UNITS), 0.0),
             omega_E=(_quantity(_FREQ_UNITS), None),
             omega_B=(_quantity(_FREQ_UNITS), None))
 def run_hprime_dump(m: Manifest):

@@ -11,7 +11,7 @@ Rz(th) = exp(-i th sigma_z / 2), Rx(th) = exp(-i th sigma_x / 2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -386,12 +386,13 @@ class LambdaCalibration:
                             self.lambdas[i - 1], self.lambdas[i], xtol=1e-4))
 
 
-def calibrate_lambda(params: SystemParams, maker, n_points: int = 11,
-                     truncate_at_peak: bool = False) -> LambdaCalibration:
-    """Simulate theta_x across a lambda grid; checks monotone growth.
+def calibrate_lambda(params: SystemParams, maker,
+                     n_points: int = 11) -> LambdaCalibration:
+    """Simulate theta_x across a lambda grid up to its first fall.
 
-    With truncate_at_peak the table keeps only the rising branch (for
-    drive configurations whose net rotation saturates and folds back).
+    The table keeps the rising branch only: it stops before the first
+    lambda whose theta_x falls below the entry before it, as for a drive
+    whose net rotation saturates and folds back.
     """
 
     def measure(lam):
@@ -402,15 +403,10 @@ def calibrate_lambda(params: SystemParams, maker, n_points: int = 11,
     thetas = [0.0]
     for lam in lams[1:]:
         th = measure(lam)
-        if truncate_at_peak and th < thetas[-1]:
+        if th < thetas[-1]:
             break
         thetas.append(th)
-    thetas = np.array(thetas)
-    lams = lams[:len(thetas)]
-    if not (np.diff(thetas) > -1e-6).all():
-        raise RuntimeError("theta_x(lambda) is not monotone; calibration "
-                           "table rejected")
-    return LambdaCalibration(lams, thetas, measure)
+    return LambdaCalibration(lams[:len(thetas)], np.array(thetas), measure)
 
 
 def calibrate_naive_resonance(params: SystemParams) -> float:
@@ -484,8 +480,7 @@ class ComposedGate:
 
     segments: list
     target: np.ndarray
-    theta_x: float
-    info: dict = field(default_factory=dict)
+    info: dict
 
     @property
     def total_time(self) -> float:
@@ -524,7 +519,7 @@ def _wrap_with_correctives(params, core_segments, theta_x, info):
         c_pre -= r2
     info["corrective_pre"] = c_pre % (2 * np.pi)
     info["corrective_post"] = c_post % (2 * np.pi)
-    return ComposedGate(segments, rx_matrix(theta_x), theta_x, info)
+    return ComposedGate(segments, rx_matrix(theta_x), info)
 
 
 def build_corrected_rx(params: SystemParams, theta_x: float,
@@ -557,10 +552,6 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
         healthy = 0.8 * calibration.theta_max()
         n_seg = int(np.ceil(theta_x / healthy))
         phi = theta_x / n_seg
-        if phi > calibration.theta_max():
-            raise ValueError(
-                f"theta_x = {theta_x:.3f} not reachable with "
-                f"{n_seg} segments of at most {calibration.theta_max():.3f}")
         lam = calibration.lambda_for_theta(phi)
         seg = maker(params, lam)
         ang = _readout(params, [seg], CALIBRATION_FRAME)

@@ -25,8 +25,7 @@ def naive_omega_b(params):
 
 @pytest.fixture(scope="session")
 def naive_calibration(params):
-    return calibrate_lambda(params, naive_maker(params), n_points=21,
-                            truncate_at_peak=True)
+    return calibrate_lambda(params, naive_maker(params), n_points=21)
 
 
 @pytest.fixture(scope="session")

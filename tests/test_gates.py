@@ -158,6 +158,17 @@ class TestLambdaCalibration:
         for lam, theta in zip(cal.lambdas[1:], cal.thetas[1:]):
             assert cal.measure(lam) == theta
 
+    def test_table_stops_at_first_fall(self, naive_calibration):
+        # the parked gate's rotation folds back before full drive; the
+        # table keeps the rising branch and ends before the first fall
+        cal = naive_calibration
+        grid = np.linspace(0.0, 1.0, 21)
+        n = len(cal.thetas)
+        assert (np.diff(cal.thetas) > 0).all()
+        assert n < len(grid)
+        assert np.array_equal(cal.lambdas, grid[:n])
+        assert cal.measure(grid[n]) < cal.theta_max()
+
 
 class TestMonteCarlo:
     def test_zero_sigma_equals_zero_noise(self):

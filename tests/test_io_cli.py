@@ -233,6 +233,20 @@ class TestCliRuns:
         assert rows(flags) == rows(manifest)
         assert rows(flags) != rows(idle)
 
+    def test_hprime_dump_field_accepts_every_params_file_unit(self, tmp_path):
+        # Ba takes the B-field units of a params file, microtesla included
+        micro, milli = tmp_path / "uT.txt", tmp_path / "mT.txt"
+        assert main(["dump-hprime", "--output", str(micro),
+                     "--Ba", "500 uT"]) == 0
+        assert main(["dump-hprime", "--output", str(milli),
+                     "--Ba", "0.5 mT"]) == 0
+
+        def rows(path):
+            return [ln for ln in path.read_text().splitlines()
+                    if not ln.startswith("#")]
+
+        assert rows(micro) == rows(milli)
+
     def test_hprime_dump_bad_flag_exit_code(self, tmp_path, capsys):
         assert self._run(["dump-hprime", "--output", str(tmp_path / "hp.txt"),
                           "--omega_E", "fast"]) == 2
@@ -302,9 +316,10 @@ class TestCliRuns:
     ("kind = splitting-curve\npoints = 3\ndE_min = nan\n", "dE_min"),
     ("kind = splitting-curve\npoints = 3\ndE_min = inf V/m\n", "dE_min"),
     ("kind = rx-noise\nthetas = 0\nsigmas = 10 V/m\n", "thetas"),
-    ("kind = sweep-echo-noise\nthetas = 0\nsigmas = 10 V/m\n", "thetas"),
-    ("kind = sweep-echo-noise\nthetas = pi/2, pi\nsigmas = 10 V/m\n",
+    ("kind = rx-noise\nthetas = 0\nsigmas = 10 V/m\nvariants = sweep-echo\n",
      "thetas"),
+    ("kind = rx-noise\nthetas = pi/2, pi\nsigmas = 10 V/m\n"
+     "variants = sweep-echo\n", "thetas"),
     ("kind = rx-noise\nthetas = pi\nsigmas = 10 V/m\n"
      "variants = sweep, sweep-echo\n", "thetas"),
     ("kind = splitting-curve\npoints = 3\n"

@@ -27,8 +27,8 @@ SRC = ROOT / "src" / "donorspin"
 PROGRAMS = sorted([*(ROOT / "scripts").glob("*.py"),
                    ROOT / "benchmark" / "workloads.py"])
 TESTS = sorted((ROOT / "tests").glob("*.py"))
-OPTION_COUNT = 34          # defaulted function parameters in the package
-FIELD_COUNT = 14           # defaulted dataclass fields in the package
+OPTION_COUNT = 33          # defaulted function parameters in the package
+FIELD_COUNT = 13           # defaulted dataclass fields in the package
 
 # options that only tests set, with the reason
 TEST_REFERENCES = {
