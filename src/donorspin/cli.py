@@ -116,9 +116,10 @@ def experiment(kind, **fields):
 
 
 class Manifest:
-    """A manifest whose fields are parsed and range-checked at load."""
+    """A manifest whose fields are parsed and range-checked at load; a
+    relative params_file is read from the directory `base`."""
 
-    def __init__(self, raw: dict):
+    def __init__(self, raw: dict, base: Path):
         self.raw = dict(raw)
         kind = raw.get("kind")
         if kind not in EXPERIMENTS:
@@ -147,7 +148,7 @@ class Manifest:
             raise ManifestError("manifest is missing required field 'output'")
         self.output = raw["output"]
         _check_output_path(self.output)
-        self.params = (load_params(raw["params_file"])
+        self.params = (load_params(str(base / raw["params_file"]))
                        if "params_file" in raw else SystemParams())
         if "sweep-echo" in self.values.get("variants", ()):
             # the sweep gate's theta_x rises all the way to lambda = 1, so
@@ -180,7 +181,7 @@ def _check_output_path(path: str) -> None:
 
 def load_manifest(path: str) -> Manifest:
     with open(path) as fh:
-        return Manifest(parse_keyvalues(fh.read()))
+        return Manifest(parse_keyvalues(fh.read()), Path(path).parent)
 
 
 @experiment("splitting-curve", points=(_integer(1), REQUIRED),
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
             raw = {"kind": "hprime-dump", "output": args.output}
             raw.update((key, getattr(args, key)) for key in dump_keys
                        if getattr(args, key) is not None)
-            manifest = Manifest(raw)
+            manifest = Manifest(raw, Path())
         else:
             manifest = load_manifest(args.manifest)
         fn, _ = EXPERIMENTS[manifest.kind]

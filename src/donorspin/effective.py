@@ -18,13 +18,18 @@ column-block state rotating at shift s_c into a row-block one at s_r, i.e.
 frequency s_c - s_r; this orientation is pinned by the static-sample
 propagation test against the exact rotating-frame evolution.
 
-Internally every matrix is a fixed operator basis contracted with
-sample-dependent real coefficients, so batches of envelope samples
-assemble in single einsum passes. The basis operators have real matrix
-elements, so H' is real symmetric.
+Internally every matrix is a fixed operator basis weighted by
+sample-dependent real coefficients. The basis operators have real matrix
+elements, so H' is real symmetric. The harmonics have 31 nonzero entries
+in all, so the second-order sum runs over index maps built once from the
+operator supports: the 62 coupled entries of the eight shifted blocks,
+the 32 pairs of them that share a column of one block, and the 17
+off-diagonal upper-triangle targets those pairs reach. Each call is a few
+small matrix products over all samples at once, sample axis last.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +93,65 @@ _OP_STACKS = {(1, 0): _M_WE, (2, 0): _M_2WE, (0, 2): _M_2WB,
               (-1, 2): _M_2WBME}
 _SUPPORTS = {label: (np.abs(stack).sum(axis=0) > 1e-12)
              for label, stack in _OP_STACKS.items()}
-_SUPPORTS_DAG = {label: supp.T for label, supp in _SUPPORTS.items()}
+
+# rows of each label's coefficients in the stacked harmonic coefficients
+_HARM_ROWS = {label: slice(end - len(_OP_STACKS[label]), end)
+              for label, end in zip(COMPONENT_LABELS, np.cumsum(
+                  [len(_OP_STACKS[label]) for label in COMPONENT_LABELS]))}
+
+
+@functools.cache
+def _coupling_maps(live):
+    """Index maps of the second-order sum over the coupled entries of the
+    shifted blocks whose harmonic label is in `live`.
+
+    Entry e = (i, j) of block (nE, nB) couples target state i to the
+    shifted state j through v_e = V[i, j], V the harmonic of that label or
+    the transpose of the opposite one (all real), across the gap
+    diag0[i] - diag0[j] - shift. With w = v / gap, the second-order term
+    H2[m, m'] = (1/2) sum of (w_a v_b + v_a w_b) over the entry pairs
+    (a, b) in one column of one block with rows (m, m'). A pair a = b
+    gives w_a v_a on the diagonal; a pair a < b has two different rows
+    and gives one product with weight 1/2 on the upper triangle, mirrored
+    onto the lower one.
+
+    Returns (vmat, gmat, shifts, rowsum, (a, b), red, upper, lower): v =
+    vmat @ harmonic coefficients, gap = gmat @ c0 - shifts @ (wE, wB),
+    the (8, E) row sums of w v, the pairs a < b, the (T, P) 1/2 weights
+    of their products on the T upper-triangle targets, and the targets'
+    flat indices.
+    """
+    diag = _M0[:, np.arange(DIM), np.arange(DIM)]             # (9, 8)
+    n_harm = sum(len(stack) for stack in _OP_STACKS.values())
+    vmat, gmat, shifts, rows, cols = [], [], [], [], []
+    for block, (nE, nB) in enumerate(BLOCK_SHIFTS):
+        label = (nE, nB) if (nE, nB) in _OP_STACKS else (-nE, -nB)
+        if label not in live:
+            continue
+        stack, supp = _OP_STACKS[label], _SUPPORTS[label]
+        if label != (nE, nB):
+            stack, supp = stack.swapaxes(-1, -2), supp.T
+        for i, j in zip(*np.nonzero(supp)):
+            vmat.append(np.zeros(n_harm))
+            vmat[-1][_HARM_ROWS[label]] = stack[:, i, j]
+            gmat.append(diag[:, i] - diag[:, j])
+            shifts.append((nE, nB))
+            rows.append(i)
+            cols.append((block, j))
+    rowsum = np.zeros((DIM, len(rows)))
+    rowsum[rows, np.arange(len(rows))] = 1.0
+    pairs = [(a, b) for a in range(len(rows)) for b in range(a + 1, len(rows))
+             if cols[a] == cols[b]]
+    targets = sorted({(rows[a], rows[b]) for a, b in pairs})
+    red = np.zeros((len(targets), len(pairs)))
+    for p, (a, b) in enumerate(pairs):
+        red[targets.index((rows[a], rows[b])), p] = 0.5
+    upper = np.array([i * DIM + j for i, j in targets], dtype=int)
+    lower = np.array([j * DIM + i for i, j in targets], dtype=int)
+    return (np.reshape(vmat, (-1, n_harm)),
+            np.reshape(gmat, (-1, len(_M0))),
+            np.reshape(shifts, (-1, 2)).astype(int), rowsum,
+            np.array(pairs, dtype=int).reshape(-1, 2).T, red, upper, lower)
 
 
 def _samples(params: SystemParams, dE, Ea, Ba):
@@ -102,6 +165,7 @@ def _samples(params: SystemParams, dE, Ea, Ba):
 
 
 def _coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B):
+    """(9, ...) coefficients of the _M0 operators."""
     gez = params.B0 * params.gamma_e
     A = params.hyperfine_A
     one = np.ones_like(e0)
@@ -115,30 +179,28 @@ def _coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B):
         A / 2 * one,
         -A * c / 2,
         -A * s / 4,
-    ], axis=-1)
+    ])
 
 
 def _coeffs_harmonics(params, e0, c, s, dE, Ea, Ba):
+    """(10, ...) coefficients of the harmonic operators, label by label in
+    COMPONENT_LABELS order."""
     gez = params.B0 * params.gamma_e
     A = params.hyperfine_A
     de = params.de_over_hbar
     one = np.ones_like(e0)
-    c_we = np.stack([
-        A / 4 * one,
+    return np.stack([
+        A / 4 * one,                              # (1, 0)
         -A * c / 4,
         -Ba * params.gamma_n / 4 * one,
         -A * s / 2,
         -gez * params.delta_gamma * s / 2,
         -de**2 * dE * Ea / (4 * e0),
-    ], axis=-1)
-    c_2we = np.stack([-A * s / 4, -de * Ea * s / 4 * one], axis=-1)
-    c_2wb = (Ba * params.gamma_e / 4 * one)[..., None]
-    c_2wbme = (-Ba * params.gamma_n / 4 * one)[..., None]
-    return {(1, 0): c_we, (2, 0): c_2we, (0, 2): c_2wb, (-1, 2): c_2wbme}
-
-
-def _assemble(coeffs, stack):
-    return np.einsum("...k,kij->...ij", coeffs, stack)
+        -A * s / 4,                               # (2, 0)
+        -de * Ea * s / 4 * one,
+        Ba * params.gamma_e / 4 * one,            # (0, 2)
+        -Ba * params.gamma_n / 4 * one,           # (-1, 2)
+    ])
 
 
 def rwa_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
@@ -147,7 +209,8 @@ def rwa_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
     Broadcasts over leading array dimensions of dE, Ea and Ba.
     """
     e0, c, s, _, Ea, Ba = _samples(params, dE, Ea, Ba)
-    return _assemble(_coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B), _M0)
+    return np.tensordot(_coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B),
+                        _M0, axes=(0, 0))
 
 
 def frequency_components(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
@@ -158,8 +221,9 @@ def frequency_components(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
     """
     coeffs = _coeffs_harmonics(params, *_samples(params, dE, Ea, Ba))
     return [FrequencyComponent(label, label[0] * omega_E + label[1] * omega_B,
-                               _assemble(coeffs[label], _OP_STACKS[label]))
-            for label in COMPONENT_LABELS]
+                               np.tensordot(coeffs[rows], _OP_STACKS[label],
+                                            axes=(0, 0)))
+            for label, rows in _HARM_ROWS.items()]
 
 
 def effective_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
@@ -168,39 +232,37 @@ def effective_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
 
     The second-order reduction of the central Floquet block, built straight
     from the harmonics: only the central-row blocks and the diagonal shifts
-    contribute there, so no 72x72 matrix is formed. Raises
-    NearDegeneracyError when a coupled state of a shifted block lies within
-    DEGENERACY_GUARD of the target block.
+    contribute there, so no 72x72 matrix is formed, and the sum runs over
+    the coupled entries of those blocks only (see _coupling_maps). A label
+    whose coefficients all stay below COUPLING_FLOOR in this call couples
+    nothing. Raises NearDegeneracyError when a coupled state of a shifted
+    block lies within DEGENERACY_GUARD of the target block.
     """
     e0, c, s, dE, Ea, Ba = _samples(params, dE, Ea, Ba)
-    comp0 = _assemble(_coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B),
-                      _M0)
-    harm = _coeffs_harmonics(params, e0, c, s, dE, Ea, Ba)
-    diag0 = comp0[..., np.arange(DIM), np.arange(DIM)]
-    Vmats = {label: _assemble(coeffs, _OP_STACKS[label])
-             for label, coeffs in harm.items()
-             if np.abs(coeffs).max() >= COUPLING_FLOOR}
-    acc = np.zeros_like(comp0)
-    for (nE, nB) in BLOCK_SHIFTS:
-        if (nE, nB) in Vmats:
-            V, supp = Vmats[(nE, nB)], _SUPPORTS[(nE, nB)]
-        elif (-nE, -nB) in Vmats:
-            V = Vmats[(-nE, -nB)].conj().swapaxes(-1, -2)
-            supp = _SUPPORTS_DAG[(-nE, -nB)]
-        else:
-            continue
-        shift = nE * omega_E + nB * omega_B
-        gap = diag0[..., :, None] - (diag0[..., None, :] + shift)
-        gsup = np.abs(gap[..., supp])
-        if gsup.size and float(gsup.min()) < DEGENERACY_GUARD:
-            raise NearDegeneracyError(
-                f"a Floquet state in the ({nE},{nB}) block lies within "
-                f"{DEGENERACY_GUARD/(2*np.pi):.2e} Hz of the target block "
-                "while coupled; the perturbative reduction is invalid here")
-        D = np.where(supp, 1.0, 0.0) / np.where(supp, gap, 1.0)
-        acc = acc + (V * D) @ V.conj().swapaxes(-1, -2)
-    H2 = 0.5 * (acc + acc.conj().swapaxes(-1, -2))
-    return comp0 + H2
+    c0 = _coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B)
+    c0 = c0.reshape(len(c0), -1)
+    ch = _coeffs_harmonics(params, e0, c, s, dE, Ea, Ba)
+    ch = ch.reshape(len(ch), -1)
+    live = tuple(label for label, rows in _HARM_ROWS.items()
+                 if np.abs(ch[rows]).max(initial=0.0) >= COUPLING_FLOOR)
+    vmat, gmat, shifts, rowsum, (a, b), red, upper, lower = \
+        _coupling_maps(live)
+    # sample axis last: every gather below copies whole rows
+    v = vmat @ ch
+    gap = gmat @ c0 - (shifts @ (omega_E, omega_B))[:, None]
+    near = np.abs(gap).min(axis=1, initial=np.inf) < DEGENERACY_GUARD
+    if near.any():
+        raise NearDegeneracyError(
+            "a Floquet state in the (%d,%d) block lies within %.2e Hz of the "
+            "target block while coupled; the perturbative reduction is invalid "
+            "here" % (*shifts[near.argmax()], DEGENERACY_GUARD / (2 * np.pi)))
+    w = v / gap
+    H = _M0.reshape(len(_M0), -1).T @ c0
+    H[::DIM + 1] += rowsum @ (w * v)          # the diagonal entries
+    H2 = red @ (w[a] * v[b] + v[a] * w[b])
+    H[upper] += H2
+    H[lower] += H2
+    return H.T.reshape(e0.shape + (DIM, DIM))
 
 
 def hprime_text(params: SystemParams, dE, Ea, Ba, omega_E, omega_B) -> str:

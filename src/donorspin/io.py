@@ -14,14 +14,20 @@ import numpy as np
 
 from .model import TWO_PI, SystemParams
 
-_FREQ_UNITS = {"hz": TWO_PI, "khz": TWO_PI * 1e3, "mhz": TWO_PI * 1e6,
-               "ghz": TWO_PI * 1e9, "rad/s": 1.0}
-_GYRO_UNITS = {"hz/t": TWO_PI, "khz/t": TWO_PI * 1e3, "mhz/t": TWO_PI * 1e6,
-               "ghz/t": TWO_PI * 1e9, "rad/s/t": 1.0}
-_LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
-_TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12}
-_EFIELD_UNITS = {"v/m": 1.0, "kv/m": 1e3, "mv/m": 1e-3}
-_BFIELD_UNITS = {"t": 1.0, "mt": 1e-3, "ut": 1e-6}
+# a unit is (power of ten, factor): the value is scaled by the power of
+# ten in one correctly rounded operation, a division by an exact power for
+# a sub-unit (15 nm is 15 / 1e9 m, the literal 15e-9), then multiplied by
+# the factor (2 pi for angular frequencies, as in TWO_PI * 117e6)
+_FREQ_UNITS = {"hz": (0, TWO_PI), "khz": (3, TWO_PI), "mhz": (6, TWO_PI),
+               "ghz": (9, TWO_PI), "rad/s": (0, 1.0)}
+_GYRO_UNITS = {"hz/t": (0, TWO_PI), "khz/t": (3, TWO_PI),
+               "mhz/t": (6, TWO_PI), "ghz/t": (9, TWO_PI), "rad/s/t": (0, 1.0)}
+_LENGTH_UNITS = {"m": (0, 1.0), "mm": (-3, 1.0), "um": (-6, 1.0),
+                 "nm": (-9, 1.0)}
+_TIME_UNITS = {"s": (0, 1.0), "ms": (-3, 1.0), "us": (-6, 1.0),
+               "ns": (-9, 1.0), "ps": (-12, 1.0)}
+_EFIELD_UNITS = {"v/m": (0, 1.0), "kv/m": (3, 1.0), "mv/m": (-3, 1.0)}
+_BFIELD_UNITS = {"t": (0, 1.0), "mt": (-3, 1.0), "ut": (-6, 1.0)}
 
 PARAM_UNITS = {
     "hyperfine_A": _FREQ_UNITS,
@@ -78,7 +84,9 @@ def parse_quantity(text: str, units: dict | None, field: str) -> float:
     if len(unit) > 1 or unit[0].lower() not in units:
         raise ManifestError(f"field {field!r}: unknown unit {' '.join(unit)!r} "
                             f"(expected one of {sorted(units)})")
-    return _finite(value * units[unit[0].lower()], text, field)
+    power, factor = units[unit[0].lower()]
+    scaled = value * 10.0**power if power >= 0 else value / 10.0**-power
+    return _finite(scaled * factor, text, field)
 
 
 def parse_angle(text: str, field: str) -> float:

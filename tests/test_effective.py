@@ -8,8 +8,11 @@ from donorspin.effective import (rwa_hamiltonian, frequency_components,
                                  effective_hamiltonian, NearDegeneracyError,
                                  BLOCK_SHIFTS, hprime_text)
 from donorspin.pulses import (make_rx_sweep_schedule, make_rz_schedule,
-                              sweep_drive_frequencies, idle_frequencies)
-from donorspin.propagation import evolve
+                              make_echo_rz_schedule, make_cphase_schedule,
+                              make_idle_schedule, sweep_drive_frequencies,
+                              idle_frequencies)
+from donorspin.propagation import evolve, _effective_h_stack, _sectors
+from donorspin.twoqubit import TwoQubitLayout, _pair_h_stack
 from floquet_oracle import (reconstruct_rotating_hamiltonian,
                             exact_rotating_hamiltonian, floquet_hamiltonian,
                             build_floquet_block, CENTRAL_BLOCK)
@@ -219,8 +222,11 @@ class TestSchriefferWolff:
         # a magnetic drive at the nuclear-scale frequency parks a coupled
         # shifted replica right on the target block
         wB_deg = P.B0 * P.gamma_n + P.hyperfine_A / 4
-        with pytest.raises(NearDegeneracyError):
-            effective_hamiltonian(P, 0.0, 0.0, 1e-3, W_E, wB_deg)
+        # the message names the shifted block, for one sample or a batch
+        for dE in (0.0, np.linspace(-100.0, 100.0, 5)):
+            with pytest.raises(NearDegeneracyError,
+                               match=r"the \(-1,0\) block"):
+                effective_hamiltonian(P, dE, 0.0, 1e-3, W_E, wB_deg)
 
     def test_two_photon_crossing_is_third_order_and_unguarded(self):
         # at eps0 = 2 omega_E the degenerate replicas carry no second-order
@@ -278,3 +284,62 @@ def test_hprime_dump_structure():
     idx = np.unravel_index(np.argmax(np.abs(off)), off.shape)
     assert {int(idx[0]), int(idx[1])} == {2, 5}
     assert np.abs(np.diag(grid)).max() > 10 * np.abs(off).max()
+
+
+# pulses whose batched H' is pinned to the 72x72 oracle: (schedule, dE
+# offsets added to its field envelope)
+ORACLE_PULSES = {
+    "sweep": (make_rx_sweep_schedule(P, 1.0), np.array([-300.0, 0.0, 300.0])),
+    "echo": (make_echo_rz_schedule(P, 20e-9), np.zeros(1)),
+    "rz": (make_rz_schedule(P, 20e-9), np.zeros(1)),
+    "cphase": (make_cphase_schedule(P, 400e-9), np.zeros(1)),
+}
+
+
+class TestSparseReduction:
+    """The sum over the coupled entries against the full Floquet build,
+    and the shapes and zero patterns its callers rely on."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PULSES))
+    def test_batched_matches_full_floquet_oracle(self, name):
+        sched, offsets = ORACLE_PULSES[name]
+        ts = np.linspace(0, sched.total_time, 20)
+        dE, Ea, Ba = sched.sample(ts)
+        args = (P, dE[:, None] + offsets, np.asarray(Ea)[:, None],
+                np.asarray(Ba)[:, None], sched.omega_E, sched.omega_B)
+        fast = effective_hamiltonian(*args)
+        full = build_floquet_block(*args).effective_hamiltonian
+        assert fast.shape == (20, len(offsets), DIM, DIM)
+        assert np.abs(fast - full).max() < 1e-12 * np.abs(full).max()
+
+    def test_scalar_and_batched_shapes(self):
+        single = effective_hamiltonian(P, -1700.0, 120.0, 10e-3, W_E, W_B)
+        assert single.shape == (DIM, DIM)
+        dEs = np.linspace(-1700.0, 1700.0, 4)[:, None] + np.zeros(3)
+        batch = effective_hamiltonian(P, dEs, 120.0, 10e-3, W_E, W_B)
+        assert batch.shape == (4, 3, DIM, DIM)
+        assert np.abs(batch[0, 2] - single).max() < 1e-12 * np.abs(single).max()
+
+    @pytest.mark.parametrize("name, split", [
+        ("rz", [[[0], [1], [3], [4], [6], [7]], [[2, 5]]]),
+        ("echo", [[[0], [1], [3], [4], [6], [7]], [[2, 5]]]),
+        ("idle", [[[0], [1], [3], [4], [6], [7]], [[2, 5]]]),
+        ("cphase", [[[0, 4], [3, 7]], [[1, 2, 5, 6]]]),
+        ("sweep", [[list(range(DIM))]]),
+    ])
+    def test_stacks_keep_their_sector_split(self, name, split):
+        # propagate steps each sector of the exact nonzero pattern on its
+        # own: one stray round-off entry would merge sectors
+        sched = (make_idle_schedule(P, 20e-9) if name == "idle"
+                 else ORACLE_PULSES[name][0])
+        ts = np.linspace(0, sched.total_time, 50)
+        H = _effective_h_stack(P, sched, ts, np.array([-30.0, 0.0, 30.0]))
+        assert [g.tolist() for g in _sectors(H)] == split
+
+    def test_pair_stack_keeps_its_sector_split(self):
+        # the 64-dim CZ run stays off the dense path: sectors of 4, 8, 16
+        sched = ORACLE_PULSES["cphase"][0]
+        ts = np.linspace(0, sched.total_time, 50)
+        layout = TwoQubitLayout(params_1=P, params_2=P)
+        groups = _sectors(_pair_h_stack(layout, sched, ts, (0.0, 0.0)))
+        assert [g.shape for g in groups] == [(4, 4), (4, 8), (1, 16)]

@@ -9,12 +9,12 @@ import pytest
 from donorspin.io import (ManifestError, parse_keyvalues, parse_quantity,
                           parse_angle, load_params, format_params,
                           write_columns, read_columns, _FREQ_UNITS,
-                          _EFIELD_UNITS, _TIME_UNITS)
+                          _EFIELD_UNITS, _TIME_UNITS, _LENGTH_UNITS)
 from donorspin.model import TWO_PI, SystemParams
 from donorspin.cli import Manifest, load_manifest, EXPERIMENTS, main
 
-MANIFESTS = sorted((Path(__file__).resolve().parent.parent
-                    / "manifests").glob("*.txt"))
+MANIFEST_DIR = Path(__file__).resolve().parent.parent / "manifests"
+MANIFESTS = sorted(MANIFEST_DIR.glob("*.txt"))
 
 PARAM_TEXT = """
 # reference device
@@ -86,6 +86,27 @@ class TestParsing:
         assert main(["validate", str(man)]) == 0
         assert load_manifest(str(man)).params.B0 == 0.25
 
+    def test_shipped_params_file_is_the_reference_device(self):
+        # sub-unit scales divide by an exact power of ten: 15 nm is the
+        # literal 15e-9
+        assert load_params(str(MANIFEST_DIR / "device.params")) == \
+            SystemParams()
+        assert parse_quantity("15 nm", _LENGTH_UNITS, "d") == 15e-9
+        assert parse_quantity("150 ns", _TIME_UNITS, "t") == 150e-9
+
+    def test_relative_params_file_is_read_beside_the_manifest(
+            self, tmp_path, monkeypatch):
+        folder = tmp_path / "run"
+        folder.mkdir()
+        (folder / "device.params").write_text(
+            PARAM_TEXT.replace("B0 = 0.2 T", "B0 = 0.25 T"))
+        man = folder / "m.txt"
+        man.write_text("kind = splitting-curve\npoints = 3\n"
+                       "params_file = device.params\noutput = x\n")
+        monkeypatch.chdir(tmp_path)
+        assert load_manifest(str(man)).params.B0 == 0.25
+        assert main(["validate", str(man)]) == 0
+
     def test_keyvalue_bad_line(self):
         with pytest.raises(ManifestError, match="line 1"):
             parse_keyvalues("not a key value line")
@@ -94,20 +115,20 @@ class TestParsing:
 class TestManifest:
     def test_unknown_kind(self):
         with pytest.raises(ManifestError, match="kind"):
-            Manifest({"kind": "teleport", "output": "x"})
+            Manifest({"kind": "teleport", "output": "x"}, Path())
 
     def test_missing_required_field_named(self):
         with pytest.raises(ManifestError, match="'points'"):
-            Manifest({"kind": "splitting-curve", "output": "x"})
+            Manifest({"kind": "splitting-curve", "output": "x"}, Path())
 
     def test_unknown_field_named(self):
         with pytest.raises(ManifestError, match="'froop'"):
             Manifest({"kind": "splitting-curve", "output": "x",
-                      "points": "5", "froop": "1"})
+                      "points": "5", "froop": "1"}, Path())
 
     def test_missing_output(self):
         with pytest.raises(ManifestError, match="output"):
-            Manifest({"kind": "splitting-curve", "points": "5"})
+            Manifest({"kind": "splitting-curve", "points": "5"}, Path())
 
 
 class TestColumns:
@@ -246,6 +267,23 @@ class TestCliRuns:
                     if not ln.startswith("#")]
 
         assert rows(micro) == rows(milli)
+
+    def test_shipped_hprime_dump_reads_the_reference_device(
+            self, tmp_path, monkeypatch):
+        # the manifest reads device.params beside it, from any directory,
+        # and writes the rows of the built-in defaults
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(MANIFEST_DIR / "hprime_dump.txt")]) == 0
+        shipped = tmp_path / "out" / "hprime_idle.txt"
+        assert "# params_file = device.params" in shipped.read_text()
+        defaults = tmp_path / "defaults.txt"
+        assert main(["dump-hprime", "--output", str(defaults)]) == 0
+
+        def rows(path):
+            return [ln for ln in path.read_text().splitlines()
+                    if not ln.startswith("#")]
+
+        assert rows(shipped) == rows(defaults)
 
     def test_hprime_dump_bad_flag_exit_code(self, tmp_path, capsys):
         assert self._run(["dump-hprime", "--output", str(tmp_path / "hp.txt"),
