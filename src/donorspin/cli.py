@@ -1,7 +1,7 @@
 """Experiment runner: validates a manifest, runs the named experiment and
 emits columnar data with full provenance.
 
-Verbs: run <manifest>, validate <manifest>, dump-hprime, list-experiments.
+Verbs: run <manifest>, validate <manifest>, list-experiments.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .io import (ManifestError, parse_keyvalues, parse_quantity, parse_angle,
 from .model import (TWO_PI, SystemParams, qubit_splitting_approx)
 from .pulses import (make_cphase_schedule, make_rz_schedule, idle_frequencies,
                      make_rx_sweep_schedule, CPHASE_MIN_DURATION)
-from .propagation import FRAMES, lab_hamiltonian
+from .propagation import lab_hamiltonian
 from .gates import (predict_rz_angle, simulate_rz_angle, rz_duration_for_angle,
                     NoiseModel, run_noise_monte_carlo, rz_matrix,
                     calibrate_lambda, build_corrected_rx, build_sweep_echo_rx,
@@ -103,14 +103,11 @@ def _flag(text, key):
     return value in ("yes", "true", "1")
 
 
-COMMON_FIELDS = {"seed": (_integer(0), 0)}
-
-
 def experiment(kind, **fields):
     """Register an experiment with its manifest fields, each given as
     name=(parser, default); a default of REQUIRED makes the field required."""
     def wrap(fn):
-        EXPERIMENTS[kind] = (fn, {**COMMON_FIELDS, **fields})
+        EXPERIMENTS[kind] = (fn, fields)
         return fn
     return wrap
 
@@ -207,15 +204,14 @@ def run_splitting_curve(m: Manifest):
 
 @experiment("rz-angle-curve", points=(_integer(1), REQUIRED),
             t_min=(_quantity(_TIME_UNITS, above=0.0), 2e-9),
-            t_max=(_quantity(_TIME_UNITS, above=0.0), 25e-9),
-            frame=(_name(*FRAMES), "effective"))
+            t_max=(_quantity(_TIME_UNITS, above=0.0), 25e-9))
 def run_rz_angle_curve(m: Manifest):
     grid = np.linspace(m["t_min"], m["t_max"], m["points"])
     params = m.params
 
     def one(T):
         pred, _ = predict_rz_angle(params, T)
-        sim = simulate_rz_angle(params, T, frame=m["frame"])
+        sim = simulate_rz_angle(params, T)
         return T, sim, pred
 
     rows = [one(T) for T in grid]
@@ -225,27 +221,26 @@ def run_rz_angle_curve(m: Manifest):
     return f"max angle gap = {gap:.4f} rad"
 
 
-def _noise_scan(m: Manifest, segments, target, frame, dt):
+def _noise_scan(m: Manifest, segments, target, dt):
     """(sigma, mean infidelity) of one gate at each manifest sigma."""
     return [(sigma, run_noise_monte_carlo(
         m.params, segments, target, NoiseModel(sigma, m["samples"], m["seed"]),
-        frame, dt).mean_infidelity) for sigma in m["sigmas"]]
+        dt).mean_infidelity) for sigma in m["sigmas"]]
 
 
 @experiment("rz-noise", angles=(_rz_angles, REQUIRED),
             sigmas=(_quantities(_EFIELD_UNITS, at_least=0.0), REQUIRED),
-            samples=(_integer(1), 200), frame=(_name(*FRAMES), "effective"))
+            samples=(_integer(1), 200), seed=(_integer(0), 0))
 def run_rz_noise(m: Manifest):
-    params, frame = m.params, m["frame"]
+    params = m.params
     rows = []
     for theta in m["angles"]:
-        T = rz_duration_for_angle(params, theta, frame=frame)
+        T = rz_duration_for_angle(params, theta)
         if T == 0.0:
             # a nonzero multiple of 2pi: one physical full turn, not T = 0
-            T = rz_duration_for_angle(params, -2 * np.pi, frame=frame,
-                                      unreduced=True)
+            T = rz_duration_for_angle(params, -2 * np.pi, unreduced=True)
         rows += [(theta, *row) for row in _noise_scan(
-            m, make_rz_schedule(params, T), rz_matrix(theta), frame, None)]
+            m, make_rz_schedule(params, T), rz_matrix(theta), None)]
     write_columns(m.output, m.provenance(),
                   ("theta_rad", "sigma_V_per_m", "mean_infidelity"), rows)
     return f"{len(rows)} grid points"
@@ -253,7 +248,7 @@ def run_rz_noise(m: Manifest):
 
 @experiment("rx-noise", thetas=(_x_angles, REQUIRED),
             sigmas=(_quantities(_EFIELD_UNITS, at_least=0.0), REQUIRED),
-            samples=(_integer(1), 200),
+            samples=(_integer(1), 200), seed=(_integer(0), 0),
             variants=(_names("naive", "sweep", "sweep-echo"),
                       ["naive", "sweep"]))
 def run_rx_noise(m: Manifest):
@@ -276,7 +271,7 @@ def run_rx_noise(m: Manifest):
                                           variant="sweep")
             rows += [(float(variants.index(variant)), theta, *row)
                      for row in _noise_scan(m, gate.segments, gate.target,
-                                            "effective", 0.2e-9)]
+                                            0.2e-9)]
     write_columns(m.output, m.provenance(),
                   ("variant_index", "theta_rad", "sigma_V_per_m",
                    "mean_infidelity"), rows)
@@ -334,13 +329,6 @@ def main(argv=None) -> int:
     p_run.add_argument("manifest")
     p_val = sub.add_parser("validate", help="check a manifest without running")
     p_val.add_argument("manifest")
-    p_dump = sub.add_parser("dump-hprime",
-                            help="write H' at given envelope values")
-    p_dump.add_argument("--output", default="hprime.txt")
-    _, dump_fields = EXPERIMENTS["hprime-dump"]
-    dump_keys = [key for key in dump_fields if key not in COMMON_FIELDS]
-    for key in dump_keys:
-        p_dump.add_argument(f"--{key}", help=f"hprime-dump field {key}")
     sub.add_parser("list-experiments", help="show known experiment kinds")
     args = parser.parse_args(argv)
 
@@ -351,17 +339,10 @@ def main(argv=None) -> int:
                 optional = [k for k in fields if k not in required]
                 print(f"{kind}: required {required}, optional {optional}")
             return 0
+        manifest = load_manifest(args.manifest)
         if args.verb == "validate":
-            load_manifest(args.manifest)
             print("manifest is valid")
             return 0
-        if args.verb == "dump-hprime":
-            raw = {"kind": "hprime-dump", "output": args.output}
-            raw.update((key, getattr(args, key)) for key in dump_keys
-                       if getattr(args, key) is not None)
-            manifest = Manifest(raw, Path())
-        else:
-            manifest = load_manifest(args.manifest)
         fn, _ = EXPERIMENTS[manifest.kind]
         Path(manifest.output).parent.mkdir(parents=True, exist_ok=True)
         note = fn(manifest)

@@ -10,8 +10,9 @@ The 72x72 multi-frequency Floquet matrix (nine blocks, one order per
 frequency) reduces to its central 8x8 block through second-order
 quasi-degenerate perturbation theory, giving the static effective
 Hamiltonian H' that drives the fast simulation path. `effective_hamiltonian`
-computes that block straight from the harmonics; the full 72x72 build is
-kept as a test oracle (tests/floquet_oracle.py).
+computes that block straight from the harmonics' coefficients; C_0, the
+C_j as matrices and the full 72x72 build are kept as a test oracle
+(tests/floquet_oracle.py).
 
 The harmonic attached to the block coupling row r to column c converts a
 column-block state rotating at shift s_c into a row-block one at s_r, i.e.
@@ -30,7 +31,6 @@ small matrix products over all samples at once, sample axis last.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,13 +51,6 @@ COUPLING_FLOOR = 2 * np.pi * 1e-3         # ignore couplings below ~mHz
 class NearDegeneracyError(RuntimeError):
     """A coupled Floquet state is too close to the target block for the
     second-order reduction to be trusted."""
-
-
-@dataclass(frozen=True)
-class FrequencyComponent:
-    label: tuple            # (nE, nB)
-    frequency: float        # rad/s
-    matrix: np.ndarray      # coefficient of exp(-i*frequency*t)
 
 
 # fixed operator stacks; comp0 terms are Hermitian, harmonic terms are not
@@ -201,29 +194,6 @@ def _coeffs_harmonics(params, e0, c, s, dE, Ea, Ba):
         Ba * params.gamma_e / 4 * one,            # (0, 2)
         -Ba * params.gamma_n / 4 * one,           # (-1, 2)
     ])
-
-
-def rwa_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
-    """Static rotating-frame Hamiltonian H~0 (instantaneous envelopes).
-
-    Broadcasts over leading array dimensions of dE, Ea and Ba.
-    """
-    e0, c, s, _, Ea, Ba = _samples(params, dE, Ea, Ba)
-    return np.tensordot(_coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B),
-                        _M0, axes=(0, 0))
-
-
-def frequency_components(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
-    """The four positive-frequency harmonics of H~(t) (exact).
-
-    Each returned matrix multiplies exp(-i*frequency*t); negative-frequency
-    harmonics are the Hermitian conjugates.
-    """
-    coeffs = _coeffs_harmonics(params, *_samples(params, dE, Ea, Ba))
-    return [FrequencyComponent(label, label[0] * omega_E + label[1] * omega_B,
-                               np.tensordot(coeffs[rows], _OP_STACKS[label],
-                                            axes=(0, 0)))
-            for label, rows in _HARM_ROWS.items()]
 
 
 def effective_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):

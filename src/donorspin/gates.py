@@ -3,9 +3,10 @@ composite noise-resistant X gate.
 
 Gates are defined in the idling frame: the phases a qubit accumulates while
 parked at the idling point are divided out, so idling maps to the identity.
-Calibrations and gate builders run in the effective frame (H'); the lab
-frame enters through `evolve`, `composite_qubit_block` and
-`run_noise_monte_carlo`, which check the calibrated gates against it.
+Calibrations, gate builders and the noise Monte Carlo run in the
+effective frame (H'); the lab frame enters through `evolve`,
+`evolve_segments` and `composite_qubit_block`, which check the calibrated
+gates against it.
 All 2x2 gates use the (up~, dn~) ordering with sigma_z = diag(+1, -1) and
 Rz(th) = exp(-i th sigma_z / 2), Rx(th) = exp(-i th sigma_x / 2).
 """
@@ -63,9 +64,6 @@ class EulerAngles:
     theta_z1: float
     theta_x: float
     theta_z2: float
-
-    def compose(self) -> np.ndarray:
-        return rz_matrix(self.theta_z1) @ rx_matrix(self.theta_x) @ rz_matrix(self.theta_z2)
 
 
 def euler_decompose(gate: QubitGate) -> EulerAngles:
@@ -182,15 +180,13 @@ def predict_rz_angle(params: SystemParams, T: float):
     return theta % (2 * np.pi), theta
 
 
-def simulate_rz_angle(params: SystemParams, T: float,
-                      frame: str = "effective") -> float:
+def simulate_rz_angle(params: SystemParams, T: float) -> float:
     """Extracted Z angle (mod 2pi) of the Rz schedule of duration T."""
-    angles = _readout(params, [make_rz_schedule(params, T)], frame)
+    angles = _readout(params, [make_rz_schedule(params, T)])
     return angles.theta_z1 % (2 * np.pi)
 
 
 def rz_duration_for_angle(params: SystemParams, theta: float,
-                          frame: str = "effective",
                           unreduced: bool = False) -> float:
     """Duration whose simulated Rz angle equals theta (mod 2pi).
 
@@ -221,13 +217,13 @@ def rz_duration_for_angle(params: SystemParams, theta: float,
         raise ValueError(f"angle {theta} not reachable below {RZ_T_MAX} s")
     T0 = brentq(f, lo, hi, xtol=1e-15)
     # refine against the simulated angle with a secant step
-    sim = simulate_rz_angle(params, T0, frame=frame)
+    sim = simulate_rz_angle(params, T0)
     err = (sim - target + np.pi) % (2 * np.pi) - np.pi
     slope = (predict_rz_angle(params, T0 * 1.001)[1]
              - predict_rz_angle(params, T0)[1]) / (T0 * 0.001)
     T1 = T0 - err / slope
     if T1 > 0:
-        sim1 = simulate_rz_angle(params, T1, frame=frame)
+        sim1 = simulate_rz_angle(params, T1)
         err1 = (sim1 - target + np.pi) % (2 * np.pi) - np.pi
         if abs(err1) < abs(err):
             return T1
@@ -288,11 +284,12 @@ def composite_qubit_block(params: SystemParams, segments, noise_dE=0.0,
     return idle_frame_block(U, energies, basis, T)
 
 
-def _readout(params: SystemParams, segments, frame: str) -> EulerAngles:
-    """Euler angles of a schedule sequence at zero noise; raises ValueError
-    when its qubit block leaks more than MAX_LEAKAGE."""
+def _readout(params: SystemParams, segments) -> EulerAngles:
+    """Euler angles of a schedule sequence at zero noise in
+    CALIBRATION_FRAME; raises ValueError when its qubit block leaks more
+    than MAX_LEAKAGE."""
     gate, _ = _gate_from_block(composite_qubit_block(params, segments, 0.0,
-                                                     frame))
+                                                     CALIBRATION_FRAME))
     return euler_decompose(gate)
 
 
@@ -305,9 +302,10 @@ class MonteCarloResult:
 
 
 def run_noise_monte_carlo(params: SystemParams, segments, target: np.ndarray,
-                          model: NoiseModel, frame: str = "effective",
+                          model: NoiseModel,
                           dt: float | None = None) -> MonteCarloResult:
-    """Average gate infidelity over quasi-static Gaussian field noise.
+    """Average gate infidelity over quasi-static Gaussian field noise, in
+    CALIBRATION_FRAME.
 
     Each sample holds one constant offset for the entire sequence; results
     are bit-reproducible for a given (seed, sample_count).
@@ -315,7 +313,8 @@ def run_noise_monte_carlo(params: SystemParams, segments, target: np.ndarray,
     if isinstance(segments, PulseSchedule):
         segments = [segments]
     draws = model.draw()
-    blocks = composite_qubit_block(params, segments, draws, frame, dt)
+    blocks = composite_qubit_block(params, segments, draws, CALIBRATION_FRAME,
+                                   dt)
     infids = np.array([gate_infidelity(b, target, 2) for b in blocks])
     leaks = leakage(blocks)
     return MonteCarloResult(float(infids.mean()), infids, draws, leaks)
@@ -333,7 +332,6 @@ class NoiseSensitivity:
     theta_z2_prime: float
     theta_x_0: float
     theta_x_prime: float
-    residual: float
 
 
 def noise_sensitivity(params: SystemParams, segments) -> NoiseSensitivity:
@@ -347,16 +345,12 @@ def noise_sensitivity(params: SystemParams, segments) -> NoiseSensitivity:
                   for block in blocks]
     raw = np.array([(a.theta_z1, a.theta_x, a.theta_z2) for a in decomposed])
     cols = np.unwrap(raw, axis=0).T          # z1, x, z2
-    fits = [np.polyfit(probes, col, 1) for col in cols]
-    resid = max(float(np.abs(col - np.polyval(fit, probes)).max())
-                for col, fit in zip(cols, fits))
-    (pz1, px, pz2) = fits
+    (pz1, px, pz2) = [np.polyfit(probes, col, 1) for col in cols]
     return NoiseSensitivity(
         theta_z1_prime=float(pz1[0]),
         theta_z2_prime=float(pz2[0]),
         theta_x_0=float(np.polyval(px, 0.0)),
         theta_x_prime=float(px[0]),
-        residual=resid,
     )
 
 
@@ -396,7 +390,7 @@ def calibrate_lambda(params: SystemParams, maker,
     """
 
     def measure(lam):
-        angles = _readout(params, [maker(params, lam)], CALIBRATION_FRAME)
+        angles = _readout(params, [maker(params, lam)])
         return angles.theta_x
 
     lams = np.linspace(0.0, 1.0, n_points)
@@ -495,7 +489,7 @@ def _wrap_with_correctives(params, core_segments, theta_x, info):
     angles are refined against the realized sequence until the residual
     z-angles vanish.
     """
-    ang = _readout(params, core_segments, CALIBRATION_FRAME)
+    ang = _readout(params, core_segments)
     info = dict(info, theta_z1=ang.theta_z1, theta_z2=ang.theta_z2,
                 theta_x_measured=ang.theta_x)
     c_pre, c_post = -ang.theta_z2, -ang.theta_z1
@@ -510,7 +504,7 @@ def _wrap_with_correctives(params, core_segments, theta_x, info):
         if t_post > 0:
             post.append(make_rz_schedule(params, t_post))
         segments = pre + list(core_segments) + post
-        res = _readout(params, segments, CALIBRATION_FRAME)
+        res = _readout(params, segments)
         r1 = (res.theta_z1 + np.pi) % (2 * np.pi) - np.pi
         r2 = (res.theta_z2 + np.pi) % (2 * np.pi) - np.pi
         if abs(r1) < CORRECTIVE_TOL and abs(r2) < CORRECTIVE_TOL:
@@ -554,7 +548,7 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
         phi = theta_x / n_seg
         lam = calibration.lambda_for_theta(phi)
         seg = maker(params, lam)
-        ang = _readout(params, [seg], CALIBRATION_FRAME)
+        ang = _readout(params, [seg])
         # the x-rotations add exactly when each junction Rz cancels z2 of
         # the previous segment, z1 of the next, and the idle-frame phase
         # advanced over one (T_seg + t_mid) period; fixed point in t_mid

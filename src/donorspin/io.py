@@ -7,17 +7,19 @@ value`` lines and round-trip through the same parser.
 """
 from __future__ import annotations
 
+import decimal
 import math
 import re
 
-import numpy as np
-
 from .model import TWO_PI, SystemParams
 
-# a unit is (power of ten, factor): the value is scaled by the power of
-# ten in one correctly rounded operation, a division by an exact power for
-# a sub-unit (15 nm is 15 / 1e9 m, the literal 15e-9), then multiplied by
-# the factor (2 pi for angular frequencies, as in TWO_PI * 117e6)
+# a unit is (power of ten, factor): the decimal text is scaled by the
+# power of ten exactly and rounded to a float once (15 nm is the literal
+# 15e-9, 1.001 kV/m the literal 1001.0), then multiplied by the factor
+# (2 pi for angular frequencies, as in TWO_PI * 117e6); a scale past the
+# decimal exponent range overflows to Infinity, untrapped, which reads as
+# not finite
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, traps=[])
 _FREQ_UNITS = {"hz": (0, TWO_PI), "khz": (3, TWO_PI), "mhz": (6, TWO_PI),
                "ghz": (9, TWO_PI), "rad/s": (0, 1.0)}
 _GYRO_UNITS = {"hz/t": (0, TWO_PI), "khz/t": (3, TWO_PI),
@@ -85,7 +87,7 @@ def parse_quantity(text: str, units: dict | None, field: str) -> float:
         raise ManifestError(f"field {field!r}: unknown unit {' '.join(unit)!r} "
                             f"(expected one of {sorted(units)})")
     power, factor = units[unit[0].lower()]
-    scaled = value * 10.0**power if power >= 0 else value / 10.0**-power
+    scaled = float(decimal.Decimal(number).scaleb(power, _EXACT))
     return _finite(scaled * factor, text, field)
 
 
@@ -166,21 +168,3 @@ def write_columns(path, provenance: dict, column_names, rows) -> None:
         fh.write("# columns: " + " ".join(column_names) + "\n")
         for row in rows:
             fh.write(" ".join(f"{v:.12e}" for v in row) + "\n")
-
-
-def read_columns(path):
-    """Inverse of write_columns: (provenance dict, data array)."""
-    provenance = {}
-    data = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, _, v = body.partition("=")
-                    provenance[k.strip()] = v.strip()
-                continue
-            if line:
-                data.append([float(x) for x in line.split()])
-    return provenance, np.array(data)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,12 +60,6 @@ class SystemParams:
         return self.donor_depth_d * ELECTRON_CHARGE / HBAR
 
 
-class TransitionEnergies(NamedTuple):
-    delta_dn: float       # g.dn.Dn -> g.up.Dn electron spin flip
-    delta_up: float       # g.dn.Up -> e.dn.Up orbital excitation
-    delta_mid: float      # g.up.Dn -> e.dn.Up intermediate-state gap
-
-
 def charge_splitting(params: SystemParams, dE):
     """Orbital (charge) splitting eps0 = sqrt(Vt^2 + (d e dE / hbar)^2)."""
     x = params.de_over_hbar * np.asarray(dE, dtype=float)
@@ -96,14 +89,3 @@ def dephasing_sensitivity(params: SystemParams, dE):
     """d(delta_q)/d(dE) = -A d e Vt^2 / (4 hbar eps0^3), rad/s per (V/m)."""
     e0 = charge_splitting(params, dE)
     return -params.hyperfine_A * params.de_over_hbar * params.Vt**2 / (4 * e0**3)
-
-
-def transition_energies(params: SystemParams, dE) -> TransitionEnergies:
-    """Closed-form single-photon transition energies at zero drive."""
-    e0 = charge_splitting(params, dE)
-    a_mean = hyperfine_expectation(params, dE)
-    A = params.hyperfine_A
-    delta_dn = params.B0 * params.gamma_e - a_mean / 2
-    delta_up = e0 - A / 4 + a_mean / 2
-    delta_mid = e0 - params.B0 * (params.gamma_e + params.gamma_n) - A / 4 + a_mean / 2
-    return TransitionEnergies(delta_dn, delta_up, delta_mid)

@@ -1,7 +1,8 @@
-"""Test oracle for the Floquet reduction: the full 72x72 multi-frequency
-Floquet matrix, its second-order Schrieffer-Wolff reduction to the central
-block, and two independent constructions of the exact rotating-frame
-Hamiltonian.
+"""Test oracle for the Floquet reduction: the static part and the harmonics
+of the rotating-frame Hamiltonian as matrices, the full 72x72
+multi-frequency Floquet matrix, its second-order Schrieffer-Wolff reduction
+to the central block, and two independent constructions of the exact
+rotating-frame Hamiltonian.
 
 `donorspin.effective.effective_hamiltonian` builds the central block of
 `schrieffer_wolff(floquet_hamiltonian(...))` directly from the harmonics;
@@ -15,13 +16,44 @@ import numpy as np
 
 from donorspin.effective import (BLOCK_SHIFTS, COUPLING_FLOOR,
                                  DEGENERACY_GUARD, NearDegeneracyError,
-                                 frequency_components, rwa_hamiltonian)
+                                 _HARM_ROWS, _M0, _OP_STACKS, _coeffs0,
+                                 _coeffs_harmonics, _samples)
 from donorspin.model import SystemParams
 from donorspin.operators import (BASIS_LABELS, DIM, frame_generator_diag,
                                  orbital_transform)
 from donorspin.propagation import lab_hamiltonian
 
 CENTRAL_BLOCK = BLOCK_SHIFTS.index((0, 0))
+
+
+@dataclass(frozen=True)
+class FrequencyComponent:
+    label: tuple            # (nE, nB)
+    frequency: float        # rad/s
+    matrix: np.ndarray      # coefficient of exp(-i*frequency*t)
+
+
+def rwa_hamiltonian(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
+    """Static rotating-frame Hamiltonian H~0 (instantaneous envelopes).
+
+    Broadcasts over leading array dimensions of dE, Ea and Ba.
+    """
+    e0, c, s, _, Ea, Ba = _samples(params, dE, Ea, Ba)
+    return np.tensordot(_coeffs0(params, e0, c, s, Ea, Ba, omega_E, omega_B),
+                        _M0, axes=(0, 0))
+
+
+def frequency_components(params: SystemParams, dE, Ea, Ba, omega_E, omega_B):
+    """The four positive-frequency harmonics of H~(t) (exact).
+
+    Each returned matrix multiplies exp(-i*frequency*t); negative-frequency
+    harmonics are the Hermitian conjugates.
+    """
+    coeffs = _coeffs_harmonics(params, *_samples(params, dE, Ea, Ba))
+    return [FrequencyComponent(label, label[0] * omega_E + label[1] * omega_B,
+                               np.tensordot(coeffs[rows], _OP_STACKS[label],
+                                            axes=(0, 0)))
+            for label, rows in _HARM_ROWS.items()]
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from donorspin.twoqubit import (TwoQubitLayout, cphase_angle,
 from donorspin.effective import effective_hamiltonian
 from floquet_oracle import (reconstruct_rotating_hamiltonian,
                             exact_rotating_hamiltonian)
+from test_gates import compose
 
 MC_DT = 0.2e-9
 
@@ -355,8 +356,8 @@ def test_criterion_9_property_suites(params):
         angs = EulerAngles(rng.uniform(0, 2 * np.pi),
                            rng.uniform(1e-3, np.pi - 1e-3),
                            rng.uniform(0, 2 * np.pi))
-        target = angs.compose()
-        got = euler_decompose(QubitGate.from_block(target)).compose()
+        target = compose(angs)
+        got = compose(euler_decompose(QubitGate.from_block(target)))
         phase = np.trace(target.conj().T @ got) / 2
         euler_ok &= np.abs(got - phase * target).max() < 1e-8
     notes.append(f"euler roundtrip x1000: {euler_ok}")

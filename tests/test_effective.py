@@ -4,8 +4,7 @@ import pytest
 from donorspin.model import TWO_PI, SystemParams, qubit_splitting_approx
 from donorspin.operators import (DIM, QUBIT_UP_INDEX, QUBIT_DN_INDEX, S_M,
                                  S_X, S_Y, I_X, I_Y, TAU_P)
-from donorspin.effective import (rwa_hamiltonian, frequency_components,
-                                 effective_hamiltonian, NearDegeneracyError,
+from donorspin.effective import (effective_hamiltonian, NearDegeneracyError,
                                  BLOCK_SHIFTS, hprime_text)
 from donorspin.pulses import (make_rx_sweep_schedule, make_rz_schedule,
                               make_echo_rz_schedule, make_cphase_schedule,
@@ -13,7 +12,8 @@ from donorspin.pulses import (make_rx_sweep_schedule, make_rz_schedule,
                               idle_frequencies)
 from donorspin.propagation import evolve, _effective_h_stack, _sectors
 from donorspin.twoqubit import TwoQubitLayout, _pair_h_stack
-from floquet_oracle import (reconstruct_rotating_hamiltonian,
+from floquet_oracle import (rwa_hamiltonian, frequency_components,
+                            reconstruct_rotating_hamiltonian,
                             exact_rotating_hamiltonian, floquet_hamiltonian,
                             build_floquet_block, CENTRAL_BLOCK)
 

@@ -14,11 +14,18 @@ from donorspin.gates import (QubitGate, EulerAngles, euler_decompose,
                              predict_rz_angle, simulate_rz_angle,
                              rz_duration_for_angle, NoiseModel,
                              run_noise_monte_carlo, noise_sensitivity,
-                             echo_slope, echo_flat_time_for_slope,
+                             SENSITIVITY_PROBES, echo_slope,
+                             echo_flat_time_for_slope,
                              build_corrected_rx, build_sweep_echo_rx,
                              calibrate_naive_resonance)
 
 P = SystemParams()
+
+
+def compose(angles: EulerAngles) -> np.ndarray:
+    return (rz_matrix(angles.theta_z1) @ rx_matrix(angles.theta_x)
+            @ rz_matrix(angles.theta_z2))
+
 
 angles3 = st.tuples(st.floats(0, 2 * np.pi - 1e-6),
                     st.floats(1e-3, np.pi - 1e-3),
@@ -29,7 +36,7 @@ class TestQubitGate:
     @given(angles3)
     @settings(max_examples=200)
     def test_canonical_form(self, angs):
-        U = EulerAngles(*angs).compose()
+        U = compose(EulerAngles(*angs))
         gate = QubitGate.from_block(U * np.exp(1j * 0.7))
         assert abs(np.linalg.det(gate.matrix) - 1) < 1e-10
         ref = gate.matrix[0, 0] if abs(gate.matrix[0, 0]) > 1e-9 \
@@ -61,9 +68,9 @@ class TestEulerDecomposition:
             angs = EulerAngles(rng.uniform(0, 2 * np.pi),
                                rng.uniform(1e-3, np.pi - 1e-3),
                                rng.uniform(0, 2 * np.pi))
-            got = euler_decompose(QubitGate.from_block(angs.compose()))
-            recomposed = got.compose()
-            target = angs.compose()
+            got = euler_decompose(QubitGate.from_block(compose(angs)))
+            recomposed = compose(got)
+            target = compose(angs)
             phase = np.trace(target.conj().T @ recomposed) / 2
             assert np.abs(recomposed - phase * target).max() < 1e-8
 
@@ -203,9 +210,20 @@ class TestMonteCarlo:
 
 class TestNoiseSensitivity:
     def test_sweep_fit_quality(self, params, sweep_calibration):
+        # each Euler angle lies within 1e-3 rad of its line over the probes
         lam = sweep_calibration.lambda_for_theta(np.pi / 2)
-        sens = noise_sensitivity(params, make_rx_sweep_schedule(params, lam))
-        assert sens.residual < 1e-3
+        sweep = make_rx_sweep_schedule(params, lam)
+        sens = noise_sensitivity(params, sweep)
+        blocks = composite_qubit_block(params, [sweep], SENSITIVITY_PROBES)
+        angles = [euler_decompose(QubitGate.from_block(b)) for b in blocks]
+        cols = np.unwrap([(a.theta_z1, a.theta_x, a.theta_z2)
+                          for a in angles], axis=0).T
+        fits = [np.polyfit(SENSITIVITY_PROBES, col, 1) for col in cols]
+        for col, fit in zip(cols, fits):
+            assert np.abs(col - np.polyval(fit, SENSITIVITY_PROBES)).max() \
+                < 1e-3
+        assert [fits[0][0], fits[1][0], fits[2][0]] == [
+            sens.theta_z1_prime, sens.theta_x_prime, sens.theta_z2_prime]
         assert sens.theta_z1_prime > 0
         assert sens.theta_z2_prime > 0
 

@@ -8,8 +8,8 @@ import pytest
 
 from donorspin.io import (ManifestError, parse_keyvalues, parse_quantity,
                           parse_angle, load_params, format_params,
-                          write_columns, read_columns, _FREQ_UNITS,
-                          _EFIELD_UNITS, _TIME_UNITS, _LENGTH_UNITS)
+                          write_columns, _FREQ_UNITS, _EFIELD_UNITS,
+                          _TIME_UNITS, _LENGTH_UNITS)
 from donorspin.model import TWO_PI, SystemParams
 from donorspin.cli import Manifest, load_manifest, EXPERIMENTS, main
 
@@ -29,11 +29,45 @@ dE_idle = 1e4 V/m
 """
 
 
+def read_columns(path):
+    """Inverse of write_columns: (provenance dict, data array)."""
+    provenance = {}
+    data = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    k, _, v = body.partition("=")
+                    provenance[k.strip()] = v.strip()
+                continue
+            if line:
+                data.append([float(x) for x in line.split()])
+    return provenance, np.array(data)
+
+
+def data_rows(path):
+    """The lines of an output file below its '#' header."""
+    return [ln for ln in Path(path).read_text().splitlines()
+            if not ln.startswith("#")]
+
+
 class TestParsing:
     def test_quantities(self):
         assert parse_quantity("117 MHz", _FREQ_UNITS, "f") == TWO_PI * 117e6
         assert parse_quantity("2.5", None, "x") == 2.5
         assert parse_quantity("3 kV/m", _EFIELD_UNITS, "e") == 3000.0
+
+    def test_super_unit_rounds_once(self):
+        # the decimal text is scaled exactly, then rounded to a float once
+        assert parse_quantity("1.001 kV/m", _EFIELD_UNITS, "e") == 1001.0
+        for k in range(1, 100000):          # 0.001 to 99.999
+            s = f"{k // 1000}.{k % 1000:03d}"
+            assert parse_quantity(s + " kV/m", _EFIELD_UNITS, "e") == \
+                float(s + "e3")
+            assert parse_quantity(s + " MHz", _FREQ_UNITS, "f") == \
+                float(s + "e6") * TWO_PI
 
     def test_unknown_unit_names_field(self):
         with pytest.raises(ManifestError, match="'f'"):
@@ -154,12 +188,12 @@ class TestCliRuns:
     def test_validate_and_run_splitting_curve(self, tmp_path, capsys):
         man = tmp_path / "m.txt"
         out = tmp_path / "curve.txt"
-        man.write_text(f"kind = splitting-curve\npoints = 11\nseed = 3\n"
+        man.write_text(f"kind = splitting-curve\npoints = 11\n"
                        f"output = {out}\n")
         assert self._run(["validate", str(man)]) == 0
         assert self._run(["run", str(man)]) == 0
         prov, data = read_columns(out)
-        assert prov["seed"] == "3"
+        assert prov["points"] == "11"
         assert data.shape == (11, 3)
         # deterministic re-run produces identical bytes
         first = out.read_bytes()
@@ -170,12 +204,12 @@ class TestCliRuns:
         man = tmp_path / "m.txt"
         out1 = tmp_path / "a.txt"
         out2 = tmp_path / "b.txt"
-        man.write_text(f"kind = splitting-curve\npoints = 7\nseed = 9\n"
-                       f"output = {out1}\n")
+        man.write_text(f"kind = splitting-curve\npoints = 7\n"
+                       f"dE_min = -5 kV/m\noutput = {out1}\n")
         assert main(["run", str(man)]) == 0
         prov, data1 = read_columns(out1)
         # rebuild a manifest from the recorded provenance
-        keys = ("kind", "points", "seed")
+        keys = ("kind", "points", "dE_min")
         man2 = tmp_path / "m2.txt"
         man2.write_text("".join(f"{k} = {prov[k]}\n" for k in keys)
                         + f"output = {out2}\n")
@@ -223,50 +257,39 @@ class TestCliRuns:
         _, data = read_columns(out)
         assert data.shape == (4, 3)
 
+    def _hprime(self, tmp_path, name, fields=""):
+        """Run an hprime-dump manifest with the given field lines; returns
+        (exit code, output path)."""
+        man = tmp_path / f"{name}.manifest"
+        out = tmp_path / f"{name}.txt"
+        man.write_text(f"kind = hprime-dump\n{fields}output = {out}\n")
+        return main(["run", str(man)]), out
+
     def test_hprime_dump_structure(self, tmp_path):
-        out = tmp_path / "hp.txt"
-        assert main(["dump-hprime", "--output", str(out)]) == 0
+        code, out = self._hprime(tmp_path, "hp")
+        assert code == 0
         text = out.read_text()
         assert "g.dn" not in text  # labels are joined words like gdnDn
-        rows = [ln for ln in text.splitlines()
-                if ln and not ln.startswith("#")]
-        assert len(rows) == 8
+        assert len([ln for ln in data_rows(out) if ln]) == 8
 
-    def test_hprime_dump_flags_are_the_manifest_fields(self, tmp_path):
+    def test_hprime_dump_drive_frequency_sets_the_rows(self, tmp_path):
+        # H' at the CZ plateau: the drive frequency field moves the rows
+        # away from those at the idle drive frequency
         from donorspin.pulses import cphase_drive_frequency
         wE = f"{float(cphase_drive_frequency(SystemParams(), 2000.0))!r} rad/s"
-        flags = tmp_path / "flags.txt"
-        assert main(["dump-hprime", "--output", str(flags), "--dE",
-                     "2000 V/m", "--Ea", "40 V/m", "--omega_E", wE]) == 0
-        man = tmp_path / "m.txt"
-        manifest = tmp_path / "manifest.txt"
-        man.write_text(f"kind = hprime-dump\ndE = 2000 V/m\nEa = 40 V/m\n"
-                       f"omega_E = {wE}\noutput = {manifest}\n")
-        assert main(["run", str(man)]) == 0
-        idle = tmp_path / "idle.txt"
-        assert main(["dump-hprime", "--output", str(idle), "--dE",
-                     "2000 V/m", "--Ea", "40 V/m"]) == 0
-
-        def rows(path):
-            return [ln for ln in path.read_text().splitlines()
-                    if not ln.startswith("#")]
-
-        assert rows(flags) == rows(manifest)
-        assert rows(flags) != rows(idle)
+        plateau = "dE = 2000 V/m\nEa = 40 V/m\n"
+        code, driven = self._hprime(tmp_path, "driven",
+                                    plateau + f"omega_E = {wE}\n")
+        assert code == 0
+        code, idle = self._hprime(tmp_path, "idle", plateau)
+        assert code == 0
+        assert data_rows(driven) != data_rows(idle)
 
     def test_hprime_dump_field_accepts_every_params_file_unit(self, tmp_path):
         # Ba takes the B-field units of a params file, microtesla included
-        micro, milli = tmp_path / "uT.txt", tmp_path / "mT.txt"
-        assert main(["dump-hprime", "--output", str(micro),
-                     "--Ba", "500 uT"]) == 0
-        assert main(["dump-hprime", "--output", str(milli),
-                     "--Ba", "0.5 mT"]) == 0
-
-        def rows(path):
-            return [ln for ln in path.read_text().splitlines()
-                    if not ln.startswith("#")]
-
-        assert rows(micro) == rows(milli)
+        assert self._hprime(tmp_path, "uT", "Ba = 500 uT\n")[0] == 0
+        assert self._hprime(tmp_path, "mT", "Ba = 0.5 mT\n")[0] == 0
+        assert data_rows(tmp_path / "uT.txt") == data_rows(tmp_path / "mT.txt")
 
     def test_shipped_hprime_dump_reads_the_reference_device(
             self, tmp_path, monkeypatch):
@@ -276,25 +299,20 @@ class TestCliRuns:
         assert main(["run", str(MANIFEST_DIR / "hprime_dump.txt")]) == 0
         shipped = tmp_path / "out" / "hprime_idle.txt"
         assert "# params_file = device.params" in shipped.read_text()
-        defaults = tmp_path / "defaults.txt"
-        assert main(["dump-hprime", "--output", str(defaults)]) == 0
+        code, defaults = self._hprime(tmp_path, "defaults")
+        assert code == 0
+        assert data_rows(shipped) == data_rows(defaults)
 
-        def rows(path):
-            return [ln for ln in path.read_text().splitlines()
-                    if not ln.startswith("#")]
-
-        assert rows(shipped) == rows(defaults)
-
-    def test_hprime_dump_bad_flag_exit_code(self, tmp_path, capsys):
-        assert self._run(["dump-hprime", "--output", str(tmp_path / "hp.txt"),
-                          "--omega_E", "fast"]) == 2
+    def test_hprime_dump_bad_field_exit_code(self, tmp_path, capsys):
+        assert self._hprime(tmp_path, "hp", "omega_E = fast\n")[0] == 2
         assert "'omega_E'" in capsys.readouterr().err
 
     def test_cli_entrypoint_subprocess(self, tmp_path):
+        man = tmp_path / "m.txt"
         out = tmp_path / "hp.txt"
+        man.write_text(f"kind = hprime-dump\noutput = {out}\n")
         proc = subprocess.run(
-            [sys.executable, "-m", "donorspin.cli", "dump-hprime",
-             "--output", str(out)],
+            [sys.executable, "-m", "donorspin.cli", "run", str(man)],
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()
@@ -343,7 +361,7 @@ class TestCliRuns:
     ("kind = splitting-curve\npoints = 2.5\n", "points"),
     ("kind = rz-noise\nangles = pi\nsigmas = 10 V/m\nsamples = -3\n",
      "samples"),
-    ("kind = rz-noise\nangles = pi\nsigmas = 10 V/m\nframe = bogus\n",
+    ("kind = rz-noise\nangles = pi\nsigmas = 10 V/m\nframe = effective\n",
      "frame"),
     ("kind = rx-noise\nthetas = pi/2\nsigmas = 10 V/m\nvariants = bogus\n",
      "variants"),
@@ -353,6 +371,8 @@ class TestCliRuns:
     ("kind = rx-noise\nthetas = nan\nsigmas = 10 V/m\n", "thetas"),
     ("kind = splitting-curve\npoints = 3\ndE_min = nan\n", "dE_min"),
     ("kind = splitting-curve\npoints = 3\ndE_min = inf V/m\n", "dE_min"),
+    ("kind = splitting-curve\npoints = 3\ndE_min = 1e999999 kV/m\n",
+     "dE_min"),
     ("kind = rx-noise\nthetas = 0\nsigmas = 10 V/m\n", "thetas"),
     ("kind = rx-noise\nthetas = 0\nsigmas = 10 V/m\nvariants = sweep-echo\n",
      "thetas"),
@@ -363,16 +383,17 @@ class TestCliRuns:
     ("kind = splitting-curve\npoints = 3\n"
      "params_file = no-such-dir/device.params\n", "params_file"),
     ("kind = rz-noise\nangles = ,\nsigmas = 10 V/m\n", "angles"),
-    ("kind = rz-noise\nangles = pi\nsigmas = 10 V/m\nframe = lab-orbital\n",
-     "frame"),
+    ("kind = rz-angle-curve\npoints = 2\nframe = lab-position\n", "frame"),
+    ("kind = splitting-curve\npoints = 2\nseed = 1\n", "seed"),
     ("kind = cphase-curve\npoints = 2\nt_min = 5 ns\n", "t_min"),
     ("kind = cphase-curve\npoints = 2\nt_min = 400 ns\nt_max = 300 ns\n"
      "find_cz = yes\n", "t_max"),
 ], ids=["points", "samples", "frame", "variants", "angle-over-zero",
         "angle-two-points", "angle-two-signs", "angle-nan", "quantity-nan",
-        "quantity-inf", "rx-zero-angle", "sweep-echo-zero-angle",
-        "sweep-echo-beyond-range", "rx-sweep-echo-beyond-range",
-        "missing-params-file", "empty-list", "removed-frame",
+        "quantity-inf", "quantity-overflow", "rx-zero-angle",
+        "sweep-echo-zero-angle", "sweep-echo-beyond-range",
+        "rx-sweep-echo-beyond-range",
+        "missing-params-file", "empty-list", "removed-frame", "seed",
         "cphase-shorter-than-its-ramps", "cphase-reversed-bracket"])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, body, field):
     man = tmp_path / "m.txt"

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 import warnings
@@ -6,10 +8,26 @@ from hypothesis import given, settings, strategies as st
 from donorspin.model import (TWO_PI, SILICON_RELATIVE_PERMITTIVITY,
                              SystemParams,
                              charge_splitting, hyperfine_expectation,
-                             qubit_splitting_approx, dephasing_sensitivity,
-                             transition_energies)
+                             qubit_splitting_approx, dephasing_sensitivity)
 
 P = SystemParams()
+
+
+class TransitionEnergies(NamedTuple):
+    delta_dn: float       # g.dn.Dn -> g.up.Dn electron spin flip
+    delta_up: float       # g.dn.Up -> e.dn.Up orbital excitation
+    delta_mid: float      # g.up.Dn -> e.dn.Up intermediate-state gap
+
+
+def transition_energies(params: SystemParams, dE) -> TransitionEnergies:
+    """Closed-form single-photon transition energies at zero drive."""
+    e0 = charge_splitting(params, dE)
+    a_mean = hyperfine_expectation(params, dE)
+    A = params.hyperfine_A
+    delta_dn = params.B0 * params.gamma_e - a_mean / 2
+    delta_up = e0 - A / 4 + a_mean / 2
+    delta_mid = e0 - params.B0 * (params.gamma_e + params.gamma_n) - A / 4 + a_mean / 2
+    return TransitionEnergies(delta_dn, delta_up, delta_mid)
 
 fields = st.floats(min_value=-2e4, max_value=2e4, allow_nan=False)
 

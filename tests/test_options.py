@@ -27,7 +27,7 @@ SRC = ROOT / "src" / "donorspin"
 PROGRAMS = sorted([*(ROOT / "scripts").glob("*.py"),
                    ROOT / "benchmark" / "workloads.py"])
 TESTS = sorted((ROOT / "tests").glob("*.py"))
-OPTION_COUNT = 33          # defaulted function parameters in the package
+OPTION_COUNT = 30          # defaulted function parameters in the package
 FIELD_COUNT = 13           # defaulted dataclass fields in the package
 
 # options that only tests set, with the reason

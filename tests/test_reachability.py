@@ -23,15 +23,7 @@ PROGRAMS = sorted([*(ROOT / "scripts").glob("*.py"),
                    ROOT / "benchmark" / "workloads.py"])
 
 # definitions that tests use as a reference, with the reason
-TEST_REFERENCES = {
-    "rwa_hamiltonian": "static part of H~ that the Floquet oracle builds on",
-    "frequency_components": "harmonics of H~ that the Floquet oracle builds on",
-    "transition_energies": "closed-form lines the H' spectrum is checked "
-                           "against",
-    "read_columns": "reads back the columns the CLI writes",
-    "EulerAngles.compose": "rebuilds the gate in criterion 9's Euler "
-                           "round-trip suite",
-}
+TEST_REFERENCES = {}
 
 
 def _mentions(node):
