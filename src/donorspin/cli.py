@@ -71,7 +71,9 @@ def _angles(text, key):
 def _rz_angles(text, key):
     angles = _angles(text, key)
     if 0.0 in angles:
-        raise ManifestError(f"field {key!r}: an angle of 0 has no Rz pulse")
+        raise ManifestError(f"field {key!r}: an angle of 0 is the identity, "
+                            "not an Rz pulse; 2pi asks for the full-turn "
+                            "pulse")
     return angles
 
 
@@ -210,7 +212,7 @@ def run_rz_angle_curve(m: Manifest):
     params = m.params
 
     def one(T):
-        pred, _ = predict_rz_angle(params, T)
+        pred = predict_rz_angle(params, T) % (2 * np.pi)
         sim = simulate_rz_angle(params, T)
         return T, sim, pred
 
@@ -236,11 +238,8 @@ def run_rz_noise(m: Manifest):
     rows = []
     for theta in m["angles"]:
         T = rz_duration_for_angle(params, theta)
-        if T == 0.0:
-            # a nonzero multiple of 2pi: one physical full turn, not T = 0
-            T = rz_duration_for_angle(params, -2 * np.pi, unreduced=True)
         rows += [(theta, *row) for row in _noise_scan(
-            m, make_rz_schedule(params, T), rz_matrix(theta), None)]
+            m, [make_rz_schedule(params, T)], rz_matrix(theta), None)]
     write_columns(m.output, m.provenance(),
                   ("theta_rad", "sigma_V_per_m", "mean_infidelity"), rows)
     return f"{len(rows)} grid points"

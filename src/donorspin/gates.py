@@ -164,11 +164,9 @@ def _window_quadrature(integrand, tau: float, T: float) -> float:
     return total
 
 
-def predict_rz_angle(params: SystemParams, T: float):
-    """Phase integral -int (delta_q(t) - delta_q0) dt along the Rz pulse.
-
-    Returns (angle mod 2pi, unreduced angle).
-    """
+def predict_rz_angle(params: SystemParams, T: float) -> float:
+    """Phase integral -int (delta_q(t) - delta_q0) dt along the Rz pulse:
+    the accumulated angle, not reduced mod 2pi."""
     sched = make_rz_schedule(params, T)
     dq0 = qubit_splitting_approx(params, params.dE_idle)
 
@@ -176,8 +174,7 @@ def predict_rz_angle(params: SystemParams, T: float):
         return qubit_splitting_approx(
             params, float(sched.dE_envelope(t))) - dq0
 
-    theta = -_window_quadrature(integrand, rz_ramp(T), T)
-    return theta % (2 * np.pi), theta
+    return -_window_quadrature(integrand, rz_ramp(T), T)
 
 
 def simulate_rz_angle(params: SystemParams, T: float) -> float:
@@ -186,31 +183,21 @@ def simulate_rz_angle(params: SystemParams, T: float) -> float:
     return angles.theta_z1 % (2 * np.pi)
 
 
-def rz_duration_for_angle(params: SystemParams, theta: float,
-                          unreduced: bool = False) -> float:
+def rz_duration_for_angle(params: SystemParams, theta: float) -> float:
     """Duration whose simulated Rz angle equals theta (mod 2pi).
 
     The accumulated angle runs monotonically from 0 down to about -2pi as
     T grows to ~22 ns, so every target angle has a unique duration on the
-    branch theta(T) in (-2pi, 0]. With `unreduced` the requested theta is
-    taken as the accumulated angle itself (e.g. -2pi for a physical full
-    turn rather than a zero-duration identity).
+    branch theta(T) in [-2pi, 0). An angle within 1e-9 of a multiple of
+    2pi is one full turn, theta(T) = -2pi.
     """
-    if unreduced:
-        if not -2 * np.pi * 1.08 < theta < 0:
-            raise ValueError("unreduced angle must lie in the accumulated "
-                             "branch (-2pi-ish, 0)")
-        want_unreduced = theta
-        target = theta % (2 * np.pi)
-    else:
-        target = theta % (2 * np.pi)
-        if target < 1e-9 or abs(target - 2 * np.pi) < 1e-9:
-            return 0.0
-        want_unreduced = target - 2 * np.pi     # in (-2pi, 0)
+    target = theta % (2 * np.pi)
+    if min(target, 2 * np.pi - target) < 1e-9:
+        target = 0.0
+    accumulated = target - 2 * np.pi
 
     def f(T):
-        _, unreduced = predict_rz_angle(params, T)
-        return unreduced - want_unreduced
+        return predict_rz_angle(params, T) - accumulated
 
     lo, hi = 1e-11, RZ_T_MAX
     if f(hi) > 0:
@@ -219,8 +206,8 @@ def rz_duration_for_angle(params: SystemParams, theta: float,
     # refine against the simulated angle with a secant step
     sim = simulate_rz_angle(params, T0)
     err = (sim - target + np.pi) % (2 * np.pi) - np.pi
-    slope = (predict_rz_angle(params, T0 * 1.001)[1]
-             - predict_rz_angle(params, T0)[1]) / (T0 * 0.001)
+    slope = (predict_rz_angle(params, T0 * 1.001)
+             - predict_rz_angle(params, T0)) / (T0 * 0.001)
     T1 = T0 - err / slope
     if T1 > 0:
         sim1 = simulate_rz_angle(params, T1)
@@ -310,8 +297,6 @@ def run_noise_monte_carlo(params: SystemParams, segments, target: np.ndarray,
     Each sample holds one constant offset for the entire sequence; results
     are bit-reproducible for a given (seed, sample_count).
     """
-    if isinstance(segments, PulseSchedule):
-        segments = [segments]
     draws = model.draw()
     blocks = composite_qubit_block(params, segments, draws, CALIBRATION_FRAME,
                                    dt)
@@ -337,8 +322,6 @@ class NoiseSensitivity:
 def noise_sensitivity(params: SystemParams, segments) -> NoiseSensitivity:
     """Linear fit of the Euler angles against the quasi-static field
     offsets SENSITIVITY_PROBES."""
-    if isinstance(segments, PulseSchedule):
-        segments = [segments]
     probes = SENSITIVITY_PROBES
     blocks = composite_qubit_block(params, segments, probes)
     decomposed = [euler_decompose(_gate_from_block(block)[0])
@@ -493,17 +476,10 @@ def _wrap_with_correctives(params, core_segments, theta_x, info):
     info = dict(info, theta_z1=ang.theta_z1, theta_z2=ang.theta_z2,
                 theta_x_measured=ang.theta_x)
     c_pre, c_post = -ang.theta_z2, -ang.theta_z1
-    segments = list(core_segments)
     for _ in range(CORRECTIVE_ITERATIONS):
-        pre = []
-        post = []
-        t_pre = rz_duration_for_angle(params, c_pre)
-        t_post = rz_duration_for_angle(params, c_post)
-        if t_pre > 0:
-            pre.append(make_rz_schedule(params, t_pre))
-        if t_post > 0:
-            post.append(make_rz_schedule(params, t_post))
-        segments = pre + list(core_segments) + post
+        pre = make_rz_schedule(params, rz_duration_for_angle(params, c_pre))
+        post = make_rz_schedule(params, rz_duration_for_angle(params, c_post))
+        segments = [pre, *core_segments, post]
         res = _readout(params, segments)
         r1 = (res.theta_z1 + np.pi) % (2 * np.pi) - np.pi
         r2 = (res.theta_z2 + np.pi) % (2 * np.pi) - np.pi
@@ -565,9 +541,7 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
             t_mid = t_new
         core = [seg]
         for _ in range(n_seg - 1):
-            if t_mid > 0:
-                core.append(make_rz_schedule(params, t_mid))
-            core.append(seg)
+            core += [make_rz_schedule(params, t_mid), seg]
         info.update({"lambda": lam, "segments": n_seg, "mid_rz_time": t_mid})
     return _wrap_with_correctives(params, core, theta_x, info)
 
@@ -586,7 +560,7 @@ def build_sweep_echo_rx(params: SystemParams, theta_x: float,
             "(calibrated range)")
     lam = calibration.lambda_for_theta(theta_x)
     sweep = make_rx_sweep_schedule(params, lam)
-    sens = noise_sensitivity(params, sweep)
+    sens = noise_sensitivity(params, [sweep])
     x_gate = make_rx_sweep_schedule(params, 1.0)
 
     t1 = echo_flat_time_for_slope(params, sens.theta_z1_prime)

@@ -183,12 +183,12 @@ def make_echo_rz_schedule(params: SystemParams,
         off, off, wE, wB, T)
 
 
-def cphase_drive_frequency(params: SystemParams, dE_gate: float,
-                           detuning: float = CPHASE_DETUNING) -> float:
-    """Drive frequency near the dn-state orbital transition at dE_gate."""
-    e0 = charge_splitting(params, dE_gate)
-    a_mean = hyperfine_expectation(params, dE_gate)
-    return e0 + params.hyperfine_A / 4 - a_mean / 2 + detuning
+def cphase_drive_frequency(params: SystemParams) -> float:
+    """Drive frequency CPHASE_DETUNING from the dn-state orbital transition
+    at CPHASE_DE_GATE."""
+    e0 = charge_splitting(params, CPHASE_DE_GATE)
+    a_mean = hyperfine_expectation(params, CPHASE_DE_GATE)
+    return e0 + params.hyperfine_A / 4 - a_mean / 2 + CPHASE_DETUNING
 
 
 def make_cphase_schedule(params: SystemParams, T: float) -> PulseSchedule:
@@ -207,7 +207,7 @@ def make_cphase_schedule(params: SystemParams, T: float) -> PulseSchedule:
         return dE_idle + ramp(t, tau1, -dE_idle + CPHASE_DE_GATE,
                               tau1 + tau_ac, -dE_idle + CPHASE_DE_GATE, T)
 
-    wE = cphase_drive_frequency(params, CPHASE_DE_GATE)
+    wE = cphase_drive_frequency(params)
     wB = params.B0 * params.gamma_e
     return PulseSchedule(dE, lambda t: e_max * window(t - tau1, tau2, tau_ac),
                          off, wE, wB, T)

@@ -59,7 +59,6 @@ class CphaseReport:
     gamma: float
     delta: float
     nonadiabaticity: float
-    total_time: float
     phi: float = field(init=False)
     local_rz_1: float = field(init=False)   # exp(-i theta sigma_z/2) on qubit 1
     local_rz_2: float = field(init=False)
@@ -126,8 +125,7 @@ def _follow_dressed_states(H, times):
 
 def cphase_angle(layout: TwoQubitLayout, schedule_1: PulseSchedule,
                  schedule_2: PulseSchedule | None = None,
-                 n_samples: int = 600, noise_dE: tuple = (0.0, 0.0),
-                 mean_field_passes: int = 1) -> CphaseReport:
+                 n_samples: int = 600) -> CphaseReport:
     """Entangling phase by quadrature of the adiabatic pair energies.
 
     The dressed states are tracked with the partner's average dipole shift
@@ -139,53 +137,45 @@ def cphase_angle(layout: TwoQubitLayout, schedule_1: PulseSchedule,
         schedule_2 = schedule_1
     if abs(schedule_1.total_time - schedule_2.total_time) > 1e-15:
         raise ValueError("both schedules must share the total time")
-    T = schedule_1.total_time
-    ts = np.linspace(0.0, T, n_samples)
+    ts = np.linspace(0.0, schedule_1.total_time, n_samples)
     V = dipole_coupling_strength(layout)
-    pair = ((layout.params_1, schedule_1, noise_dE[0]),
-            (layout.params_2, schedule_2, noise_dE[1]))
-    # a symmetric pair (equal params, one schedule, equal offsets) has two
-    # identical tracks in every pass: track it once
-    if (layout.params_1 == layout.params_2 and schedule_1 is schedule_2
-            and noise_dE[0] == noise_dE[1]):
+    pair = ((layout.params_1, schedule_1), (layout.params_2, schedule_2))
+    # a symmetric pair (equal params, one schedule) has two identical
+    # tracks: track it once
+    if layout.params_1 == layout.params_2 and schedule_1 is schedule_2:
         pair = pair[:1]
-    # per distinct qubit: params, fields, and its one H' stack, to which
-    # the mean-field passes add
-    qubits = [(params, sched.dE_envelope(ts) + dn,
-               _effective_h_stack(params, sched, ts, dn)[:, 0])
-              for params, sched, dn in pair]
+    # per distinct qubit: params, fields and its H' stack
+    qubits = [(params, sched.dE_envelope(ts),
+               _effective_h_stack(params, sched, ts, 0.0)[:, 0])
+              for params, sched in pair]
 
-    def collect(mean_fields):
+    def collect(stacks):
         """Per qubit: min track overlap, (up, dn) weights w and x, and s."""
         out = []
-        for (params, dEn, H), mf in zip(qubits, mean_fields):
-            up, dn, overlap = _follow_dressed_states(
-                H if mf is None else H + mf, ts)
+        for (params, dEn, _), H in zip(qubits, stacks):
+            up, dn, overlap = _follow_dressed_states(H, ts)
             w, x, s = _weight_parts(params, np.stack([up, dn]), dEn)
             out.append((overlap, w, x, s))
         return out * (2 // len(qubits))
 
-    parts = collect((None, None))
-    for _ in range(mean_field_passes):
-        # the static part of the interface projector, weighted by the
-        # partner's mean (w_up + w_dn)/2; its tau_x part rotates at the
-        # drive frequency and averages out
-        mean_fields = []
-        for (params, dEn, _), (_, w, _, _) in zip(qubits, parts[::-1]):
-            c, _ = orbital_mixing(params, dEn)
-            w_mean = 0.5 * (w[0] + w[1])
-            mean_fields.append((V * w_mean)[:, None, None]
-                               * (IDENT + c[:, None, None] * TAU_Z) / 2)
-        parts = collect(mean_fields)
-
-    (overlap1, w1, x1, s1), (overlap2, w2, x2, s2) = parts
+    parts = collect([H for _, _, H in qubits])
+    # the mean-field pass: add the static part of the interface projector,
+    # weighted by the partner's mean (w_up + w_dn)/2; its tau_x part
+    # rotates at the drive frequency and averages out
+    stacks = []
+    for (params, dEn, H), (_, w, _, _) in zip(qubits, parts[::-1]):
+        c, _ = orbital_mixing(params, dEn)
+        w_mean = 0.5 * (w[0] + w[1])
+        stacks.append(H + (V * w_mean)[:, None, None]
+                      * (IDENT + c[:, None, None] * TAU_Z) / 2)
+    (overlap1, w1, x1, s1), (overlap2, w2, x2, s2) = collect(stacks)
     # pair energies e[a, b](t) for qubit 1 in a and qubit 2 in b (up, dn),
     # referred to the idling pair (both endpoints are at idle)
     e = V * (w1[:, None] * w2[None, :]
              + 0.5 * s1 * s2 * x1[:, None] * x2[None, :])
     (alpha, beta), (gamma, delta) = -np.trapezoid(e - e[..., :1], ts)
     nonadiab = 1.0 - min(overlap1, overlap2) ** 2
-    return CphaseReport(alpha, beta, gamma, delta, nonadiab, T)
+    return CphaseReport(alpha, beta, gamma, delta, nonadiab)
 
 
 # tau+ x tau- + h.c. on the 64-dim product space: entries 1 at these
@@ -263,7 +253,7 @@ def simulate_two_qubit(layout: TwoQubitLayout, schedule_1: PulseSchedule,
     if nonadiab > NONADIABATICITY_FLAG:
         warnings.warn(f"two-qubit evolution nonadiabaticity {nonadiab:.2e} "
                       f"exceeds {NONADIABATICITY_FLAG:.0e}", stacklevel=2)
-    report = CphaseReport(*np.angle(diag), nonadiab, T)
+    report = CphaseReport(*np.angle(diag), nonadiab)
     return TwoQubitResult(U, report, block, defect)
 
 

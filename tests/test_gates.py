@@ -17,7 +17,7 @@ from donorspin.gates import (QubitGate, EulerAngles, euler_decompose,
                              SENSITIVITY_PROBES, echo_slope,
                              echo_flat_time_for_slope,
                              build_corrected_rx, build_sweep_echo_rx,
-                             calibrate_naive_resonance)
+                             calibrate_naive_resonance, RZ_T_MAX)
 
 P = SystemParams()
 
@@ -105,18 +105,16 @@ class TestGateInfidelity:
 
 class TestPredictRzAngle:
     def test_small_time_vanishes(self):
-        _, unreduced = predict_rz_angle(P, 1e-12)
-        assert abs(unreduced) < 1e-4
+        assert abs(predict_rz_angle(P, 1e-12)) < 1e-4
 
     def test_reference_durations(self):
         # reported reference points: pi at 13.560 ns, 2pi at 22.116 ns
         for T, target in ((13.560e-9, np.pi), (22.116e-9, 2 * np.pi)):
-            _, unreduced = predict_rz_angle(P, T)
-            assert abs(abs(unreduced) - target) < 0.08
+            assert abs(abs(predict_rz_angle(P, T)) - target) < 0.08
 
     def test_quarter_rotation(self):
-        _, unreduced = predict_rz_angle(P, 6.632e-9)
-        assert unreduced == pytest.approx(-np.pi / 4, abs=0.05)
+        assert predict_rz_angle(P, 6.632e-9) == pytest.approx(-np.pi / 4,
+                                                              abs=0.05)
 
 
 class TestExtraction:
@@ -149,12 +147,21 @@ class TestExtraction:
 
 
 class TestRzCalibration:
-    @pytest.mark.parametrize("theta", [-np.pi / 4, np.pi, 2 * np.pi - 0.05])
+    @pytest.mark.parametrize("theta", [-np.pi / 4, np.pi, 2 * np.pi - 0.05,
+                                       2 * np.pi, -1e-12])
     def test_duration_roundtrip(self, theta):
         T = rz_duration_for_angle(P, theta)
         got = simulate_rz_angle(P, T)
         err = (got - theta + np.pi) % (2 * np.pi) - np.pi
         assert abs(err) < 2e-3
+
+    def test_multiples_of_two_pi_are_one_full_turn(self):
+        # 0, 2pi and -2pi all ask for the pulse that accumulates -2pi,
+        # not for a zero-length one
+        T = rz_duration_for_angle(P, -2 * np.pi)
+        assert 20e-9 < T < RZ_T_MAX
+        assert rz_duration_for_angle(P, 0.0) == T
+        assert rz_duration_for_angle(P, 2 * np.pi) == T
 
 
 class TestLambdaCalibration:
@@ -182,7 +189,7 @@ class TestMonteCarlo:
         sched = make_rz_schedule(P, 13.560e-9)
         target = rz_matrix(simulate_rz_angle(P, 13.560e-9) - 2 * np.pi)
         model = NoiseModel(0.0, 8, seed=1)
-        mc = run_noise_monte_carlo(P, sched, target, model)
+        mc = run_noise_monte_carlo(P, [sched], target, model)
         block = composite_qubit_block(P, [sched], 0.0)
         assert mc.mean_infidelity == pytest.approx(
             gate_infidelity(block, target, 2), abs=1e-12)
@@ -191,8 +198,8 @@ class TestMonteCarlo:
         sched = make_rz_schedule(P, 8e-9)
         target = np.eye(2)
         model = NoiseModel(100.0, 16, seed=7)
-        a = run_noise_monte_carlo(P, sched, target, model)
-        b = run_noise_monte_carlo(P, sched, target, model)
+        a = run_noise_monte_carlo(P, [sched], target, model)
+        b = run_noise_monte_carlo(P, [sched], target, model)
         assert np.array_equal(a.infidelities, b.infidelities)
         assert np.array_equal(a.samples, b.samples)
 
@@ -213,7 +220,7 @@ class TestNoiseSensitivity:
         # each Euler angle lies within 1e-3 rad of its line over the probes
         lam = sweep_calibration.lambda_for_theta(np.pi / 2)
         sweep = make_rx_sweep_schedule(params, lam)
-        sens = noise_sensitivity(params, sweep)
+        sens = noise_sensitivity(params, [sweep])
         blocks = composite_qubit_block(params, [sweep], SENSITIVITY_PROBES)
         angles = [euler_decompose(QubitGate.from_block(b)) for b in blocks]
         cols = np.unwrap([(a.theta_z1, a.theta_x, a.theta_z2)
@@ -229,7 +236,8 @@ class TestNoiseSensitivity:
 
     def test_full_drive_slopes_equal_at_pi(self, params):
         # at theta_x = pi the two edge slopes coincide
-        sens = noise_sensitivity(params, make_rx_sweep_schedule(params, 1.0))
+        sens = noise_sensitivity(params,
+                                 [make_rx_sweep_schedule(params, 1.0)])
         assert sens.theta_z1_prime == pytest.approx(sens.theta_z2_prime,
                                                     rel=0.15)
 
@@ -240,10 +248,10 @@ class TestNoiseSensitivity:
         lam_s = sweep_calibration.lambda_for_theta(theta)
         lam_n = naive_calibration.lambda_for_theta(theta)
         s_sweep = noise_sensitivity(params,
-                                    make_rx_sweep_schedule(params, lam_s))
+                                    [make_rx_sweep_schedule(params, lam_s)])
         from donorspin.gates import naive_maker
         s_naive = noise_sensitivity(params,
-                                    naive_maker(params)(params, lam_n))
+                                    [naive_maker(params)(params, lam_n)])
         # the sweep construction pushes the x-angle slope toward zero;
         # measured suppression vs the parked gate is ~9x at this angle
         assert abs(s_naive.theta_x_prime) > 8 * abs(s_sweep.theta_x_prime)
@@ -258,7 +266,7 @@ class TestEcho:
     def test_echo_slope_matches_simulated_probes(self):
         # quadrature oracle vs simulated linear fit of the echo schedule
         sched = make_echo_rz_schedule(P, 20e-9)
-        sens = noise_sensitivity(P, sched)
+        sens = noise_sensitivity(P, [sched])
         predicted = echo_slope(P, 20e-9)
         assert sens.theta_x_0 < 1e-3
         assert sens.theta_z1_prime == pytest.approx(predicted, rel=2e-2)
@@ -305,8 +313,7 @@ class TestComposites:
         gate = composite_cache(np.pi / 2)
         sens = noise_sensitivity(params, gate.segments)
         bare = noise_sensitivity(
-            params, make_rx_sweep_schedule(
-                params, gate.info["lambda"]))
+            params, [make_rx_sweep_schedule(params, gate.info["lambda"])])
         total_bare = abs(bare.theta_z1_prime) + abs(bare.theta_z2_prime)
         total_comp = abs(sens.theta_z1_prime) + abs(sens.theta_z2_prime)
         assert total_comp < 0.1 * total_bare

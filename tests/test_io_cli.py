@@ -276,7 +276,7 @@ class TestCliRuns:
         # H' at the CZ plateau: the drive frequency field moves the rows
         # away from those at the idle drive frequency
         from donorspin.pulses import cphase_drive_frequency
-        wE = f"{float(cphase_drive_frequency(SystemParams(), 2000.0))!r} rad/s"
+        wE = f"{float(cphase_drive_frequency(SystemParams()))!r} rad/s"
         plateau = "dE = 2000 V/m\nEa = 40 V/m\n"
         code, driven = self._hprime(tmp_path, "driven",
                                     plateau + f"omega_E = {wE}\n")

@@ -27,17 +27,12 @@ SRC = ROOT / "src" / "donorspin"
 PROGRAMS = sorted([*(ROOT / "scripts").glob("*.py"),
                    ROOT / "benchmark" / "workloads.py"])
 TESTS = sorted((ROOT / "tests").glob("*.py"))
-OPTION_COUNT = 30          # defaulted function parameters in the package
+OPTION_COUNT = 26          # defaulted function parameters in the package
 FIELD_COUNT = 13           # defaulted dataclass fields in the package
 
 # options that only tests set, with the reason
 TEST_REFERENCES = {
-    "cphase_drive_frequency(detuning)": "criterion 8a's square-pulse rate "
-                                        "at a chosen detuning",
-    "cphase_angle(schedule_2)": "the check with one qubit idle",
-    "cphase_angle(noise_dE)": "the test that an offset shifts the phase",
-    "cphase_angle(mean_field_passes)": "the test that phi is linear in the "
-                                       "coupling",
+    "cphase_angle(schedule_2)": "criterion 8c: one qubit idles",
 }
 
 

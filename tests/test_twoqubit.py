@@ -1,16 +1,18 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from donorspin.model import TWO_PI, SystemParams
+from donorspin.model import (TWO_PI, SystemParams, charge_splitting,
+                             hyperfine_expectation)
 from donorspin.pulses import make_cphase_schedule, make_idle_schedule
 from donorspin.twoqubit import (TwoQubitLayout, CphaseReport,
                                 dipole_coupling_strength, cphase_angle,
                                 simulate_two_qubit, cz_duration_search,
                                 _follow_dressed_states, _weight_parts)
 from donorspin.propagation import _effective_h_stack
-from donorspin.pulses import CPHASE_EA_PEAK, cphase_drive_frequency
+from donorspin.pulses import CPHASE_EA_PEAK
 
 P = SystemParams()
 LAYOUT = TwoQubitLayout(params_1=P, params_2=P)
@@ -79,7 +81,8 @@ class TestInterfaceWeight:
         # drives 10 MHz below it.
         from donorspin.effective import effective_hamiltonian
         dE = 2000.0
-        wE = cphase_drive_frequency(P, dE, detuning=+TWO_PI * 5e6)
+        wE = (charge_splitting(P, dE) + P.hyperfine_A / 4
+              - hyperfine_expectation(P, dE) / 2 + TWO_PI * 5e6)
         Hp = effective_hamiltonian(P, dE, CPHASE_EA_PEAK, 0.0, wE,
                                    P.B0 * P.gamma_e)
         ev, vec = np.linalg.eigh(Hp)
@@ -105,30 +108,11 @@ class TestCphaseQuadrature:
         rep = cphase_angle(LAYOUT, active, idle, n_samples=200)
         assert abs(rep.phi) < 1e-6
 
-    def test_linear_in_dipole_coefficient(self):
-        # strict quadrature property of the explicit interaction term: hold
-        # the dressing fixed (no mean-field pass) and scale the coefficient
-        sched = make_cphase_schedule(P, 300e-9)
-        phi1 = cphase_angle(LAYOUT, sched, n_samples=150,
-                            mean_field_passes=0).phi
-        half = dataclasses.replace(LAYOUT, separation_r=5e-7 * 2 ** (1 / 3))
-        phi2 = cphase_angle(half, sched, n_samples=150,
-                            mean_field_passes=0).phi
-        assert phi2 == pytest.approx(phi1 / 2, rel=1e-9)
-
     def test_report_consistency(self):
         sched = make_cphase_schedule(P, 300e-9)
         rep = cphase_angle(LAYOUT, sched, n_samples=150)
         assert rep.phases_consistent()
         assert rep.nonadiabaticity < 1e-2
-
-    def test_noise_shifts_phase_first_order(self):
-        sched = make_cphase_schedule(P, 300e-9)
-        base = cphase_angle(LAYOUT, sched, n_samples=150).phi
-        shifted = cphase_angle(LAYOUT, sched, n_samples=150,
-                               noise_dE=(100.0, 100.0)).phi
-        slope = (shifted - base) / 100.0
-        assert abs(slope) > 1e-5   # rad per (V/m): the gate is noise-soft
 
 
 class TestTwoQubitSimulation:
@@ -187,6 +171,17 @@ class TestTwoQubitSimulation:
             sim = simulate_two_qubit(LAYOUT, sched, dt=0.1e-9)
         assert sim.report.phi == pytest.approx(-3.753216686320, abs=1e-9)
         assert sim.unitarity_defect < 1e-10
+
+    def test_noise_shifts_phase_first_order(self):
+        # the 64-dim oracle with a common quasi-static offset on both qubits
+        sched = make_cphase_schedule(P, 300e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            base = simulate_two_qubit(LAYOUT, sched, dt=0.2e-9).report.phi
+            shifted = simulate_two_qubit(LAYOUT, sched, (100.0, 100.0),
+                                         dt=0.2e-9).report.phi
+        slope = ((shifted - base + np.pi) % (2 * np.pi) - np.pi) / 100.0
+        assert abs(slope) > 1e-5   # rad per (V/m): the gate is noise-soft
 
 
 def test_cz_duration_search_brackets():
@@ -252,7 +247,7 @@ def test_array_tracker_matches_per_sample_tracking():
 
 
 def test_symmetric_pair_shares_its_track():
-    # one schedule object with equal params and offsets is tracked once;
+    # one schedule object with equal params is tracked once;
     # two equal schedule objects take the per-qubit path: same report
     sched = make_cphase_schedule(P, 300e-9)
     shared = cphase_angle(LAYOUT, sched, n_samples=200)
