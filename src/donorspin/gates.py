@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .effective import effective_hamiltonian
 from .model import SystemParams, qubit_splitting_approx, dephasing_sensitivity
@@ -32,6 +30,10 @@ from .pulses import (PulseSchedule, make_rz_schedule, make_rx_sweep_schedule,
 MAX_LEAKAGE = 0.01           # a qubit block leaking more defines no gate
 RZ_T_MAX = 24e-9             # longest Rz pulse the duration search tries
 CALIBRATION_FRAME = "effective"   # the frame every calibration runs in
+ROOT_RTOL = 4 * float(np.finfo(float).eps)   # find_root's relative tol.
+ROOT_MAXITER = 100                           # find_root's iteration cap
+# Gauss-Legendre nodes and weights on [-1, 1], per window piece
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
 def rz_matrix(theta: float) -> np.ndarray:
     return np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
@@ -150,31 +152,87 @@ def _gate_from_block(block):
 
 
 # ---------------------------------------------------------------------------
-# Rz prediction and calibration
+# root finding, window quadrature, Rz prediction and calibration
 
-def _window_quadrature(integrand, tau: float, T: float) -> float:
-    """Integral of integrand(t) over [0, T], summed over the pieces
-    [0, tau], [tau, T - tau] and [T - tau, T] of a cosine window with ramp
-    tau (empty pieces skipped)."""
-    total = 0.0
-    for a, b in zip((0.0, tau, T - tau), (tau, T - tau, T)):
-        if b > a:
-            val, _ = quad(integrand, a, b, limit=200)
-            total += val
-    return total
+def find_root(f, a: float, b: float, xtol: float) -> float:
+    """Root of f in [a, b] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).
+
+    Step for step the iteration of scipy.optimize.brentq with rtol =
+    ROOT_RTOL and maxiter = ROOT_MAXITER, so it returns the same root.
+    Raises ValueError when f(a) and f(b) have the same sign and
+    RuntimeError when ROOT_MAXITER iterations do not converge.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(ROOT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        interpolate = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if interpolate and xpre == xblk:        # secant
+            stry = -fcur * (xcur - xpre) / (fcur - fpre)
+        elif interpolate:                       # inverse quadratic
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = (-fcur * (fblk * dblk - fpre * dpre)
+                    / (dblk * dpre * (fblk - fpre)))
+        if interpolate and 2 * abs(stry) < min(abs(spre),
+                                               3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:                                   # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(f"find_root: no convergence in {ROOT_MAXITER} steps")
+
+
+def _window_quadrature(integrand, params: SystemParams,
+                       sched: PulseSchedule, tau: float) -> float:
+    """Integral over [0, T] of integrand(dE(t)) for a schedule whose field
+    is dE(t) = dE_idle - depth * window(t, tau, T).
+
+    A Gauss-Legendre sum on each piece between the window's corners 0,
+    tau, T - tau, T and the two times where dE(t) crosses 0, around which
+    the integrand is sharpest; integrand takes the array of node fields.
+    """
+    T = sched.total_time
+    depth = params.dE_idle - float(sched.dE_envelope(T / 2))
+    cuts = [0.0, tau, T - tau, T]
+    if 0 < params.dE_idle < depth:
+        # the rise (1 - cos(pi t / tau)) / 2 reaches dE_idle / depth at tc
+        tc = tau / np.pi * np.arccos(1 - 2 * params.dE_idle / depth)
+        cuts += [tc, T - tc]
+    edges = np.unique(cuts)
+    half = np.diff(edges)[:, None] / 2
+    t = edges[:-1, None] + half * (1 + GAUSS_NODES)
+    return float(np.sum(half * integrand(sched.dE_envelope(t))
+                        * GAUSS_WEIGHTS))
 
 
 def predict_rz_angle(params: SystemParams, T: float) -> float:
     """Phase integral -int (delta_q(t) - delta_q0) dt along the Rz pulse:
     the accumulated angle, not reduced mod 2pi."""
-    sched = make_rz_schedule(params, T)
     dq0 = qubit_splitting_approx(params, params.dE_idle)
-
-    def integrand(t):
-        return qubit_splitting_approx(
-            params, float(sched.dE_envelope(t))) - dq0
-
-    return -_window_quadrature(integrand, rz_ramp(T), T)
+    return -_window_quadrature(
+        lambda dE: qubit_splitting_approx(params, dE) - dq0, params,
+        make_rz_schedule(params, T), rz_ramp(T))
 
 
 def simulate_rz_angle(params: SystemParams, T: float) -> float:
@@ -188,21 +246,22 @@ def rz_duration_for_angle(params: SystemParams, theta: float) -> float:
 
     The accumulated angle runs monotonically from 0 down to about -2pi as
     T grows to ~22 ns, so every target angle has a unique duration on the
-    branch theta(T) in [-2pi, 0). An angle within 1e-9 of a multiple of
-    2pi is one full turn, theta(T) = -2pi.
+    branch theta(T) in [-2pi, 0). An angle whose accumulated target lies
+    above theta(T) at the search's lower end needs a shorter pulse than
+    the search tries: it is one full turn, theta(T) = -2pi.
     """
     target = theta % (2 * np.pi)
-    if min(target, 2 * np.pi - target) < 1e-9:
-        target = 0.0
+    lo, hi = 1e-11, RZ_T_MAX
     accumulated = target - 2 * np.pi
+    if accumulated > predict_rz_angle(params, lo):
+        accumulated = -2 * np.pi
 
     def f(T):
         return predict_rz_angle(params, T) - accumulated
 
-    lo, hi = 1e-11, RZ_T_MAX
     if f(hi) > 0:
         raise ValueError(f"angle {theta} not reachable below {RZ_T_MAX} s")
-    T0 = brentq(f, lo, hi, xtol=1e-15)
+    T0 = find_root(f, lo, hi, 1e-15)
     # refine against the simulated angle with a secant step
     sim = simulate_rz_angle(params, T0)
     err = (sim - target + np.pi) % (2 * np.pi) - np.pi
@@ -359,8 +418,8 @@ class LambdaCalibration:
         if theta_x >= self.thetas[-1]:
             return float(self.lambdas[-1])
         i = int(np.searchsorted(self.thetas, theta_x))
-        return float(brentq(lambda lam: self.measure(lam) - theta_x,
-                            self.lambdas[i - 1], self.lambdas[i], xtol=1e-4))
+        return find_root(lambda lam: self.measure(lam) - theta_x,
+                         self.lambdas[i - 1], self.lambdas[i], 1e-4)
 
 
 def calibrate_lambda(params: SystemParams, maker,
@@ -403,7 +462,7 @@ def calibrate_naive_resonance(params: SystemParams) -> float:
                       - Hp[QUBIT_UP_INDEX, QUBIT_UP_INDEX]).real)
 
     span = 2 * np.pi * 40e6
-    return float(brentq(detuning, wB0 - span, wB0 + span, xtol=1.0))
+    return find_root(detuning, wB0 - span, wB0 + span, 1.0)
 
 
 def naive_maker(params: SystemParams):
@@ -437,11 +496,8 @@ def echo_slope(params: SystemParams, flat_time: float) -> float:
     fixed offset.
     """
     sched = make_echo_rz_schedule(params, flat_time)
-
-    def integrand(t):
-        return -dephasing_sensitivity(params, float(sched.dE_envelope(t)))
-
-    return _window_quadrature(integrand, ECHO_RAMP, sched.total_time)
+    return -_window_quadrature(lambda dE: dephasing_sensitivity(params, dE),
+                               params, sched, ECHO_RAMP)
 
 
 def echo_flat_time_for_slope(params: SystemParams, slope: float) -> float:

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (ELECTRON_CHARGE, HBAR, SILICON_RELATIVE_PERMITTIVITY,
                     VACUUM_PERMITTIVITY, SystemParams, orbital_mixing)
@@ -28,7 +27,7 @@ from .operators import (DIM, IDENT, TAU_Z, TAU_X, TAU_P, TAU_M,
                         QUBIT_UP_INDEX, QUBIT_DN_INDEX, frame_generator_diag,
                         qubit_gauge)
 from .pulses import PulseSchedule, make_cphase_schedule
-from .gates import idle_frame_block, idle_qubit_frame
+from .gates import find_root, idle_frame_block, idle_qubit_frame
 from .propagation import _effective_h_stack, propagate
 
 TRACK_MIN_OVERLAP = 0.5       # a smaller step overlap is a level crossing
@@ -273,4 +272,4 @@ def cz_duration_search(layout: TwoQubitLayout, t_lo: float = 100e-9,
         raise RuntimeError(
             f"no |phi| = pi crossing in [{t_lo:.2e}, {t_hi:.2e}] s "
             f"(endpoints {vals[0]:.3f}, {vals[-1]:.3f} rad)")
-    return float(brentq(lambda T: phi_mag(T) - np.pi, t_lo, t_hi, xtol=1e-11))
+    return find_root(lambda T: phi_mag(T) - np.pi, t_lo, t_hi, 1e-11)

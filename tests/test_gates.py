@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
-from donorspin.model import TWO_PI, SystemParams
+import donorspin.gates as gates_mod
+import donorspin.twoqubit as twoqubit_mod
+from donorspin.model import (TWO_PI, SystemParams, dephasing_sensitivity,
+                             qubit_splitting_approx)
 from donorspin.propagation import evolve, unitarity_defect
 from donorspin.pulses import (make_rz_schedule, make_rx_sweep_schedule,
                               make_naive_rx_schedule, make_idle_schedule,
-                              make_echo_rz_schedule)
+                              make_echo_rz_schedule, rz_ramp, ECHO_RAMP)
 from donorspin.gates import (QubitGate, EulerAngles, euler_decompose,
                              gate_infidelity, rz_matrix, rx_matrix,
                              extract_qubit_gate,
@@ -17,7 +22,9 @@ from donorspin.gates import (QubitGate, EulerAngles, euler_decompose,
                              SENSITIVITY_PROBES, echo_slope,
                              echo_flat_time_for_slope,
                              build_corrected_rx, build_sweep_echo_rx,
-                             calibrate_naive_resonance, RZ_T_MAX)
+                             calibrate_naive_resonance, RZ_T_MAX,
+                             find_root)
+from donorspin.twoqubit import TwoQubitLayout, cz_duration_search
 
 P = SystemParams()
 
@@ -117,6 +124,111 @@ class TestPredictRzAngle:
                                                               abs=0.05)
 
 
+def _quad_window(integrand, sched, tau):
+    """Adaptive-quadrature oracle for gates._window_quadrature: quad over
+    the window pieces, its relative tolerance near round-off."""
+    T = sched.total_time
+    return sum(quad(lambda t: integrand(float(sched.dE_envelope(t))), a, b,
+                    limit=200, epsabs=0, epsrel=2e-14)[0]
+               for a, b in zip((0.0, tau, T - tau), (tau, T - tau, T))
+               if b > a)
+
+
+class TestWindowQuadrature:
+    def test_rz_angle_matches_quad(self):
+        dq0 = qubit_splitting_approx(P, P.dE_idle)
+        for T in np.linspace(1e-9, RZ_T_MAX, 47):
+            ref = -_quad_window(lambda dE: qubit_splitting_approx(P, dE) - dq0,
+                                make_rz_schedule(P, T), rz_ramp(T))
+            assert abs(predict_rz_angle(P, T) - ref) <= 1e-12
+
+    def test_echo_slope_matches_quad(self):
+        for flat in np.linspace(0.0, 200e-9, 41):
+            ref = _quad_window(lambda dE: -dephasing_sensitivity(P, dE),
+                               make_echo_rz_schedule(P, flat), ECHO_RAMP)
+            assert echo_slope(P, flat) == pytest.approx(ref, rel=1e-12)
+
+
+def _random_bracket(rng):
+    """(f, a, b, xtol): an increasing function with a root inside [a, b],
+    from a family whose members take secant, inverse-quadratic and
+    bisection steps; the bracket ends come in either order."""
+    r, k = rng.uniform(-2, 2), 10 ** rng.uniform(-1, 2)
+    c = rng.uniform(0, 3, 2)
+    shapes = [lambda x: (x - r) * (1 + c[0] + c[1] * (x - r) ** 2),
+              lambda x: np.expm1(k * (x - r)),
+              lambda x: np.tanh(k * (x - r)) + 1e-3 * (x - r),
+              lambda x: np.cbrt(x - r),
+              lambda x: (x - r) * (1 if x < r else k)]
+    f = shapes[rng.integers(len(shapes))]
+    a, b = r - rng.uniform(1e-3, 3), r + rng.uniform(1e-3, 3)
+    if rng.random() < 0.5:
+        a, b = b, a
+    return f, a, b, 10 ** rng.uniform(-15, -2)
+
+
+@pytest.fixture
+def roots_against_brentq(monkeypatch):
+    """Has every find_root call of the package also run scipy's brentq on
+    the same bracket; yields the list of (find_root, brentq) roots."""
+    pairs = []
+
+    def checked(f, a, b, xtol):
+        pairs.append((find_root(f, a, b, xtol), brentq(f, a, b, xtol=xtol)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(gates_mod, "find_root", checked)
+    monkeypatch.setattr(twoqubit_mod, "find_root", checked)
+    return pairs
+
+
+class TestFindRoot:
+    """find_root is a port of scipy.optimize.brentq: the same root, bit for
+    bit."""
+
+    def test_random_brackets_match_brentq(self):
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            f, a, b, xtol = _random_bracket(rng)
+            assert find_root(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+
+    def test_root_at_an_end(self):
+        assert find_root(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0
+        assert find_root(lambda x: x - 3.0, 1.0, 3.0, 1e-12) == 3.0
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            find_root(lambda x: x * x + 1, -1.0, 2.0, 1e-12)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(gates_mod, "ROOT_MAXITER", 2)
+        with pytest.raises(RuntimeError, match="no convergence"):
+            find_root(np.cbrt, -1.0, 3.0, 1e-12)
+        with pytest.raises(RuntimeError):
+            brentq(np.cbrt, -1.0, 3.0, xtol=1e-12, maxiter=2)
+
+    def test_rz_duration_for_angle(self, roots_against_brentq):
+        for theta in (np.pi, 2.5, -1e-8):
+            rz_duration_for_angle(P, theta)
+        assert len(roots_against_brentq) == 3
+        assert all(got == ref for got, ref in roots_against_brentq)
+
+    def test_lambda_for_theta(self, sweep_calibration, roots_against_brentq):
+        sweep_calibration.lambda_for_theta(np.pi / 2)
+        [(got, ref)] = roots_against_brentq
+        assert got == ref
+
+    def test_calibrate_naive_resonance(self, roots_against_brentq):
+        calibrate_naive_resonance(P)
+        [(got, ref)] = roots_against_brentq
+        assert got == ref
+
+    def test_cz_duration_search(self, roots_against_brentq):
+        cz_duration_search(TwoQubitLayout(), 120e-9, 740e-9, n_samples=200)
+        [(got, ref)] = roots_against_brentq
+        assert got == ref
+
+
 class TestExtraction:
     def test_pure_idle_identity_lab(self):
         res = evolve(P, make_idle_schedule(P, 9.3e-9), frame="lab-position",
@@ -148,7 +260,7 @@ class TestExtraction:
 
 class TestRzCalibration:
     @pytest.mark.parametrize("theta", [-np.pi / 4, np.pi, 2 * np.pi - 0.05,
-                                       2 * np.pi, -1e-12])
+                                       2 * np.pi, -1e-12, -1e-8])
     def test_duration_roundtrip(self, theta):
         T = rz_duration_for_angle(P, theta)
         got = simulate_rz_angle(P, T)

@@ -1,5 +1,9 @@
-"""Every import in the package is used (no linter is assumed installed)."""
+"""Every import in the package is used (no linter is assumed installed),
+and the package needs numpy only."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,14 @@ def test_detects_a_function_level_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_level_imports(path):
     assert function_level_imports(path.read_text()) == []
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test oracle only: neither the package nor its CLI loads it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, donorspin, donorspin.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -241,6 +241,19 @@ class TestCliRuns:
         assert data.shape == (1, 3)
         assert 0 <= data[0, 2] < 1e-2
 
+    def test_rz_noise_just_below_a_full_turn_runs(self, tmp_path):
+        # -1e-8 rad lies above the angle of the shortest pulse the duration
+        # search tries; it runs as one full turn
+        man = tmp_path / "m.txt"
+        out = tmp_path / "rzn.txt"
+        man.write_text(f"kind = rz-noise\nangles = -1e-8\nsigmas = 10 V/m\n"
+                       f"samples = 2\noutput = {out}\n")
+        assert main(["validate", str(man)]) == 0
+        assert main(["run", str(man)]) == 0
+        _, data = read_columns(out)
+        assert data.shape == (1, 3)
+        assert 0 <= data[0, 2] < 1e-2
+
     def test_rz_noise_zero_angle_exit_code(self, tmp_path, capsys):
         man = tmp_path / "m.txt"
         man.write_text(f"kind = rz-noise\nangles = 0, pi\nsigmas = 10 V/m\n"
