@@ -170,7 +170,7 @@ def _random_bracket(rng):
 @pytest.fixture
 def roots_against_brentq(monkeypatch):
     """Has every find_root call of the package also run scipy's brentq on
-    the same bracket; yields the list of (find_root, brentq) roots."""
+    the same bracket; returns the list of (find_root, brentq) roots."""
     pairs = []
 
     def checked(f, a, b, xtol):
@@ -199,6 +199,16 @@ class TestFindRoot:
     def test_no_sign_change_raises(self):
         with pytest.raises(ValueError, match="different signs"):
             find_root(lambda x: x * x + 1, -1.0, 2.0, 1e-12)
+
+    def test_nan_raises(self):
+        # brentq raises on a NaN value too, rather than return a root
+        def f(x):
+            return np.nan if x > 0.6 else x - 0.7
+
+        with pytest.raises(ValueError, match="NaN"):
+            find_root(f, 0.0, 1.0, 1e-12)
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(f, 0.0, 1.0, xtol=1e-12)
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(gates_mod, "ROOT_MAXITER", 2)
