@@ -11,8 +11,9 @@ even ones. OUT.json gets, per workload and end-to-end metric, each side's
 runs, median and quartiles (statistics.quantiles, n=4), and the number of
 pairs (same seed) in which the change reads better, plus the unscaled
 median pass (`solve_wall_s`) and the machine note of the last run. Then
-each copy makes one traced run (`--trace 1`) per workload at seed 1, whose
-per-layer metrics go under `per_layer_seed1_trace1`.
+both copies make three traced runs (`--trace 1`) per workload, at seeds
+1-3 and in the same alternating order; each side's runs and its median of
+every per-layer metric go under `per_layer_trace1`.
 """
 import json
 import statistics
@@ -21,6 +22,7 @@ import sys
 
 WORKLOADS = ("noise-mc", "lab-oracle", "cz-search")
 SEEDS = range(1, 11)
+TRACED_SEEDS = range(1, 4)
 SECONDS = 30
 SIDES = ("parent", "change")
 
@@ -44,6 +46,21 @@ def bench(root, workload, seed, trace=0):
     return values, result["correct"], machine
 
 
+def pairs(dirs, workload, seeds, trace):
+    """Each side's metric values over `seeds`, the parent first on odd
+    seeds; whether every run was correct; the last machine note."""
+    runs = {side: [] for side in SIDES}
+    correct = {side: True for side in SIDES}
+    for seed in seeds:
+        for side in (SIDES if seed % 2 else SIDES[::-1]):
+            values, ok, machine = bench(dirs[side], workload, seed, trace)
+            runs[side].append(values)
+            correct[side] &= ok
+            print(workload, seed, side, trace, json.dumps(values),
+                  flush=True)
+    return runs, correct, machine
+
+
 def summary(runs):
     q1, _, q3 = statistics.quantiles(runs, n=4)
     return {"n": len(runs), "median": statistics.median(runs),
@@ -55,17 +72,10 @@ def main():
         sys.exit(__doc__)
     dirs = dict(zip(SIDES, sys.argv[1:3]))
     record = {"command": f"benchmark/run.py --seconds {SECONDS} --trace 0",
-              "end_to_end": {}}
+              "end_to_end": {}, "per_layer_trace1": {}}
     higher_better = {"op_success_rate"}
     for workload in WORKLOADS:
-        runs = {side: [] for side in SIDES}
-        correct = {side: True for side in SIDES}
-        for seed in SEEDS:
-            for side in (SIDES if seed % 2 else SIDES[::-1]):
-                values, ok, machine = bench(dirs[side], workload, seed)
-                runs[side].append(values)
-                correct[side] &= ok
-                print(workload, seed, side, json.dumps(values), flush=True)
+        runs, correct, record["machine"] = pairs(dirs, workload, SEEDS, 0)
         entry = {"seeds": list(SEEDS), "correct": correct}
         for metric in runs["parent"][0]:
             p = [r[metric] for r in runs["parent"]]
@@ -77,11 +87,14 @@ def main():
                                            for a, b in zip(p, c)),
                 "tied_pairs": sum(a == b for a, b in zip(p, c))}
         record["end_to_end"][workload] = entry
-        record["machine"] = machine
-    record["per_layer_seed1_trace1"] = {
-        workload: {side: bench(dirs[side], workload, 1, trace=1)[0]
-                   for side in SIDES}
-        for workload in WORKLOADS}
+    for workload in WORKLOADS:
+        runs, correct, _ = pairs(dirs, workload, TRACED_SEEDS, 1)
+        record["per_layer_trace1"][workload] = {
+            "seeds": list(TRACED_SEEDS), "correct": correct,
+            **{side: {"median": {m: statistics.median(r[m] for r in rs)
+                                 for m in rs[0]},
+                      "runs": rs}
+               for side, rs in runs.items()}}
     with open(sys.argv[3], "w") as fh:
         json.dump(record, fh, indent=1)
 

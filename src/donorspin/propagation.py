@@ -2,12 +2,15 @@
 
 The integrator is piecewise-constant with midpoint sampling and a step
 exp(-i H dt) = cos(H dt) - i sin(H dt) exact to round-off: Taylor series
-of cos and sin, with halving and the double-angle formulas where H dt is
-large (`_step_unitaries`). Every Hamiltonian the package builds is real
-symmetric (its operators and coefficients are real; only tau_y, S_y and
-I_y are complex, and no Hamiltonian uses them), so cos and sin are real
-and come from real matrix products; a complex Hermitian stack goes
-through the same code in complex arithmetic. One step loop,
+of cos and sin to the lowest degree the 1-norm of H dt allows, with
+halving and the double-angle formulas where H dt is large
+(`_step_unitaries`). The steps are multiplied as (cos, sin) pairs
+(`_ordered_product`), and the complex propagator is formed once per chunk
+or sector. Every Hamiltonian the package builds is real symmetric (its
+operators and coefficients are real; only tau_y, S_y and I_y are complex,
+and no Hamiltonian uses them), so the pairs are real and come from real
+matrix products; a complex Hermitian stack goes through the same code in
+complex arithmetic. One step loop,
 `propagate`, serves every frame and the 64-dim two-qubit simulation: a
 frame only supplies its Hamiltonian stack, and steps are processed in
 vectorized chunks, so a whole batch of quasi-static noise offsets can be
@@ -24,12 +27,15 @@ the connected components of the exact nonzero pattern of the stack,
 is stepped and multiplied on its own and scattered into the chunk's
 propagator. With Ba = 0 each donor's S_z + I_z is conserved, so the Rz,
 echo and CZ stacks split (a qubit's 8 levels into {0,4}, {3,7} and
-{1,2,5,6}, or finer). A chunk whose pattern connects every level, such as
-any chunk with the B_ac drive on, runs the dense step unchanged. There is
-no option for this: the split follows from the Hamiltonian alone.
+{1,2,5,6}, or finer). A sector of one level is a phase: its steps
+multiply to exp(-i dt sum_k h_k), with no series. A chunk whose pattern
+connects every level, such as any chunk with the B_ac drive on, runs the
+dense step unchanged. There is no option for this: the split follows from
+the Hamiltonian alone.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -51,15 +57,19 @@ FRAMES = ("lab-position", "effective")
 UNITARITY_LIMIT = 1e-8      # a propagator with a larger defect is invalid
 RESONANCE_SAMPLES = 2001    # schedule samples of the two-photon check
 
-# Taylor coefficients of the step's cos (to A**12) and sin (to A**13).
-# The first term left out, |A|**14 / 14!, is one unit of double round-off
-# at the 1-norm STEP_THETA (0.44), so below it the series is exact to
-# round-off. Series to A**8 and A**9 would need two more halvings on the
-# effective and 64-dim stacks (1-norms 5 to 20): as many products as the
-# two extra terms, and four times the round-off.
+# Taylor coefficients of the step's cos (to A**12) and sin (to A**13), and
+# the largest 1-norm of A, _DEGREE_THETA[k - 1], at which the series to
+# A**2k and A**(2k+1) are exact to round-off: there the first term left
+# out, |A|**(2k+2) / (2k+2)!, is one unit of double round-off. Above
+# STEP_THETA (0.44, k = 6) the step halves A. A cap at k = 4 would need
+# two more halvings on the effective and 64-dim stacks (1-norms 5 to 20):
+# as many products as the two terms it saves, and four times the
+# round-off.
 _COS = [(-1) ** k / math.factorial(2 * k) for k in range(7)]
 _SIN = [(-1) ** k / math.factorial(2 * k + 1) for k in range(7)]
-STEP_THETA = (2.0 ** -53 * math.factorial(14)) ** (1 / 14)
+_DEGREE_THETA = [(2.0 ** -53 * math.factorial(2 * k + 2)) ** (1 / (2 * k + 2))
+                 for k in range(1, 7)]
+STEP_THETA = _DEGREE_THETA[-1]
 
 
 class TwoPhotonResonanceWarning(UserWarning):
@@ -132,41 +142,49 @@ def _add_identity(X, c):
 
 def _step_unitaries(H, dt):
     """exp(-i H dt) for each matrix of a (..., d, d) Hermitian stack, as
-    cos A - i sin A with A = H dt.
+    the pair (C, S) = (cos A, sin A) with A = H dt; the step is C - i S.
 
-    C = cos A and S = sin A are their Taylor series (_COS, _SIN), evaluated
-    by Horner in B = A @ A. When the stack's largest 1-norm of A exceeds
-    STEP_THETA, A is first halved s times (exact powers of two), and the
-    double-angle formulas restore it s times: cos 2A = (C + S)(C - S) and
-    sin 2A = 2 S C, since C and S commute. A real symmetric stack runs in
-    real arithmetic up to U itself.
+    The stack's largest 1-norm theta of A sets the work. Above STEP_THETA,
+    A is first halved s times (exact powers of two), and the double-angle
+    formulas restore it s times: cos 2A = (C + S)(C - S) and
+    sin 2A = 2 S C, since C and S commute. The series degree k is the
+    smallest for which the first term left out, theta**(2k+2) / (2k+2)!
+    at the halved theta, is at most 2**-53 (_DEGREE_THETA): C and S are
+    the Taylor series to A**2k and A**(2k+1) (_COS, _SIN), evaluated by
+    Horner in B = A @ A: 2k products, and 2 more per halving. A real
+    symmetric stack gives a real pair.
     """
-    theta = dt * float(np.linalg.norm(H, 1, axis=(-2, -1)).max())
+    theta = dt * float(np.abs(H).sum(axis=-2).max())
     s = math.ceil(math.log2(theta / STEP_THETA)) if theta > STEP_THETA else 0
+    # hi=5 keeps k at 6 if rounding leaves the halved theta a hair above
+    # STEP_THETA
+    k = 1 + bisect.bisect_left(_DEGREE_THETA, theta * 2.0 ** -s, hi=5)
     A = H * (dt * 2.0 ** -s)
     B = A @ A
-    C = _add_identity(_COS[-1] * B, _COS[-2])
-    S = _add_identity(_SIN[-1] * B, _SIN[-2])
-    for c_k, s_k in zip(_COS[-3::-1], _SIN[-3::-1]):
-        C = _add_identity(B @ C, c_k)
-        S = _add_identity(B @ S, s_k)
+    C = _add_identity(_COS[k] * B, _COS[k - 1])
+    S = _add_identity(_SIN[k] * B, _SIN[k - 1])
+    for j in range(k - 2, -1, -1):
+        C = _add_identity(B @ C, _COS[j])
+        S = _add_identity(B @ S, _SIN[j])
     S = A @ S
     for _ in range(s):
         C, S = (C + S) @ (C - S), 2 * (S @ C)
-    U = np.multiply(S, -1j)
-    U += C
-    return U
+    return C, S
 
 
-def _ordered_product(Us):
-    """Product U[n-1] @ ... @ U[0] along the leading axis, tree-reduced."""
-    while Us.shape[0] > 1:
-        if Us.shape[0] % 2 == 1:
-            last = Us[-1:]
-            Us = np.concatenate([np.matmul(Us[1:-1:2], Us[0:-1:2]), last])
-        else:
-            Us = np.matmul(Us[1::2], Us[0::2])
-    return Us[0]
+def _ordered_product(C, S):
+    """Product U[n-1] @ ... @ U[0] along the leading axis of the steps
+    U = C - i S, tree-reduced on the pairs: U2 U1 is
+    (C2 C1 - S2 S1) - i (C2 S1 + S2 C1), in real arithmetic for a real
+    pair. Returns the complex product."""
+    while C.shape[0] > 1:
+        C2, S2, C1, S1 = C[1::2], S[1::2], C[0:-1:2], S[0:-1:2]
+        C12, S12 = C2 @ C1 - S2 @ S1, C2 @ S1 + S2 @ C1
+        if C.shape[0] % 2 == 1:
+            C12, S12 = (np.concatenate([C12, C[-1:]]),
+                        np.concatenate([S12, S[-1:]]))
+        C, S = C12, S12
+    return C[0] - 1j * S[0]
 
 
 def _sectors(H):
@@ -192,9 +210,13 @@ def _sector_product(H, groups, dt):
     one group of equal-size sectors (from _sectors) at a time."""
     P = np.zeros(H.shape[1:], dtype=complex)
     for g in groups:
-        rows, cols = g[:, :, None], g[:, None, :]
-        P[:, rows, cols] = _ordered_product(
-            _step_unitaries(H[..., rows, cols], dt))
+        if g.shape[1] == 1:     # scalar sectors: exact phases
+            lv = g[:, 0]
+            P[:, lv, lv] = np.exp(-1j * dt * H[..., lv, lv].sum(axis=0))
+        else:
+            rows, cols = g[:, :, None], g[:, None, :]
+            P[:, rows, cols] = _ordered_product(
+                *_step_unitaries(H[..., rows, cols], dt))
     return P
 
 
@@ -217,14 +239,15 @@ def propagate(h_stack, t0: float, dt: float, n: int, nbatch: int,
         H = h_stack(tmid)
         groups = _sectors(H)
         # Both paths free H before the next chunk's is built, the dense one
-        # before its tree product. The dense path's Us stays alive until
-        # the next dense chunk replaces it, as in a plain step loop: freeing
-        # it too lets the allocator hand the heap back and page-fault it in
-        # again on every lab chunk (about 30x the minor faults).
+        # before its tree product. The dense path's steps C and S stay
+        # alive until the next dense chunk replaces them, as in a plain step
+        # loop: freeing them too lets the allocator hand the heap back and
+        # page-fault it in again on every lab chunk (about 5x the minor
+        # faults).
         if groups[0].shape == (1, dim):
-            Us = _step_unitaries(H, dt)
+            C, S = _step_unitaries(H, dt)
             del H
-            P = _ordered_product(Us)
+            P = _ordered_product(C, S)
         else:
             P = _sector_product(H, groups, dt)
             del H

@@ -203,7 +203,7 @@ class TestSchriefferWolff:
         from donorspin.propagation import _step_unitaries, _ordered_product
         Hs = reconstruct_rotating_hamiltonian(
             P, *(_Const.sample(tmid)), W_E, W_B, tmid[:, None, None])
-        Uex = _ordered_product(_step_unitaries(Hs, Tp / n))
+        Uex = _ordered_product(*_step_unitaries(Hs, Tp / n))
 
         Hp = effective_hamiltonian(P, dE, Ea, Ba, W_E, W_B)
         ev, V = np.linalg.eigh(Hp)

@@ -12,7 +12,8 @@ from donorspin.propagation import (EvolutionResult, OperatorMatrix, evolve,
                                    TwoPhotonResonanceWarning,
                                    _position_h_stack, _effective_h_stack,
                                    _ordered_product, _sectors,
-                                   _step_unitaries, STEP_THETA)
+                                   _step_unitaries, STEP_THETA,
+                                   _DEGREE_THETA, DEFAULT_DT_LAB)
 from donorspin.pulses import (make_rz_schedule, make_rx_sweep_schedule,
                               make_idle_schedule, make_cphase_schedule)
 from donorspin.twoqubit import TwoQubitLayout, _pair_h_stack
@@ -272,14 +273,32 @@ def _dense_reference(H, dt):
     return U
 
 
+def _complex_tree(Us):
+    """Product U[n-1] @ ... @ U[0] along the leading axis, tree-reduced in
+    complex arithmetic."""
+    while Us.shape[0] > 1:
+        pairs = np.matmul(Us[1::2], Us[0:-1:2])
+        Us = np.concatenate([pairs, Us[-1:]]) if Us.shape[0] % 2 else pairs
+    return Us[0]
+
+
+# (kind, theta) cases of the step kernel: every halving count, and, on
+# diagonal stacks, theta just below the 1-norm at which the series degree
+# k steps up, for k = 2 to 6
+STEP_CASES = [(kind, theta) for kind in ("complex", "diagonal", "real")
+              for theta in (1e-3, 0.3, 0.43, 3.0, 30.0)] + [
+    pytest.param("diagonal", _DEGREE_THETA[k - 1] * (1 - 1e-6),
+                 id=f"diagonal-below-degree-{k}") for k in range(2, 7)]
+
+
 class TestStepKernel:
-    @pytest.mark.parametrize("theta", [1e-3, 0.3, 0.43, 3.0, 30.0])
-    @pytest.mark.parametrize("kind", ["real", "complex", "diagonal"])
-    def test_each_step_matches_eigh(self, theta, kind):
+    @pytest.mark.parametrize("kind, theta", STEP_CASES)
+    def test_each_step_matches_eigh(self, kind, theta):
         # theta is the stack's largest 1-norm of H dt: from no halving
         # (s = 0) to s = 7; each halving may double the round-off. A
-        # diagonal stack's spectral norm is its 1-norm, so at theta = 0.43,
-        # just below STEP_THETA, it shows any missing series term
+        # diagonal stack's spectral norm is its 1-norm, so just below a
+        # degree step (0.43 is just below STEP_THETA) it shows any missing
+        # series term
         rng = np.random.default_rng(21)
         if kind == "diagonal":
             H = rng.normal(size=(40, 3, DIM))[..., None] * np.eye(DIM)
@@ -290,8 +309,9 @@ class TestStepKernel:
             H = X + X.conj().swapaxes(-1, -2)
         dt = theta / np.linalg.norm(H, 1, axis=(-2, -1)).max()
         s = max(0, math.ceil(math.log2(theta / STEP_THETA)))
-        assert s == {1e-3: 0, 0.3: 0, 0.43: 0, 3.0: 3, 30.0: 7}[theta]
-        U = _step_unitaries(H, dt)
+        assert s == {3.0: 3, 30.0: 7}.get(theta, 0)
+        C, S = _step_unitaries(H, dt)
+        U = C - 1j * S
         ev, V = np.linalg.eigh(H)
         ref = ((V * np.exp(-1j * ev * dt)[..., None, :])
                @ V.conj().swapaxes(-1, -2))
@@ -351,7 +371,8 @@ class TestSectors:
         assert len(_sectors(H)) == 1
         U, _ = propagate(_stack_of(H, 0.0, dt), 0.0, dt, n, nbatch)
         eye = np.broadcast_to(np.eye(DIM, dtype=complex), (nbatch, DIM, DIM))
-        dense = np.matmul(_ordered_product(_step_unitaries(H.copy(), dt)), eye)
+        dense = np.matmul(_ordered_product(*_step_unitaries(H.copy(), dt)),
+                          eye)
         assert np.array_equal(U, dense)
 
     def test_split_schedule_matches_dense_path(self):
@@ -371,3 +392,29 @@ class TestSectors:
         U_s, _ = propagate(split, 0.0, dt, n, 2)
         U_d, _ = propagate(dense, 0.0, dt, n, 2)
         assert np.abs(U_s - U_d).max() < 1e-12
+
+    def test_scalar_sectors_are_exact_phases(self):
+        # every level its own sector, with theta near 10: each step is a
+        # phase, not a series after 5 halvings
+        rng = np.random.default_rng(14)
+        n, nbatch = 30, 3
+        H = rng.normal(size=(n, nbatch, DIM))[..., None] * np.eye(DIM)
+        dt = 10.0 / np.abs(H).max()
+        assert [g.shape for g in _sectors(H)] == [(DIM, 1)]
+        U, _ = propagate(_stack_of(H, 0.0, dt), 0.0, dt, n, nbatch)
+        assert np.abs(U - _dense_reference(H, dt)).max() < 1e-13
+
+    def test_lab_path_matches_eigh(self):
+        # the first 2 ns of the lab sweep gate at the default step, two
+        # offsets: three chunks of the S_z + I_z split
+        sched = make_rx_sweep_schedule(P, 1.0)
+        noise = np.array([0.0, 40.0])
+        n, dt = 20000, DEFAULT_DT_LAB
+        H = _position_h_stack(P, sched, (np.arange(n) + 0.5) * dt, noise)
+        U, _ = propagate(_stack_of(H, 0.0, dt), 0.0, dt, n, 2)
+        assert np.abs(U - _dense_reference(H, dt)).max() < 1e-12
+        # the pair tree against the complex tree, on a driven (dense) chunk
+        tmid = sched.total_time / 2 + (np.arange(4097) + 0.5) * dt
+        C, S = _step_unitaries(_position_h_stack(P, sched, tmid, noise), dt)
+        assert np.abs(_ordered_product(C, S)
+                      - _complex_tree(C - 1j * S)).max() < 1e-14
