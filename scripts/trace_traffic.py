@@ -11,6 +11,12 @@ Runs all program traffic under a `sys.settrace` line trace limited to
   arguments;
 - every manifest in `manifests/`, through the CLI in a temporary directory.
 
+Each program's line also gives its number of `evolve` calls and how many
+of them repeat an earlier call of the same program: the same schedule
+content (duration, drive frequencies, envelopes sampled on a fixed grid),
+offsets, frame and dt. A calibration that propagates a segment twice
+shows up there.
+
 Then prints, per module, each executable line (from the code objects'
 `co_lines`) that none of them ran; for each experiment kind, the fields
 that no manifest in `manifests/` sets; and the line count of
@@ -23,6 +29,7 @@ lines count.
 Usage: python scripts/trace_traffic.py
 """
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -52,6 +59,8 @@ JOBS += [("manifest", p.stem)
          if ("manifest", p.stem) not in JOBS]
 
 _hits = set()               # (file name, line) run in this worker
+_evolve_calls = []          # fingerprints of the current job's evolve calls
+FINGERPRINT_GRID = (0.0, 1e-6, 2001)    # linspace of the envelope samples
 
 
 def _local_trace(frame, event, arg):
@@ -69,6 +78,36 @@ def _global_trace(frame, event, arg):
 def _start_tracing():
     sys.path.insert(0, str(ROOT / "src"))
     sys.settrace(_global_trace)
+    _record_evolve_calls()
+
+
+def _record_evolve_calls():
+    """Make `evolve`, as the programs reach it through `propagation` and
+    `gates`, record the fingerprint of each call's inputs. The envelopes
+    are sampled with the line trace off."""
+    import numpy as np
+    import donorspin.gates as gates
+    import donorspin.propagation as propagation
+    evolve = propagation.evolve
+    signature = inspect.signature(evolve)
+    grid = np.linspace(*FINGERPRINT_GRID)
+
+    def recorded(*args, **kwargs):
+        sys.settrace(None)
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        sched, noise = call.arguments["schedule"], call.arguments["noise_dE"]
+        noise = np.asarray(noise, dtype=float)
+        _evolve_calls.append((
+            sched.total_time, sched.omega_E, sched.omega_B,
+            *(np.asarray(env(grid), dtype=float).tobytes() for env in
+              (sched.dE_envelope, sched.Ea_envelope, sched.Ba_envelope)),
+            noise.shape, noise.tobytes(), call.arguments["frame"],
+            call.arguments["dt"]))
+        sys.settrace(_global_trace)
+        return evolve(*args, **kwargs)
+
+    propagation.evolve = gates.evolve = recorded
 
 
 def _run_workload(name):
@@ -121,10 +160,13 @@ RUNNERS = {"workload": _run_workload, "script": _run_script,
 
 def _job(kind, name):
     """Run one program in this worker; returns (its errors, every line the
-    worker has run so far)."""
+    worker has run so far, its evolve calls, how many of them repeat an
+    earlier one's inputs)."""
+    _evolve_calls.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         errors = RUNNERS[kind](name)
-    return errors, _hits
+    calls = len(_evolve_calls)
+    return errors, _hits, calls, calls - len(set(_evolve_calls))
 
 
 def executable_lines(path):
@@ -145,11 +187,12 @@ def main():
     with ProcessPoolExecutor(WORKERS, initializer=_start_tracing) as pool:
         futures = [(job, pool.submit(_job, *job)) for job in JOBS]
         for (kind, name), future in futures:
-            errors, seen = future.result()
+            errors, seen, calls, repeats = future.result()
             hits |= seen
             failed |= bool(errors)
             status = "; ".join(errors) if errors else "ok"
-            print(f"ran {kind} {name}: {status}", flush=True)
+            print(f"ran {kind} {name}: {status}; {calls} evolve calls, "
+                  f"{repeats} repeating an earlier call", flush=True)
     total = 0
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text().splitlines()

@@ -9,6 +9,12 @@ effective frame (H'); the lab frame enters through `evolve`,
 gates against it.
 All 2x2 gates use the (up~, dn~) ordering with sigma_z = diag(+1, -1) and
 Rz(th) = exp(-i th sigma_z / 2), Rx(th) = exp(-i th sigma_x / 2).
+
+A calibration and the gates built on it evolve each distinct segment
+once: they compose every sequence they read from one `_propagators` map
+per (offsets, frame, dt), bit for bit the product a fresh evolve gives.
+The zero-noise map and one schedule per lambda live with the lambda
+calibration; the Rz duration search hands back the schedule it simulated.
 """
 from __future__ import annotations
 
@@ -22,10 +28,10 @@ from .operators import (QUBIT_UP_INDEX, QUBIT_DN_INDEX, frame_generator_diag,
                         orbital_transform, qubit_gauge)
 from .propagation import (EvolutionResult, evolve, lab_hamiltonian, leakage,
                           to_lab_orbital)
-from .pulses import (PulseSchedule, make_rz_schedule, make_rx_sweep_schedule,
-                     make_naive_rx_schedule, make_echo_rz_schedule,
-                     make_idle_schedule, sweep_drive_frequencies, rz_ramp,
-                     SWEEP_EA_PEAK, SWEEP_BA_PEAK, ECHO_RAMP)
+from .pulses import (PulseSchedule, make_rz_schedule, make_naive_rx_schedule,
+                     make_echo_rz_schedule, make_idle_schedule,
+                     sweep_drive_frequencies, rz_ramp, SWEEP_EA_PEAK,
+                     SWEEP_BA_PEAK, ECHO_RAMP)
 
 MAX_LEAKAGE = 0.01           # a qubit block leaking more defines no gate
 RZ_T_MAX = 24e-9             # longest Rz pulse the duration search tries
@@ -244,7 +250,8 @@ def predict_rz_angle(params: SystemParams, T: float) -> float:
 
 def simulate_rz_angle(params: SystemParams, T: float) -> float:
     """Extracted Z angle (mod 2pi) of the Rz schedule of duration T."""
-    angles = _readout(params, [make_rz_schedule(params, T)])
+    angles = _readout(params, [make_rz_schedule(params, T)],
+                      _propagators(params, 0.0, CALIBRATION_FRAME, None))
     return angles.theta_z1 % (2 * np.pi)
 
 
@@ -257,6 +264,14 @@ def rz_duration_for_angle(params: SystemParams, theta: float) -> float:
     above theta(T) at the search's lower end needs a shorter pulse than
     the search tries: it is one full turn, theta(T) = -2pi.
     """
+    return _rz_for_angle(params, theta, _propagators(
+        params, 0.0, CALIBRATION_FRAME, None)).total_time
+
+
+def _rz_for_angle(params: SystemParams, theta: float,
+                  propagator) -> PulseSchedule:
+    """rz_duration_for_angle's Rz schedule, simulated through the
+    zero-noise map `propagator`, which so holds its propagator."""
     target = theta % (2 * np.pi)
     lo, hi = 1e-11, RZ_T_MAX
     accumulated = target - 2 * np.pi
@@ -269,18 +284,22 @@ def rz_duration_for_angle(params: SystemParams, theta: float) -> float:
     if f(hi) > 0:
         raise ValueError(f"angle {theta} not reachable below {RZ_T_MAX} s")
     T0 = find_root(f, lo, hi, 1e-15)
+
+    def error(sched):
+        sim = _readout(params, [sched], propagator).theta_z1 % (2 * np.pi)
+        return (sim - target + np.pi) % (2 * np.pi) - np.pi
+
     # refine against the simulated angle with a secant step
-    sim = simulate_rz_angle(params, T0)
-    err = (sim - target + np.pi) % (2 * np.pi) - np.pi
+    sched0 = make_rz_schedule(params, T0)
+    err = error(sched0)
     slope = (predict_rz_angle(params, T0 * 1.001)
              - predict_rz_angle(params, T0)) / (T0 * 0.001)
     T1 = T0 - err / slope
     if T1 > 0:
-        sim1 = simulate_rz_angle(params, T1)
-        err1 = (sim1 - target + np.pi) % (2 * np.pi) - np.pi
-        if abs(err1) < abs(err):
-            return T1
-    return T0
+        sched1 = make_rz_schedule(params, T1)
+        if abs(error(sched1)) < abs(err):
+            return sched1
+    return sched0
 
 
 # ---------------------------------------------------------------------------
@@ -307,42 +326,66 @@ class NoiseModel:
         return np.concatenate([base, -base])[: self.sample_count]
 
 
+def _propagators(params: SystemParams, noise_dE, frame: str, dt):
+    """Map seg -> lab-frame, orbital-basis propagator of schedule `seg` at
+    these offsets, frame and dt, evolving each schedule object once. It
+    keeps the schedules alive, so their ids stay theirs."""
+    evolved = {}
+
+    def propagator(seg):
+        if id(seg) not in evolved:
+            res = evolve(params, seg, noise_dE=noise_dE, frame=frame, dt=dt)
+            evolved[id(seg)] = seg, to_lab_orbital(res, params)
+        return evolved[id(seg)][1]
+
+    return propagator
+
+
+def _chain(segments, propagator):
+    """Ordered product of the segments' propagators from a map."""
+    first = propagator(segments[0])
+    U = np.broadcast_to(np.eye(8, dtype=complex), first.shape).copy()
+    for seg in segments:
+        U = np.matmul(propagator(seg), U)
+    return U
+
+
 def evolve_segments(params: SystemParams, segments, noise_dE=0.0,
                     frame: str = "effective", dt: float | None = None):
     """Chained lab-frame, orbital-basis propagator of a schedule sequence.
 
     Each segment is evolved in `frame` and converted to the lab orbital
     basis; drive phases restart at each segment boundary. A schedule
-    object that appears more than once is evolved once.
+    object that appears more than once is evolved once; a build chains
+    from one `_propagators` map instead, so each of its segments is
+    evolved once however many of its sequences hold it.
     """
-    noise = np.asarray(noise_dE, dtype=float)
-    batched = noise.ndim > 0
-    shape = (noise.size, 8, 8) if batched else (8, 8)
-    U = np.broadcast_to(np.eye(8, dtype=complex), shape).copy()
-    evolved = {}
-    for seg in segments:
-        if id(seg) not in evolved:
-            res = evolve(params, seg, noise_dE=noise_dE, frame=frame, dt=dt)
-            evolved[id(seg)] = to_lab_orbital(res, params)
-        U = np.matmul(evolved[id(seg)], U)
-    return U
+    return _chain(segments, _propagators(params, noise_dE, frame, dt))
 
 
 def composite_qubit_block(params: SystemParams, segments, noise_dE=0.0,
                           frame: str = "effective", dt: float | None = None):
     """Idle-frame qubit block(s) of a schedule sequence."""
-    U = evolve_segments(params, segments, noise_dE, frame, dt)
+    return _qubit_block(params, segments, frame,
+                        _propagators(params, noise_dE, frame, dt))
+
+
+def _qubit_block(params: SystemParams, segments, frame: str, propagator):
+    """Idle-frame qubit block(s) of a sequence chained from `propagator`,
+    a `_propagators` map in `frame`."""
+    U = _chain(segments, propagator)
     energies, basis = idle_qubit_frame(params, frame, segments[0])
     T = sum(seg.total_time for seg in segments)
     return idle_frame_block(U, energies, basis, T)
 
 
-def _readout(params: SystemParams, segments) -> EulerAngles:
+def _readout(params: SystemParams, segments, propagator) -> EulerAngles:
     """Euler angles of a schedule sequence at zero noise in
-    CALIBRATION_FRAME; raises ValueError when its qubit block leaks more
-    than MAX_LEAKAGE."""
-    gate, _ = _gate_from_block(composite_qubit_block(params, segments, 0.0,
-                                                     CALIBRATION_FRAME))
+    CALIBRATION_FRAME, chained from the build's zero-noise map
+    `propagator`; raises ValueError when its qubit block leaks more than
+    MAX_LEAKAGE."""
+    gate, _ = _gate_from_block(_qubit_block(params, segments,
+                                            CALIBRATION_FRAME, propagator))
     return euler_decompose(gate)
 
 
@@ -388,8 +431,15 @@ class NoiseSensitivity:
 def noise_sensitivity(params: SystemParams, segments) -> NoiseSensitivity:
     """Linear fit of the Euler angles against the quasi-static field
     offsets SENSITIVITY_PROBES."""
+    return _sensitivity(params, segments, _propagators(
+        params, SENSITIVITY_PROBES, CALIBRATION_FRAME, None))
+
+
+def _sensitivity(params: SystemParams, segments,
+                 propagator) -> NoiseSensitivity:
+    """noise_sensitivity chained from a map at SENSITIVITY_PROBES."""
     probes = SENSITIVITY_PROBES
-    blocks = composite_qubit_block(params, segments, probes)
+    blocks = _qubit_block(params, segments, CALIBRATION_FRAME, propagator)
     decomposed = [euler_decompose(_gate_from_block(block)[0])
                   for block in blocks]
     raw = np.array([(a.theta_z1, a.theta_x, a.theta_z2) for a in decomposed])
@@ -406,13 +456,34 @@ def noise_sensitivity(params: SystemParams, segments) -> NoiseSensitivity:
 # ---------------------------------------------------------------------------
 # lambda calibration for the sweep and sweep-free X gates
 
+class _LambdaSchedules:
+    """maker(params, lambda), one schedule per lambda, and the zero-noise
+    map that the table, the root searches and the gates built on the
+    calibration share; calling it measures theta_x(lambda)."""
+
+    def __init__(self, params: SystemParams, maker):
+        self.params, self.maker = params, maker
+        self.propagator = _propagators(params, 0.0, CALIBRATION_FRAME, None)
+        self.made = {}
+
+    def __call__(self, lam):
+        return _readout(self.params, [self.schedule(lam)],
+                        self.propagator).theta_x
+
+    def schedule(self, lam):
+        if lam not in self.made:
+            self.made[lam] = self.maker(self.params, lam)
+        return self.made[lam]
+
+
 @dataclass
 class LambdaCalibration:
-    """Monotone lookup lambda -> theta_x built by simulation."""
+    """Monotone lookup lambda -> theta_x built by simulation; gates built
+    on it use its schedules and map, so they need its params."""
 
     lambdas: np.ndarray
     thetas: np.ndarray
-    measure: object          # callable lambda -> simulated theta_x
+    measure: object          # _LambdaSchedules: lambda -> simulated theta_x
 
     def theta_max(self) -> float:
         return float(self.thetas[-1])
@@ -437,11 +508,7 @@ def calibrate_lambda(params: SystemParams, maker,
     lambda whose theta_x falls below the entry before it, as for a drive
     whose net rotation saturates and folds back.
     """
-
-    def measure(lam):
-        angles = _readout(params, [maker(params, lam)])
-        return angles.theta_x
-
+    measure = _LambdaSchedules(params, maker)
     lams = np.linspace(0.0, 1.0, n_points)
     thetas = [0.0]
     for lam in lams[1:]:
@@ -527,31 +594,31 @@ class ComposedGate:
         return sum(seg.total_time for seg in self.segments)
 
 
-def _wrap_with_correctives(params, core_segments, theta_x, info):
+def _wrap_with_correctives(params, core_segments, theta_x, info,
+                           propagator):
     """Add Rz wrappers so the sequence equals Rx(theta) at zero noise.
 
     Solved iteratively on the measured full composite: inserting a wrapper
     shifts every later segment's idle-frame phase split, so the corrective
     angles are refined against the realized sequence until the residual
-    z-angles vanish.
+    z-angles vanish. `info` gets the angles of the wrappers returned.
     """
-    ang = _readout(params, core_segments)
+    ang = _readout(params, core_segments, propagator)
     info = dict(info, theta_z1=ang.theta_z1, theta_z2=ang.theta_z2,
                 theta_x_measured=ang.theta_x)
     c_pre, c_post = -ang.theta_z2, -ang.theta_z1
     for _ in range(CORRECTIVE_ITERATIONS):
-        pre = make_rz_schedule(params, rz_duration_for_angle(params, c_pre))
-        post = make_rz_schedule(params, rz_duration_for_angle(params, c_post))
-        segments = [pre, *core_segments, post]
-        res = _readout(params, segments)
+        segments = [_rz_for_angle(params, c_pre, propagator), *core_segments,
+                    _rz_for_angle(params, c_post, propagator)]
+        info["corrective_pre"] = c_pre % (2 * np.pi)
+        info["corrective_post"] = c_post % (2 * np.pi)
+        res = _readout(params, segments, propagator)
         r1 = (res.theta_z1 + np.pi) % (2 * np.pi) - np.pi
         r2 = (res.theta_z2 + np.pi) % (2 * np.pi) - np.pi
         if abs(r1) < CORRECTIVE_TOL and abs(r2) < CORRECTIVE_TOL:
             break
         c_post -= r1
         c_pre -= r2
-    info["corrective_pre"] = c_pre % (2 * np.pi)
-    info["corrective_post"] = c_post % (2 * np.pi)
     return ComposedGate(segments, rx_matrix(theta_x), info)
 
 
@@ -560,22 +627,21 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
                        variant: str = "sweep") -> ComposedGate:
     """Single sweep (or parked) X gate with corrective Z rotations.
 
-    Angles beyond the calibration range are reached by chaining two equal
-    segments around an Rz that cancels the first segment's trailing and
-    the second's leading z-phases, so the x-rotations add exactly.
+    `variant` ('sweep' or 'naive') names the calibration's drive, whose
+    schedules the gate uses. Angles beyond the calibration range are
+    reached by chaining two equal segments around an Rz that cancels the
+    first segment's trailing and the second's leading z-phases, so the
+    x-rotations add exactly.
     """
-    if variant == "sweep":
-        maker = make_rx_sweep_schedule
-    elif variant == "naive":
-        maker = naive_maker(params)
-    else:
+    if variant not in ("sweep", "naive"):
         raise ValueError("variant must be 'sweep' or 'naive'")
+    schedules = calibration.measure
     info = {"variant": variant}
     if theta_x - calibration.theta_max() < 0.1:
         # past theta_max (3.09 for the reference tuning) lambda_for_theta
         # clamps to full drive: a small coherent floor, not a chain
         lam = calibration.lambda_for_theta(theta_x)
-        core = [maker(params, lam)]
+        core = [schedules.schedule(lam)]
         info["lambda"] = lam
         if theta_x > calibration.theta_max():
             info["clamped"] = True
@@ -586,8 +652,8 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
         n_seg = int(np.ceil(theta_x / healthy))
         phi = theta_x / n_seg
         lam = calibration.lambda_for_theta(phi)
-        seg = maker(params, lam)
-        ang = _readout(params, [seg])
+        seg = schedules.schedule(lam)
+        ang = _readout(params, [seg], schedules.propagator)
         # the x-rotations add exactly when each junction Rz cancels z2 of
         # the previous segment, z1 of the next, and the idle-frame phase
         # advanced over one (T_seg + t_mid) period; fixed point in t_mid
@@ -597,16 +663,17 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
         for _ in range(4):
             beta = -(ang.theta_z1 + ang.theta_z2
                      + dq0 * (seg.total_time + t_mid))
-            t_new = rz_duration_for_angle(params, beta)
-            if abs(t_new - t_mid) < 1e-12:
-                t_mid = t_new
+            mid = _rz_for_angle(params, beta, schedules.propagator)
+            converged = abs(mid.total_time - t_mid) < 1e-12
+            t_mid = mid.total_time
+            if converged:
                 break
-            t_mid = t_new
         core = [seg]
         for _ in range(n_seg - 1):
-            core += [make_rz_schedule(params, t_mid), seg]
+            core += [mid, seg]
         info.update({"lambda": lam, "segments": n_seg, "mid_rz_time": t_mid})
-    return _wrap_with_correctives(params, core, theta_x, info)
+    return _wrap_with_correctives(params, core, theta_x, info,
+                                  schedules.propagator)
 
 
 def build_sweep_echo_rx(params: SystemParams, theta_x: float,
@@ -615,16 +682,19 @@ def build_sweep_echo_rx(params: SystemParams, theta_x: float,
     gate's first-order dephasing slopes; corrective Rz gates absorb all
     deterministic phases.
 
-    Sequence (time order): corrRz, echo2, X, sweep(theta), X, echo1, corrRz.
+    Sequence (time order): corrRz, echo2, X, sweep(theta), X, echo1, corrRz;
+    the sweep and X (lambda = 1) are the sweep calibration's schedules.
     """
     if not 0 < theta_x <= calibration.theta_max() + 1e-9:
         raise ValueError(
             f"theta_x must lie in (0, {calibration.theta_max():.4f}] "
             "(calibrated range)")
+    schedules = calibration.measure
+    probes = _propagators(params, SENSITIVITY_PROBES, CALIBRATION_FRAME, None)
     lam = calibration.lambda_for_theta(theta_x)
-    sweep = make_rx_sweep_schedule(params, lam)
-    sens = noise_sensitivity(params, [sweep])
-    x_gate = make_rx_sweep_schedule(params, 1.0)
+    sweep = schedules.schedule(lam)
+    sens = _sensitivity(params, [sweep], probes)
+    x_gate = schedules.schedule(1.0)
 
     t1 = echo_flat_time_for_slope(params, sens.theta_z1_prime)
     t2 = echo_flat_time_for_slope(params, sens.theta_z2_prime)
@@ -639,10 +709,11 @@ def build_sweep_echo_rx(params: SystemParams, theta_x: float,
     # one Newton step on the measured residual slopes of the composite:
     # its left z-slope is s1 - theta_z1' and its right one s2 - theta_z2'
     k0 = params.hyperfine_A * params.de_over_hbar / (4 * params.Vt)
-    sens_c = noise_sensitivity(params, core_for(t1, t2))
+    sens_c = _sensitivity(params, core_for(t1, t2), probes)
     t1 = max(0.0, t1 - sens_c.theta_z1_prime / k0)
     t2 = max(0.0, t2 - sens_c.theta_z2_prime / k0)
     info["residual_z_slopes"] = (sens_c.theta_z1_prime,
                                  sens_c.theta_z2_prime)
     info.update(echo_t1=t1, echo_t2=t2)
-    return _wrap_with_correctives(params, core_for(t1, t2), theta_x, info)
+    return _wrap_with_correctives(params, core_for(t1, t2), theta_x, info,
+                                  schedules.propagator)

@@ -22,8 +22,8 @@ from donorspin.gates import (QubitGate, EulerAngles, euler_decompose,
                              SENSITIVITY_PROBES, echo_slope,
                              echo_flat_time_for_slope,
                              build_corrected_rx, build_sweep_echo_rx,
-                             calibrate_naive_resonance, RZ_T_MAX,
-                             find_root)
+                             calibrate_naive_resonance, calibrate_lambda,
+                             RZ_T_MAX, CORRECTIVE_TOL, find_root)
 from donorspin.twoqubit import TwoQubitLayout, cz_duration_search
 
 P = SystemParams()
@@ -471,3 +471,80 @@ class TestComposites:
             build_sweep_echo_rx(params, 3.3, sweep_calibration)
         with pytest.raises(ValueError):
             build_sweep_echo_rx(params, -0.1, sweep_calibration)
+
+
+# schedules are compared by their envelopes sampled on this grid
+FINGERPRINT_GRID = np.linspace(0.0, 1e-6, 2001)
+
+
+def evolve_fingerprint(schedule, noise_dE, frame, dt):
+    """What an evolve call's result depends on: the schedule's duration,
+    drive frequencies and envelopes, the offsets, the frame and dt."""
+    envelopes = (schedule.dE_envelope, schedule.Ea_envelope,
+                 schedule.Ba_envelope)
+    noise = np.asarray(noise_dE, dtype=float)
+    return (schedule.total_time, schedule.omega_E, schedule.omega_B,
+            *(np.asarray(env(FINGERPRINT_GRID), dtype=float).tobytes()
+              for env in envelopes),
+            noise.shape, noise.tobytes(), frame, dt)
+
+
+@pytest.fixture(scope="module")
+def noise_mc_build(params):
+    """The noise-mc set-up, the lambda table and both pi/2 gates, with the
+    fingerprint of every evolve call it makes."""
+    calls = []
+
+    def recorded(p, schedule, noise_dE=0.0, frame="lab-position", dt=None):
+        calls.append(evolve_fingerprint(schedule, noise_dE, frame, dt))
+        return evolve(p, schedule, noise_dE=noise_dE, frame=frame, dt=dt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gates_mod, "evolve", recorded)
+        cal = calibrate_lambda(
+            params, lambda p, lam: make_rx_sweep_schedule(p, lam))
+        gates = [build_sweep_echo_rx(params, np.pi / 2, cal),
+                 build_corrected_rx(params, np.pi / 2, cal, variant="sweep")]
+    return gates, calls
+
+
+def _wrapped(angle):
+    return (angle + np.pi) % (2 * np.pi) - np.pi
+
+
+class TestBuildReuse:
+    def test_no_segment_is_evolved_twice(self, noise_mc_build):
+        # each distinct (schedule, offsets, frame, dt) is propagated once
+        # in the whole build: the table, both root searches, the slope
+        # fits, the Rz searches and every corrective readout
+        _, calls = noise_mc_build
+        assert len(calls) > 0
+        assert len(set(calls)) == len(calls)
+
+    def test_reuse_leaves_the_gates_unchanged(self, params, noise_mc_build):
+        # composite_qubit_block evolves every segment afresh, so a stored
+        # propagator attached to the wrong schedule would show here
+        gates, _ = noise_mc_build
+        for gate in gates:
+            core = gate.segments[1:-1]
+            fresh = euler_decompose(QubitGate.from_block(
+                composite_qubit_block(params, core, 0.0)))
+            assert (fresh.theta_z1, fresh.theta_z2, fresh.theta_x) == (
+                gate.info["theta_z1"], gate.info["theta_z2"],
+                gate.info["theta_x_measured"])
+            whole = euler_decompose(QubitGate.from_block(
+                composite_qubit_block(params, gate.segments, 0.0)))
+            assert abs(_wrapped(whole.theta_z1)) < CORRECTIVE_TOL
+            assert abs(_wrapped(whole.theta_z2)) < CORRECTIVE_TOL
+
+    def test_recorded_angles_are_the_wrappers_returned(
+            self, params, sweep_calibration, monkeypatch):
+        # with one refinement the loop stops before it converges; info
+        # still gives the angles of the Rz wrappers that the gate holds
+        monkeypatch.setattr(gates_mod, "CORRECTIVE_ITERATIONS", 1)
+        gate = build_corrected_rx(params, np.pi / 2, sweep_calibration)
+        pre, post = gate.segments[0], gate.segments[-1]
+        assert pre.total_time == rz_duration_for_angle(
+            params, gate.info["corrective_pre"])
+        assert post.total_time == rz_duration_for_angle(
+            params, gate.info["corrective_post"])
