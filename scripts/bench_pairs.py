@@ -14,17 +14,32 @@ median pass (`solve_wall_s`) and the machine note of the last run. Then
 both copies make three traced runs (`--trace 1`) per workload, at seeds
 1-3 and in the same alternating order; each side's runs and its median of
 every per-layer metric go under `per_layer_trace1`.
+
+Last, the wall times that the benchmark's workloads do not cover, each
+timed WALL_RUNS times per side in the same alternating order, with
+`src` on PYTHONPATH and one BLAS thread: the tier-1 suite
+(`python -m pytest -q --continue-on-collection-errors`, whose passed and
+failed counts go under `tier1`) and `python -m donorspin.cli run
+manifests/<name>.txt` for the three noise manifests. Their summaries go
+under `wall_s`.
 """
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 
 WORKLOADS = ("noise-mc", "lab-oracle", "cz-search")
 SEEDS = range(1, 11)
 TRACED_SEEDS = range(1, 4)
 SECONDS = 30
 SIDES = ("parent", "change")
+WALL_RUNS = 3
+MANIFESTS = ("rx_noise", "sweep_echo_noise", "rz_noise")
+TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors")
 
 
 def bench(root, workload, seed, trace=0):
@@ -61,6 +76,44 @@ def pairs(dirs, workload, seeds, trace):
     return runs, correct, machine
 
 
+def timed(root, args, check):
+    """(wall seconds, output) of `python args` in checkout `root`."""
+    env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, *args], cwd=root, env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                         text=True, check=check).stdout
+    return time.perf_counter() - t0, out
+
+
+def tally(out, key):
+    """The count pytest's summary line gives for `key`, 0 if absent."""
+    found = re.search(rf"(\d+) {key}", out.strip().splitlines()[-1])
+    return int(found.group(1)) if found else 0
+
+
+def walls(dirs):
+    """Each side's tier-1 counts, and its wall times of the tier-1 suite
+    and of each noise manifest, the parent first on odd runs."""
+    jobs = {"tier1": (TIER1, False),
+            **{f"manifests/{name}": (("-m", "donorspin.cli", "run",
+                                      f"manifests/{name}.txt"), True)
+               for name in MANIFESTS}}
+    times = {job: {side: [] for side in SIDES} for job in jobs}
+    counts = {}
+    for run in range(1, WALL_RUNS + 1):
+        for side in (SIDES if run % 2 else SIDES[::-1]):
+            for job, (args, check) in jobs.items():
+                wall, out = timed(dirs[side], args, check)
+                times[job][side].append(wall)
+                print(job, run, side, f"{wall:.1f}", flush=True)
+                if job == "tier1":
+                    counts[side] = {key: tally(out, key)
+                                    for key in ("passed", "failed")}
+    return counts, {job: {side: summary(t) for side, t in sides.items()}
+                    for job, sides in times.items()}
+
+
 def summary(runs):
     q1, _, q3 = statistics.quantiles(runs, n=4)
     return {"n": len(runs), "median": statistics.median(runs),
@@ -95,6 +148,7 @@ def main():
                                  for m in rs[0]},
                       "runs": rs}
                for side, rs in runs.items()}}
+    record["tier1"], record["wall_s"] = walls(dirs)
     with open(sys.argv[3], "w") as fh:
         json.dump(record, fh, indent=1)
 

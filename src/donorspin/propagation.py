@@ -1,8 +1,8 @@
 """Time-ordered propagation of the lab-frame and effective Hamiltonians.
 
-The integrator is piecewise-constant with midpoint sampling and a step
-exp(-i H dt) = cos(H dt) - i sin(H dt) exact to round-off: Taylor series
-of cos and sin to the lowest degree the 1-norm of H dt allows, with
+The integrator is piecewise-constant: a product of steps
+exp(-i H dt) = cos(H dt) - i sin(H dt), each exact to round-off: Taylor
+series of cos and sin to the lowest degree the 1-norm of H dt allows, with
 halving and the double-angle formulas where H dt is large
 (`_step_unitaries`). The steps are multiplied as (cos, sin) pairs
 (`_ordered_product`), and the complex propagator is formed once per chunk
@@ -14,9 +14,19 @@ complex arithmetic. One step loop,
 `propagate`, serves every frame and the 64-dim two-qubit simulation: a
 frame only supplies its Hamiltonian stack, and steps are processed in
 vectorized chunks, so a whole batch of quasi-static noise offsets can be
-propagated at once. `_position_h_stack` is the one lab-frame Hamiltonian;
-a lab propagator reaches the orbital basis only at its endpoints, through
-the orbital transform (`to_lab_orbital`). `_effective_h_stack` is the one
+propagated at once.
+
+The effective frame and the 64-dim run sample H at each step's midpoint, a
+second-order rule. The lab frame, whose error the fast drive at omega_E
+sets, takes the fourth-order commutator-free Magnus step (CF4; Blanes &
+Moan, Appl. Numer. Math. 56, 1519 (2006)): per step of dt, two
+exponentials of Hamiltonians mixed from the two Gauss points
+(`_cf4_h_stack`), which `propagate` runs as two half-steps of dt/2. So
+`evolve`'s dt and step count are CF4 steps in the lab frame and midpoint
+steps in the effective frame. The lab Hamiltonian is affine in two scalar
+fields (`_lab_fields`), from which `_position_h_stack` assembles it; a lab
+propagator reaches the orbital basis only at its endpoints, through the
+orbital transform (`to_lab_orbital`). `_effective_h_stack` is the one
 way the package samples H' along a schedule. `unitarity_defect` and
 `leakage`, the population lost from levels 0 and 1, are the package's two
 numerical contracts on propagators.
@@ -49,8 +59,7 @@ from .operators import (DIM, TAU_Z, TAU_X, S_Z, S_X, I_Z, I_X, S_DOT_I,
                         frame_generator_diag)
 from .pulses import PulseSchedule
 
-DEFAULT_DT_LAB = 0.1e-12
-DEFAULT_DT_LAB_NO_AC = 1e-12
+DEFAULT_DT_LAB = 4e-12
 DEFAULT_DT_EFFECTIVE = 0.05e-9
 
 FRAMES = ("lab-position", "effective")
@@ -101,17 +110,25 @@ def lab_hamiltonian(params: SystemParams, schedule: PulseSchedule, t: float,
                     noise_dE: float = 0.0) -> np.ndarray:
     """The 8x8 lab-frame Hamiltonian of a schedule at time t (position
     basis)."""
-    return _position_h_stack(params, schedule, np.array([float(t)]),
-                             noise_dE)[0, 0]
+    return _position_h_stack(params, *_lab_fields(
+        schedule, np.array([float(t)]), noise_dE))[0, 0]
 
 
-def _position_h_stack(params: SystemParams, schedule, tmid, noise_dE):
-    """(n, S, 8, 8) Hamiltonian stack; noise_dE is scalar or (S,) array."""
-    dE, Ea, Ba = schedule.sample(tmid)
+def _lab_fields(schedule, t, noise_dE):
+    """The two scalar fields of the lab Hamiltonian at times t, each of
+    shape (n, S): the total field f (offset, noise and Ea drive) and the
+    B_ac drive b. noise_dE is scalar or (S,) array."""
+    dE, Ea, Ba = schedule.sample(t)
     noise = np.atleast_1d(np.asarray(noise_dE, dtype=float))
-    f_total = (dE[:, None] + noise[None, :]
-               + (Ea * np.cos(schedule.omega_E * tmid))[:, None])
-    drive_B = (Ba * np.cos(schedule.omega_B * tmid))[:, None]
+    f = (dE[:, None] + noise[None, :]
+         + (Ea * np.cos(schedule.omega_E * t))[:, None])
+    b = (Ba * np.cos(schedule.omega_B * t))[:, None]
+    return f, b
+
+
+def _position_h_stack(params: SystemParams, f, b):
+    """(n, S, 8, 8) lab Hamiltonian stack, affine in the fields f and b of
+    `_lab_fields`."""
     H_const = (params.Vt / 2 * TAU_X
                + params.B0 * params.gamma_e
                * (S_Z + params.delta_gamma * DONOR_PROJECTOR @ S_Z)
@@ -119,9 +136,35 @@ def _position_h_stack(params: SystemParams, schedule, tmid, noise_dE):
                + params.hyperfine_A * DONOR_PROJECTOR @ S_DOT_I)
     M_field = -params.de_over_hbar / 2 * TAU_Z
     M_b = params.gamma_e * S_X - params.gamma_n * I_X
-    H = (H_const[None, None] + f_total[..., None, None] * M_field
-         + drive_B[..., None, None] * M_b)
-    return H
+    return (H_const[None, None] + f[..., None, None] * M_field
+            + b[..., None, None] * M_b)
+
+
+def _cf4_h_stack(params: SystemParams, schedule, noise, dt):
+    """h_stack for `propagate` at half-steps of dt/2 that makes each lab
+    step of dt, from t = k dt, the CF4 pair: exp(-i dt (a2 H1 + a1 H2)),
+    then exp(-i dt (a1 H1 + a2 H2)), with H1, H2 at the Gauss points
+    k dt + c1,2 dt, c1,2 = 1/2 -+ sqrt(3)/6, and a1,2 = (3 -+ 2 sqrt(3))/12.
+    A half-step's stack is twice its weighted H. The Hamiltonian is affine
+    in its fields, so the Gauss points' fields are mixed and one stack is
+    assembled per exponential. Each half-step's index comes from its
+    midpoint, so a pair may straddle two chunks."""
+    r = math.sqrt(3) / 6
+    c = np.array([0.5 - r, 0.5 + r]) * dt
+    # (2 a2, 2 a1) on a step's first half, (2 a1, 2 a2) on its second
+    mix = np.array([[0.5 + 2 * r, 0.5 - 2 * r], [0.5 - 2 * r, 0.5 + 2 * r]])
+
+    def h_stack(tmid):
+        j = np.rint(tmid / (dt / 2) - 0.5).astype(np.int64)
+        k = j // 2
+        steps = np.arange(k[0], k[-1] + 1)
+        w = mix[j % 2][..., None]
+        f, b = (x.reshape(steps.size, 2, -1)[k - k[0]]
+                for x in _lab_fields(schedule, (steps[:, None] * dt
+                                                + c).ravel(), noise))
+        return _position_h_stack(params, (w * f).sum(axis=1),
+                                 (w * b).sum(axis=1))
+    return h_stack
 
 
 def _effective_h_stack(params: SystemParams, schedule, tmid, noise_dE):
@@ -282,19 +325,18 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
     """Propagate a schedule over its full duration.
 
     noise_dE may be a scalar or a 1-D array of quasi-static offsets; with an
-    array the result's propagator matrix has shape (S, 8, 8). The effective
-    frame delegates Hamiltonian sampling to the Floquet-reduced model. A
-    driven schedule is first checked for the two-photon resonance.
+    array the result's propagator matrix has shape (S, 8, 8). The duration
+    is split into n = round(T / dt) equal steps, the result's step_count:
+    CF4 steps of two exponentials in the lab frame (default
+    DEFAULT_DT_LAB), midpoint steps of H' in the effective frame, which
+    delegates Hamiltonian sampling to the Floquet-reduced model (default
+    DEFAULT_DT_EFFECTIVE). A driven schedule is first checked for the
+    two-photon resonance.
     """
     if frame not in FRAMES:
         raise ValueError(f"frame must be one of {FRAMES}")
     if dt is None:
-        if frame == "effective":
-            dt = DEFAULT_DT_EFFECTIVE
-        elif schedule.driven:
-            dt = DEFAULT_DT_LAB
-        else:
-            dt = DEFAULT_DT_LAB_NO_AC
+        dt = DEFAULT_DT_EFFECTIVE if frame == "effective" else DEFAULT_DT_LAB
     if dt <= 0:
         raise ValueError("dt must be positive")
     if schedule.driven:
@@ -307,11 +349,10 @@ def evolve(params: SystemParams, schedule: PulseSchedule, noise_dE=0.0,
     if frame == "effective":
         def h_stack(tmid):
             return _effective_h_stack(params, schedule, tmid, noise)
+        U, defect = propagate(h_stack, 0.0, T / n, n, noise.size)
     else:
-        def h_stack(tmid):
-            return _position_h_stack(params, schedule, tmid, noise)
-
-    U, defect = propagate(h_stack, 0.0, T / n, n, noise.size)
+        U, defect = propagate(_cf4_h_stack(params, schedule, noise, T / n),
+                              0.0, T / (2 * n), 2 * n, noise.size)
     Umat = U if np.ndim(noise_dE) > 0 else U[0]
     return EvolutionResult(OperatorMatrix(Umat), frame, n, defect, schedule)
 

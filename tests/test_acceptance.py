@@ -40,7 +40,7 @@ def report(name, ok, detail):
 @pytest.fixture(scope="session")
 def lab_sweep(params):
     sched = make_rx_sweep_schedule(params, 1.0)
-    res = evolve(params, sched, frame="lab-position", dt=0.1e-12)
+    res = evolve(params, sched, frame="lab-position")
     return res
 
 
@@ -203,7 +203,7 @@ def test_criterion_7_lab_spot_checks(params, composite_cache):
         b_eff = composite_qubit_block(params, comp.segments, dE,
                                       frame="effective", dt=MC_DT)
         b_lab = composite_qubit_block(params, comp.segments, dE,
-                                      frame="lab-position", dt=0.2e-12)
+                                      frame="lab-position")
         i_eff = gate_infidelity(b_eff, comp.target, 2)
         i_lab = gate_infidelity(b_lab, comp.target, 2)
         diffs.append((dE, i_eff, i_lab))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from donorspin.gates import gate_infidelity
 from donorspin.model import SystemParams, charge_splitting
 from donorspin.operators import DIM, orbital_transform
 from donorspin.propagation import (EvolutionResult, OperatorMatrix, evolve,
@@ -10,12 +11,14 @@ from donorspin.propagation import (EvolutionResult, OperatorMatrix, evolve,
                                    leakage, to_lab_orbital, propagate,
                                    check_two_photon_resonance,
                                    TwoPhotonResonanceWarning,
-                                   _position_h_stack, _effective_h_stack,
+                                   _position_h_stack, _lab_fields,
+                                   _effective_h_stack, _cf4_h_stack,
                                    _ordered_product, _sectors,
                                    _step_unitaries, STEP_THETA,
                                    _DEGREE_THETA, DEFAULT_DT_LAB)
-from donorspin.pulses import (make_rz_schedule, make_rx_sweep_schedule,
-                              make_idle_schedule, make_cphase_schedule)
+from donorspin.pulses import (PulseSchedule, make_rz_schedule,
+                              make_rx_sweep_schedule, make_idle_schedule,
+                              make_cphase_schedule)
 from donorspin.twoqubit import TwoQubitLayout, _pair_h_stack
 
 P = SystemParams()
@@ -150,12 +153,45 @@ class TestEvolve:
         sched = make_rz_schedule(P, 8e-9)
         dt = 1e-12
         full = evolve(P, sched, frame="lab-position", dt=dt).propagator.matrix
-        def h_stack(tmid):
-            return _position_h_stack(P, sched, tmid, 0.0)
+        # two halves through one CF4 closure, each n steps of 2 exponentials
+        h_stack = _cf4_h_stack(P, sched, np.zeros(1), dt)
         n = int(round(4e-9 / dt))
-        first, second = (propagate(h_stack, a, (b - a) / n, n, 1)[0][0]
-                         for a, b in ((0.0, 4e-9), (4e-9, 8e-9)))
+        first, second = (propagate(h_stack, a, dt / 2, 2 * n, 1)[0][0]
+                         for a in (0.0, 4e-9))
         assert np.linalg.norm(second @ first - full, 2) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["rz", "sweep-stretch"])
+    def test_cf4_is_fourth_order(self, kind):
+        # the propagator error against CF4 at dt/8 falls ~16x per halving
+        # of dt, and the default step is within 1e-10 infidelity of it
+        if kind == "rz":
+            sched = make_rz_schedule(P, 8e-9)
+        else:
+            # 2 ns from the middle of the lambda = 1 sweep, both drives on
+            sweep = make_rx_sweep_schedule(P, 1.0)
+            t0 = sweep.total_time / 2
+            sched = PulseSchedule(
+                *(lambda t, env=env: env(np.asarray(t) + t0)
+                  for env in (sweep.dE_envelope, sweep.Ea_envelope,
+                              sweep.Ba_envelope)),
+                sweep.omega_E, sweep.omega_B, 2e-9)
+        # three offsets make the chunk 5461 half-steps long: odd, so the
+        # Rz reference (8000 half-steps) has a CF4 pair across two chunks
+        noise = np.array([0.0, 30.0, -30.0])
+        assert (2**20 // (noise.size * DIM**2)) % 2 == 1
+        dt = 16e-12
+
+        def run(step, offsets=noise):
+            return evolve(P, sched, noise_dE=offsets, frame="lab-position",
+                          dt=step).propagator.matrix
+
+        ref = run(dt / 8)
+        errors = [np.abs(run(step) - ref).max() for step in (dt, dt / 2)]
+        assert errors[0] / errors[1] >= 10
+        default = run(DEFAULT_DT_LAB)
+        assert max(gate_infidelity(u, r, DIM)
+                   for u, r in zip(default, ref)) < 1e-10
+        assert np.abs(ref[1] - run(dt / 8, 30.0)).max() < 1e-12
 
     def test_dt_convergence_of_gate_angle(self):
         from donorspin.gates import extract_qubit_gate, euler_decompose
@@ -324,7 +360,8 @@ class TestStepKernel:
         sched = make_rx_sweep_schedule(P, 1.0)
         tmid = np.linspace(0.0, sched.total_time, 9)
         noise = np.array([0.0, 30.0])
-        assert _position_h_stack(P, sched, tmid, noise).dtype == np.float64
+        assert _position_h_stack(
+            P, *_lab_fields(sched, tmid, noise)).dtype == np.float64
         assert _effective_h_stack(P, sched, tmid, noise).dtype == np.float64
         cz = make_cphase_schedule(P, 400e-9)
         pair = _pair_h_stack(TwoQubitLayout(), cz,
@@ -383,7 +420,7 @@ class TestSectors:
         n, dt = 4000, 2e-12
 
         def split(tmid):
-            return _position_h_stack(P, sched, tmid, noise)
+            return _position_h_stack(P, *_lab_fields(sched, tmid, noise))
 
         def dense(tmid):
             return split(tmid) + 1e-300 * (1 - np.eye(DIM))
@@ -405,16 +442,18 @@ class TestSectors:
         assert np.abs(U - _dense_reference(H, dt)).max() < 1e-13
 
     def test_lab_path_matches_eigh(self):
-        # the first 2 ns of the lab sweep gate at the default step, two
+        # the first 2 ns of the lab sweep gate in 0.1 ps midpoint steps, two
         # offsets: three chunks of the S_z + I_z split
         sched = make_rx_sweep_schedule(P, 1.0)
         noise = np.array([0.0, 40.0])
-        n, dt = 20000, DEFAULT_DT_LAB
-        H = _position_h_stack(P, sched, (np.arange(n) + 0.5) * dt, noise)
+        n, dt = 20000, 0.1e-12
+        H = _position_h_stack(
+            P, *_lab_fields(sched, (np.arange(n) + 0.5) * dt, noise))
         U, _ = propagate(_stack_of(H, 0.0, dt), 0.0, dt, n, 2)
         assert np.abs(U - _dense_reference(H, dt)).max() < 1e-12
         # the pair tree against the complex tree, on a driven (dense) chunk
         tmid = sched.total_time / 2 + (np.arange(4097) + 0.5) * dt
-        C, S = _step_unitaries(_position_h_stack(P, sched, tmid, noise), dt)
+        C, S = _step_unitaries(
+            _position_h_stack(P, *_lab_fields(sched, tmid, noise)), dt)
         assert np.abs(_ordered_product(C, S)
                       - _complex_tree(C - 1j * S)).max() < 1e-14

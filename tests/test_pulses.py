@@ -231,7 +231,8 @@ def test_driven_only_with_a_drive_on(factory, driven):
     assert factory().driven is driven
 
 
-def test_undriven_lab_evolve_takes_the_coarse_default_step():
-    # 1 ps steps, against 0.1 ps with a drive on
-    from donorspin.propagation import evolve
-    assert evolve(P, make_rz_schedule(P, 8e-9)).step_count == 8000
+def test_lab_evolve_takes_the_one_default_step():
+    # driven or not, a lab schedule steps at DEFAULT_DT_LAB
+    from donorspin.propagation import evolve, DEFAULT_DT_LAB
+    assert evolve(P, make_rz_schedule(P, 8e-9)).step_count == round(
+        8e-9 / DEFAULT_DT_LAB)
