@@ -20,8 +20,9 @@ timed WALL_RUNS times per side in the same alternating order, with
 `src` on PYTHONPATH and one BLAS thread: the tier-1 suite
 (`python -m pytest -q --continue-on-collection-errors`, whose passed and
 failed counts go under `tier1`) and `python -m donorspin.cli run
-manifests/<name>.txt` for the three noise manifests. Their summaries go
-under `wall_s`.
+manifests/<name>.txt` for the three noise manifests. Their wall times go
+under `wall_s`, and each run's own peak RSS and minor page faults (from
+os.wait4) under `peak_rss_mib` and `minor_faults`.
 """
 import json
 import os
@@ -38,6 +39,7 @@ SECONDS = 30
 SIDES = ("parent", "change")
 WALL_RUNS = 3
 MANIFESTS = ("rx_noise", "sweep_echo_noise", "rz_noise")
+USAGE = ("wall_s", "peak_rss_mib", "minor_faults")
 TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors")
 
@@ -77,13 +79,23 @@ def pairs(dirs, workload, seeds, trace):
 
 
 def timed(root, args, check):
-    """(wall seconds, output) of `python args` in checkout `root`."""
+    """({wall_s, peak_rss_mib, minor_faults}, output) of `python args` in
+    checkout `root`. The peak RSS and minor page faults are the child's
+    own, from os.wait4, not the sum over every child RUSAGE_CHILDREN
+    gives."""
     env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
     t0 = time.perf_counter()
-    out = subprocess.run([sys.executable, *args], cwd=root, env=env,
-                         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                         text=True, check=check).stdout
-    return time.perf_counter() - t0, out
+    with subprocess.Popen([sys.executable, *args], cwd=root, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          text=True) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    wall = time.perf_counter() - t0
+    if check and proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args, out)
+    return {"wall_s": wall, "peak_rss_mib": usage.ru_maxrss / 1024,
+            "minor_faults": usage.ru_minflt}, out
 
 
 def tally(out, key):
@@ -93,25 +105,29 @@ def tally(out, key):
 
 
 def walls(dirs):
-    """Each side's tier-1 counts, and its wall times of the tier-1 suite
-    and of each noise manifest, the parent first on odd runs."""
+    """Each side's tier-1 counts, and per USAGE metric its values for the
+    tier-1 suite and each noise manifest, the parent first on odd runs."""
     jobs = {"tier1": (TIER1, False),
             **{f"manifests/{name}": (("-m", "donorspin.cli", "run",
                                       f"manifests/{name}.txt"), True)
                for name in MANIFESTS}}
-    times = {job: {side: [] for side in SIDES} for job in jobs}
+    runs = {metric: {job: {side: [] for side in SIDES} for job in jobs}
+            for metric in USAGE}
     counts = {}
     for run in range(1, WALL_RUNS + 1):
         for side in (SIDES if run % 2 else SIDES[::-1]):
             for job, (args, check) in jobs.items():
-                wall, out = timed(dirs[side], args, check)
-                times[job][side].append(wall)
-                print(job, run, side, f"{wall:.1f}", flush=True)
+                usage, out = timed(dirs[side], args, check)
+                for metric, value in usage.items():
+                    runs[metric][job][side].append(value)
+                print(job, run, side, json.dumps(usage), flush=True)
                 if job == "tier1":
                     counts[side] = {key: tally(out, key)
                                     for key in ("passed", "failed")}
-    return counts, {job: {side: summary(t) for side, t in sides.items()}
-                    for job, sides in times.items()}
+    return counts, {metric: {job: {side: summary(v)
+                                   for side, v in sides.items()}
+                             for job, sides in per_job.items()}
+                    for metric, per_job in runs.items()}
 
 
 def summary(runs):
@@ -148,7 +164,8 @@ def main():
                                  for m in rs[0]},
                       "runs": rs}
                for side, rs in runs.items()}}
-    record["tier1"], record["wall_s"] = walls(dirs)
+    record["tier1"], usage = walls(dirs)
+    record.update(usage)
     with open(sys.argv[3], "w") as fh:
         json.dump(record, fh, indent=1)
 

@@ -13,8 +13,8 @@ matrix products; a complex Hermitian stack goes through the same code in
 complex arithmetic. One step loop,
 `propagate`, serves every frame and the 64-dim two-qubit simulation: a
 frame only supplies its Hamiltonian stack, and steps are processed in
-vectorized chunks, so a whole batch of quasi-static noise offsets can be
-propagated at once.
+vectorized chunks of about 1 MiB of H (`_chunk_steps`), so a whole batch of
+quasi-static noise offsets can be propagated at once.
 
 The effective frame and the 64-dim run sample H at each step's midpoint, a
 second-order rule. The lab frame, whose error the fast drive at omega_E
@@ -65,6 +65,17 @@ DEFAULT_DT_EFFECTIVE = 0.05e-9
 FRAMES = ("lab-position", "effective")
 UNITARITY_LIMIT = 1e-8      # a propagator with a larger defect is invalid
 RESONANCE_SAMPLES = 2001    # schedule samples of the two-photon check
+
+# Chunks of `propagate`: an H stack of at most 2**17 elements (1 MiB of
+# float64, within a 2 MiB L2 cache), but at least 2**8 matrices (steps x
+# batch), which keeps the 64-dim CZ run at 256 steps a chunk. Short chunks
+# also halve less, as the step kernel's halving count follows each chunk's
+# largest 1-norm. Against 2**20 elements, a noise-mc solve pass fell from
+# 0.73 to 0.50 s and from 91k to 23-41k minor page faults (one BLAS
+# thread, 2-vCPU guest). 2**16 elements slowed a 5-offset lab sweep by
+# 11%; with no floor the 64-dim run took twice as long.
+CHUNK_ELEMENTS = 2**17
+CHUNK_MATRICES = 2**8
 
 # Taylor coefficients of the step's cos (to A**12) and sin (to A**13), and
 # the largest 1-norm of A, _DEGREE_THETA[k - 1], at which the series to
@@ -263,17 +274,24 @@ def _sector_product(H, groups, dt):
     return P
 
 
+def _chunk_steps(nbatch: int, dim: int) -> int:
+    """Steps per chunk of `propagate`: at most CHUNK_ELEMENTS matrix
+    elements in the H stack, but at least CHUNK_MATRICES matrices."""
+    return max(1, CHUNK_ELEMENTS // (nbatch * dim**2),
+               CHUNK_MATRICES // nbatch)
+
+
 def propagate(h_stack, t0: float, dt: float, n: int, nbatch: int,
               dim: int = DIM):
     """Time-ordered product of n exact steps exp(-i H dt) from t0.
 
     h_stack(tmid) returns the (m, nbatch, dim, dim) Hamiltonians at the
-    step midpoints tmid. Steps run in chunks of at most 2**20 matrix
-    elements, each propagated sector by sector (see the module docstring).
+    step midpoints tmid. Steps run in chunks of `_chunk_steps(nbatch, dim)`,
+    each propagated sector by sector (see the module docstring).
     Returns (U of shape (nbatch, dim, dim), its largest unitarity defect
     over the batch).
     """
-    chunk = max(1, 2**20 // (nbatch * dim**2))
+    chunk = _chunk_steps(nbatch, dim)
     U = np.broadcast_to(np.eye(dim, dtype=complex), (nbatch, dim, dim)).copy()
     i = 0
     while i < n:
@@ -281,18 +299,22 @@ def propagate(h_stack, t0: float, dt: float, n: int, nbatch: int,
         tmid = t0 + (np.arange(i, i + m) + 0.5) * dt
         H = h_stack(tmid)
         groups = _sectors(H)
-        # Both paths free H before the next chunk's is built, the dense one
-        # before its tree product. The dense path's steps C and S stay
-        # alive until the next dense chunk replaces them, as in a plain step
-        # loop: freeing them too lets the allocator hand the heap back and
-        # page-fault it in again on every lab chunk (about 5x the minor
-        # faults).
+        # The dense path's C and S live until the next dense chunk replaces
+        # them, and H until the next stack replaces it: freeing either
+        # earlier lets the allocator hand the heap back and page-fault it
+        # in again. Freeing C and S after the product took a 5-offset lab
+        # sweep from 41-54k minor faults to 193k (0.61-0.70 s to 0.87 s);
+        # freeing H after the sector product took the rz_noise manifest
+        # from 117k to 418k (1.46 s to 1.82 s). Only a stack above the
+        # element budget, which the floor makes for the 64-dim run (8 MiB),
+        # goes first, so that two of them do not add up in the peak RSS
+        # (8.5% of cz-search's). One BLAS thread, 2-vCPU guest.
         if groups[0].shape == (1, dim):
             C, S = _step_unitaries(H, dt)
-            del H
             P = _ordered_product(C, S)
         else:
             P = _sector_product(H, groups, dt)
+        if H.size > CHUNK_ELEMENTS:
             del H
         U = np.matmul(P, U)
         i += m

@@ -14,8 +14,8 @@ from donorspin.propagation import (EvolutionResult, OperatorMatrix, evolve,
                                    _position_h_stack, _lab_fields,
                                    _effective_h_stack, _cf4_h_stack,
                                    _ordered_product, _sectors,
-                                   _step_unitaries, STEP_THETA,
-                                   _DEGREE_THETA, DEFAULT_DT_LAB)
+                                   _step_unitaries, _chunk_steps,
+                                   STEP_THETA, _DEGREE_THETA, DEFAULT_DT_LAB)
 from donorspin.pulses import (PulseSchedule, make_rz_schedule,
                               make_rx_sweep_schedule, make_idle_schedule,
                               make_cphase_schedule)
@@ -175,10 +175,10 @@ class TestEvolve:
                   for env in (sweep.dE_envelope, sweep.Ea_envelope,
                               sweep.Ba_envelope)),
                 sweep.omega_E, sweep.omega_B, 2e-9)
-        # three offsets make the chunk 5461 half-steps long: odd, so the
-        # Rz reference (8000 half-steps) has a CF4 pair across two chunks
-        noise = np.array([0.0, 30.0, -30.0])
-        assert (2**20 // (noise.size * DIM**2)) % 2 == 1
+        # five offsets make the chunk 409 half-steps long: odd, so the Rz
+        # reference (8000 half-steps) has a CF4 pair across two chunks
+        noise = np.array([0.0, 30.0, -30.0, 60.0, -60.0])
+        assert _chunk_steps(noise.size, DIM) % 2 == 1
         dt = 16e-12
 
         def run(step, offsets=noise):
@@ -192,6 +192,30 @@ class TestEvolve:
         assert max(gate_infidelity(u, r, DIM)
                    for u, r in zip(default, ref)) < 1e-10
         assert np.abs(ref[1] - run(dt / 8, 30.0)).max() < 1e-12
+
+    # steps: propagate's steps over the 120 ns sweep, two per CF4 lab step
+    @pytest.mark.parametrize("frame, offsets, dt, steps", [
+        ("effective", np.linspace(-300.0, 300.0, 12), 0.2e-9, 600),
+        ("lab-position", np.array([37.0]), DEFAULT_DT_LAB, 60000)])
+    def test_chunk_length_leaves_the_propagator(self, monkeypatch, frame,
+                                                offsets, dt, steps):
+        # the lambda = 1 sweep in cache-sized chunks against one chunk:
+        # the chunks change only the association of the products. The
+        # 64-dim CZ run keeps 256 steps a chunk, so its propagator does not
+        # move at all
+        import donorspin.propagation as propagation
+        assert _chunk_steps(1, DIM * DIM) == 256
+        sched = make_rx_sweep_schedule(P, 1.0)
+        assert _chunk_steps(offsets.size, DIM) < steps
+
+        def run():
+            return evolve(P, sched, noise_dE=offsets, frame=frame,
+                          dt=dt).propagator.matrix
+
+        chunked = run()
+        monkeypatch.setattr(propagation, "CHUNK_ELEMENTS", 2**40)
+        assert _chunk_steps(offsets.size, DIM) >= steps
+        assert np.abs(chunked - run()).max() < 1e-12
 
     def test_dt_convergence_of_gate_angle(self):
         from donorspin.gates import extract_qubit_gate, euler_decompose
@@ -443,7 +467,7 @@ class TestSectors:
 
     def test_lab_path_matches_eigh(self):
         # the first 2 ns of the lab sweep gate in 0.1 ps midpoint steps, two
-        # offsets: three chunks of the S_z + I_z split
+        # offsets: twenty chunks of the S_z + I_z split
         sched = make_rx_sweep_schedule(P, 1.0)
         noise = np.array([0.0, 40.0])
         n, dt = 20000, 0.1e-12
