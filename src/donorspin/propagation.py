@@ -70,10 +70,10 @@ RESONANCE_SAMPLES = 2001    # schedule samples of the two-photon check
 # float64, within a 2 MiB L2 cache), but at least 2**8 matrices (steps x
 # batch), which keeps the 64-dim CZ run at 256 steps a chunk. Short chunks
 # also halve less, as the step kernel's halving count follows each chunk's
-# largest 1-norm. Against 2**20 elements, a noise-mc solve pass fell from
-# 0.73 to 0.50 s and from 91k to 23-41k minor page faults (one BLAS
-# thread, 2-vCPU guest). 2**16 elements slowed a 5-offset lab sweep by
-# 11%; with no floor the 64-dim run took twice as long.
+# largest 1-norm. Against 2**20 elements, noise-mc's solve_s fell from
+# 1.07 to 0.81 s and a solve pass from 91k to 23-48k minor page faults
+# (BENCH_22.json; one BLAS thread, 2-vCPU guest). 2**16 elements slowed a
+# 5-offset lab sweep by 11%; with no floor the 64-dim run took 2x as long.
 CHUNK_ELEMENTS = 2**17
 CHUNK_MATRICES = 2**8
 

@@ -10,7 +10,8 @@ from donorspin.pulses import (make_rx_sweep_schedule, make_rz_schedule,
                               make_echo_rz_schedule, make_cphase_schedule,
                               make_idle_schedule, sweep_drive_frequencies,
                               idle_frequencies)
-from donorspin.propagation import evolve, _effective_h_stack, _sectors
+from donorspin.propagation import (evolve, propagate, _effective_h_stack,
+                                   _sectors)
 from donorspin.twoqubit import TwoQubitLayout, _pair_h_stack
 from floquet_oracle import (rwa_hamiltonian, frequency_components,
                             reconstruct_rotating_hamiltonian,
@@ -198,12 +199,16 @@ class TestSchriefferWolff:
                 return (np.full_like(t, dE), np.full_like(t, Ea),
                         np.full_like(t, Ba))
 
+        # propagate's chunks keep the 400,000-step stack from being built
+        # whole (2.4 GB)
         n = 400000
-        tmid = (np.arange(n) + 0.5) * (Tp / n)
-        from donorspin.propagation import _step_unitaries, _ordered_product
-        Hs = reconstruct_rotating_hamiltonian(
-            P, *(_Const.sample(tmid)), W_E, W_B, tmid[:, None, None])
-        Uex = _ordered_product(*_step_unitaries(Hs, Tp / n))
+
+        def h_stack(tmid):
+            return reconstruct_rotating_hamiltonian(
+                P, *(_Const.sample(tmid)), W_E, W_B,
+                tmid[:, None, None])[:, None]
+
+        Uex = propagate(h_stack, 0.0, Tp / n, n, 1)[0][0]
 
         Hp = effective_hamiltonian(P, dE, Ea, Ba, W_E, W_B)
         ev, V = np.linalg.eigh(Hp)
