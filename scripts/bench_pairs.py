@@ -22,7 +22,11 @@ timed WALL_RUNS times per side in the same alternating order, with
 failed counts go under `tier1`) and `python -m donorspin.cli run
 manifests/<name>.txt` for the three noise manifests. Their wall times go
 under `wall_s`, and each run's own peak RSS and minor page faults (from
-os.wait4) under `peak_rss_mib` and `minor_faults`.
+os.wait4) under `peak_rss_mib` and `minor_faults`. This process times
+benchmark/reference_kernel.py's kernel KERNEL_RUNS times just before and
+just after each of these runs, one BLAS thread, and records the mean
+under `kernel_s` and the wall time at the benchmark's reference host
+speed, wall_s * REFERENCE_KERNEL_S / kernel_s, under `wall_scaled_s`.
 """
 import json
 import os
@@ -31,6 +35,11 @@ import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmark"))
+from worker import REFERENCE_KERNEL_S   # pins BLAS to one thread, first
+from reference_kernel import kernel
 
 WORKLOADS = ("noise-mc", "lab-oracle", "cz-search")
 SEEDS = range(1, 11)
@@ -39,7 +48,9 @@ SECONDS = 30
 SIDES = ("parent", "change")
 WALL_RUNS = 3
 MANIFESTS = ("rx_noise", "sweep_echo_noise", "rz_noise")
-USAGE = ("wall_s", "peak_rss_mib", "minor_faults")
+KERNEL_RUNS = 5
+USAGE = ("wall_s", "wall_scaled_s", "kernel_s", "peak_rss_mib",
+         "minor_faults")
 TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors")
 
@@ -78,12 +89,22 @@ def pairs(dirs, workload, seeds, trace):
     return runs, correct, machine
 
 
+def kernel_times():
+    """Times of KERNEL_RUNS reference kernel calls in this process."""
+    times = []
+    for _ in range(KERNEL_RUNS):
+        t0 = time.perf_counter()
+        kernel()
+        times.append(time.perf_counter() - t0)
+    return times
+
+
 def timed(root, args, check):
-    """({wall_s, peak_rss_mib, minor_faults}, output) of `python args` in
-    checkout `root`. The peak RSS and minor page faults are the child's
-    own, from os.wait4, not the sum over every child RUSAGE_CHILDREN
-    gives."""
+    """({USAGE metric: value}, output) of `python args` in checkout
+    `root`. The peak RSS and minor page faults are the child's own, from
+    os.wait4, not the sum over every child RUSAGE_CHILDREN gives."""
     env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
+    before = kernel_times()
     t0 = time.perf_counter()
     with subprocess.Popen([sys.executable, *args], cwd=root, env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
@@ -92,9 +113,12 @@ def timed(root, args, check):
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
     wall = time.perf_counter() - t0
+    kernel_s = statistics.fmean(before + kernel_times())
     if check and proc.returncode:
         raise subprocess.CalledProcessError(proc.returncode, proc.args, out)
-    return {"wall_s": wall, "peak_rss_mib": usage.ru_maxrss / 1024,
+    return {"wall_s": wall, "wall_scaled_s": wall * REFERENCE_KERNEL_S
+            / kernel_s, "kernel_s": kernel_s,
+            "peak_rss_mib": usage.ru_maxrss / 1024,
             "minor_faults": usage.ru_minflt}, out
 
 
@@ -114,6 +138,7 @@ def walls(dirs):
     runs = {metric: {job: {side: [] for side in SIDES} for job in jobs}
             for metric in USAGE}
     counts = {}
+    kernel()                          # warm-up, as worker.py's sampler does
     for run in range(1, WALL_RUNS + 1):
         for side in (SIDES if run % 2 else SIDES[::-1]):
             for job, (args, check) in jobs.items():

@@ -21,9 +21,7 @@ def main():
     sigma = float(sys.argv[2]) if len(sys.argv) > 2 else 100.0
     params = SystemParams()
     print(f"calibrating sweep amplitude table ...")
-    cal = calibrate_lambda(params,
-                           lambda p, lam: make_rx_sweep_schedule(p, lam),
-                           n_points=9)
+    cal = calibrate_lambda(params, make_rx_sweep_schedule)
     gate = build_sweep_echo_rx(params, theta, cal)
     print(f"target Rx({theta:.4f}); composite of {len(gate.segments)} "
           f"segments, total {gate.total_time * 1e9:.1f} ns")

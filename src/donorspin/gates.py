@@ -13,8 +13,9 @@ Rz(th) = exp(-i th sigma_z / 2), Rx(th) = exp(-i th sigma_x / 2).
 A calibration and the gates built on it evolve each distinct segment
 once: they compose every sequence they read from one `_propagators` map
 per (offsets, frame, dt), bit for bit the product a fresh evolve gives.
-The zero-noise map and one schedule per lambda live with the lambda
-calibration; the Rz duration search hands back the schedule it simulated.
+One schedule per lambda, the zero-noise map and the map at
+SENSITIVITY_PROBES live with the lambda calibration; the Rz duration
+search hands back the schedule it simulated.
 """
 from __future__ import annotations
 
@@ -456,34 +457,40 @@ def _sensitivity(params: SystemParams, segments,
 # ---------------------------------------------------------------------------
 # lambda calibration for the sweep and sweep-free X gates
 
-class _LambdaSchedules:
-    """maker(params, lambda), one schedule per lambda, and the zero-noise
-    map that the table, the root searches and the gates built on the
-    calibration share; calling it measures theta_x(lambda)."""
+class LambdaCalibration:
+    """Monotone lookup lambda -> theta_x simulated on n_points lambdas
+    from 0 to 1, with what the gates built on it share: one schedule per
+    lambda of maker(params, lambda), the zero-noise map and the map at
+    SENSITIVITY_PROBES. So a gate needs the calibration's params.
 
-    def __init__(self, params: SystemParams, maker):
-        self.params, self.maker = params, maker
+    The table keeps the rising branch only: it stops before the first
+    lambda whose theta_x falls below the entry before it, as for a drive
+    whose net rotation saturates and folds back.
+    """
+
+    def __init__(self, params: SystemParams, maker, n_points: int):
+        self.params, self.maker, self.made = params, maker, {}
         self.propagator = _propagators(params, 0.0, CALIBRATION_FRAME, None)
-        self.made = {}
-
-    def __call__(self, lam):
-        return _readout(self.params, [self.schedule(lam)],
-                        self.propagator).theta_x
+        self.probes = _propagators(params, SENSITIVITY_PROBES,
+                                   CALIBRATION_FRAME, None)
+        lams = np.linspace(0.0, 1.0, n_points)
+        thetas = [0.0]
+        for lam in lams[1:]:
+            th = self.measure(lam)
+            if th < thetas[-1]:
+                break
+            thetas.append(th)
+        self.lambdas, self.thetas = lams[:len(thetas)], np.array(thetas)
 
     def schedule(self, lam):
         if lam not in self.made:
             self.made[lam] = self.maker(self.params, lam)
         return self.made[lam]
 
-
-@dataclass
-class LambdaCalibration:
-    """Monotone lookup lambda -> theta_x built by simulation; gates built
-    on it use its schedules and map, so they need its params."""
-
-    lambdas: np.ndarray
-    thetas: np.ndarray
-    measure: object          # _LambdaSchedules: lambda -> simulated theta_x
+    def measure(self, lam) -> float:
+        """Simulated theta_x of the schedule at lambda."""
+        return _readout(self.params, [self.schedule(lam)],
+                        self.propagator).theta_x
 
     def theta_max(self) -> float:
         return float(self.thetas[-1])
@@ -502,21 +509,8 @@ class LambdaCalibration:
 
 def calibrate_lambda(params: SystemParams, maker,
                      n_points: int = 11) -> LambdaCalibration:
-    """Simulate theta_x across a lambda grid up to its first fall.
-
-    The table keeps the rising branch only: it stops before the first
-    lambda whose theta_x falls below the entry before it, as for a drive
-    whose net rotation saturates and folds back.
-    """
-    measure = _LambdaSchedules(params, maker)
-    lams = np.linspace(0.0, 1.0, n_points)
-    thetas = [0.0]
-    for lam in lams[1:]:
-        th = measure(lam)
-        if th < thetas[-1]:
-            break
-        thetas.append(th)
-    return LambdaCalibration(lams[:len(thetas)], np.array(thetas), measure)
+    """Simulate theta_x across a lambda grid up to its first fall."""
+    return LambdaCalibration(params, maker, n_points)
 
 
 def calibrate_naive_resonance(params: SystemParams) -> float:
@@ -594,8 +588,7 @@ class ComposedGate:
         return sum(seg.total_time for seg in self.segments)
 
 
-def _wrap_with_correctives(params, core_segments, theta_x, info,
-                           propagator):
+def _wrap_with_correctives(calibration, core_segments, theta_x, info):
     """Add Rz wrappers so the sequence equals Rx(theta) at zero noise.
 
     Solved iteratively on the measured full composite: inserting a wrapper
@@ -603,6 +596,7 @@ def _wrap_with_correctives(params, core_segments, theta_x, info,
     angles are refined against the realized sequence until the residual
     z-angles vanish. `info` gets the angles of the wrappers returned.
     """
+    params, propagator = calibration.params, calibration.propagator
     ang = _readout(params, core_segments, propagator)
     info = dict(info, theta_z1=ang.theta_z1, theta_z2=ang.theta_z2,
                 theta_x_measured=ang.theta_x)
@@ -635,13 +629,12 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
     """
     if variant not in ("sweep", "naive"):
         raise ValueError("variant must be 'sweep' or 'naive'")
-    schedules = calibration.measure
     info = {"variant": variant}
     if theta_x - calibration.theta_max() < 0.1:
         # past theta_max (3.09 for the reference tuning) lambda_for_theta
         # clamps to full drive: a small coherent floor, not a chain
         lam = calibration.lambda_for_theta(theta_x)
-        core = [schedules.schedule(lam)]
+        core = [calibration.schedule(lam)]
         info["lambda"] = lam
         if theta_x > calibration.theta_max():
             info["clamped"] = True
@@ -652,28 +645,25 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
         n_seg = int(np.ceil(theta_x / healthy))
         phi = theta_x / n_seg
         lam = calibration.lambda_for_theta(phi)
-        seg = schedules.schedule(lam)
-        ang = _readout(params, [seg], schedules.propagator)
+        seg = calibration.schedule(lam)
+        ang = _readout(params, [seg], calibration.propagator)
         # the x-rotations add exactly when each junction Rz cancels z2 of
         # the previous segment, z1 of the next, and the idle-frame phase
-        # advanced over one (T_seg + t_mid) period; fixed point in t_mid
+        # advanced over one (T_seg + t_mid) period; four passes of the
+        # fixed point in t_mid, the last of which moves it by ~3e-12 s
         energies, _ = idle_qubit_frame(params, CALIBRATION_FRAME, seg)
         dq0 = energies[1] - energies[0]
         t_mid = 0.0
         for _ in range(4):
             beta = -(ang.theta_z1 + ang.theta_z2
                      + dq0 * (seg.total_time + t_mid))
-            mid = _rz_for_angle(params, beta, schedules.propagator)
-            converged = abs(mid.total_time - t_mid) < 1e-12
+            mid = _rz_for_angle(params, beta, calibration.propagator)
             t_mid = mid.total_time
-            if converged:
-                break
         core = [seg]
         for _ in range(n_seg - 1):
             core += [mid, seg]
         info.update({"lambda": lam, "segments": n_seg, "mid_rz_time": t_mid})
-    return _wrap_with_correctives(params, core, theta_x, info,
-                                  schedules.propagator)
+    return _wrap_with_correctives(calibration, core, theta_x, info)
 
 
 def build_sweep_echo_rx(params: SystemParams, theta_x: float,
@@ -689,12 +679,10 @@ def build_sweep_echo_rx(params: SystemParams, theta_x: float,
         raise ValueError(
             f"theta_x must lie in (0, {calibration.theta_max():.4f}] "
             "(calibrated range)")
-    schedules = calibration.measure
-    probes = _propagators(params, SENSITIVITY_PROBES, CALIBRATION_FRAME, None)
     lam = calibration.lambda_for_theta(theta_x)
-    sweep = schedules.schedule(lam)
-    sens = _sensitivity(params, [sweep], probes)
-    x_gate = schedules.schedule(1.0)
+    sweep = calibration.schedule(lam)
+    sens = _sensitivity(params, [sweep], calibration.probes)
+    x_gate = calibration.schedule(1.0)
 
     t1 = echo_flat_time_for_slope(params, sens.theta_z1_prime)
     t2 = echo_flat_time_for_slope(params, sens.theta_z2_prime)
@@ -709,11 +697,11 @@ def build_sweep_echo_rx(params: SystemParams, theta_x: float,
     # one Newton step on the measured residual slopes of the composite:
     # its left z-slope is s1 - theta_z1' and its right one s2 - theta_z2'
     k0 = params.hyperfine_A * params.de_over_hbar / (4 * params.Vt)
-    sens_c = _sensitivity(params, core_for(t1, t2), probes)
+    sens_c = _sensitivity(params, core_for(t1, t2), calibration.probes)
     t1 = max(0.0, t1 - sens_c.theta_z1_prime / k0)
     t2 = max(0.0, t2 - sens_c.theta_z2_prime / k0)
     info["residual_z_slopes"] = (sens_c.theta_z1_prime,
                                  sens_c.theta_z2_prime)
     info.update(echo_t1=t1, echo_t2=t2)
-    return _wrap_with_correctives(params, core_for(t1, t2), theta_x, info,
-                                  schedules.propagator)
+    return _wrap_with_correctives(calibration, core_for(t1, t2), theta_x,
+                                  info)

@@ -537,6 +537,33 @@ class TestBuildReuse:
             assert abs(_wrapped(whole.theta_z1)) < CORRECTIVE_TOL
             assert abs(_wrapped(whole.theta_z2)) < CORRECTIVE_TOL
 
+    def test_sweep_echo_gates_share_the_probe_map(self, params, monkeypatch):
+        # every sweep-echo composite on one calibration holds its lambda = 1
+        # X gate, whose slope fit reads the calibration's probe map
+        def sweep_cal():
+            return calibrate_lambda(params, make_rx_sweep_schedule,
+                                    n_points=9)
+
+        cal, calls = sweep_cal(), []
+
+        def counted(*args, **kwargs):
+            calls.append((id(args[1]), np.shape(kwargs["noise_dE"])))
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(gates_mod, "evolve", counted)
+        build_sweep_echo_rx(params, np.pi / 4, cal)
+        second = build_sweep_echo_rx(params, np.pi / 2, cal)
+        x_gate = second.segments[2]          # corrRz, echo2, X, sweep, ...
+        assert calls.count((id(x_gate), SENSITIVITY_PROBES.shape)) == 1
+        assert len(set(calls)) == len(calls)
+        fresh = build_sweep_echo_rx(params, np.pi / 2, sweep_cal())
+        assert second.info == fresh.info
+        assert [s.total_time for s in second.segments] == [
+            s.total_time for s in fresh.segments]
+        assert np.array_equal(
+            composite_qubit_block(params, second.segments, 0.0),
+            composite_qubit_block(params, fresh.segments, 0.0))
+
     def test_recorded_angles_are_the_wrappers_returned(
             self, params, sweep_calibration, monkeypatch):
         # with one refinement the loop stops before it converges; info
