@@ -11,8 +11,7 @@ import numpy as np
 
 from donorspin import SystemParams
 from donorspin.gates import (calibrate_lambda, build_sweep_echo_rx,
-                             noise_sensitivity, run_noise_monte_carlo,
-                             NoiseModel)
+                             run_noise_monte_carlo, NoiseModel)
 from donorspin.pulses import make_rx_sweep_schedule
 
 
@@ -27,7 +26,7 @@ def main():
           f"segments, total {gate.total_time * 1e9:.1f} ns")
     for key, value in sorted(gate.info.items()):
         print(f"  {key} = {value}")
-    sens = noise_sensitivity(params, gate.segments)
+    sens = cal.probes.sensitivity(gate.segments)
     print(f"residual z slopes: {sens.theta_z1_prime:+.2e}, "
           f"{sens.theta_z2_prime:+.2e} rad/(V/m); "
           f"x slope {sens.theta_x_prime:+.2e}")

@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""List the package lines that no program runs, and the manifest fields
-that no shipped manifest sets.
+"""List the package lines that no program runs.
 
 Runs all program traffic under a `sys.settrace` line trace limited to
 `src/donorspin`:
@@ -18,13 +17,12 @@ offsets, frame and dt. A calibration that propagates a segment twice
 shows up there.
 
 Then prints, per module, each executable line (from the code objects'
-`co_lines`) that none of them ran; for each experiment kind, the fields
-that no manifest in `manifests/` sets; and the line count of
-`src/donorspin`. Both listings are information. The script exits 1 if any
-program reported an error, so the trace also serves as a smoke check. The
-runs share two worker processes, longest first; the whole trace takes
-about 2 minutes on 2 cores. Library imports happen inside the traced workers, so module-level
-lines count.
+`co_lines`) that none of them ran, and the line count of `src/donorspin`.
+The listing is information. The script exits 1 if any program reported
+an error, so the trace also serves as a smoke check. The runs share two
+worker processes, longest first; the whole trace takes 19-27 s of wall
+time on 2 cores. Library imports happen inside the traced workers, so
+module-level lines count.
 
 Usage: python scripts/trace_traffic.py
 """
@@ -203,18 +201,6 @@ def main():
         for line in missed:
             print(f"  {line:4d}  {source[line - 1].strip()}")
     print(f"\n{total} executable lines not run")
-    # imported after the pool is done, so every worker imported it traced
-    sys.path.insert(0, str(ROOT / "src"))
-    from donorspin.cli import EXPERIMENTS
-    from donorspin.io import parse_keyvalues
-    set_fields = {kind: set() for kind in EXPERIMENTS}
-    for path in (ROOT / "manifests").glob("*.txt"):
-        raw = parse_keyvalues(path.read_text())
-        set_fields[raw["kind"]].update(raw)
-    print("\nmanifest fields that no file in manifests/ sets:")
-    for kind, (_, fields) in sorted(EXPERIMENTS.items()):
-        unset = [key for key in fields if key not in set_fields[kind]]
-        print(f"  {kind}: {', '.join(unset) or '-'}")
     lines = sum(len(path.read_text().splitlines())
                 for path in SRC.glob("*.py"))
     print(f"\n{SRC.relative_to(ROOT)}: {lines} lines")

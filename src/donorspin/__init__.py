@@ -14,7 +14,7 @@ from .propagation import (OperatorMatrix, EvolutionResult, evolve, leakage,
 from .effective import effective_hamiltonian, NearDegeneracyError
 from .gates import (QubitGate, EulerAngles, euler_decompose, gate_infidelity,
                     extract_qubit_gate, predict_rz_angle, NoiseModel,
-                    run_noise_monte_carlo, noise_sensitivity,
+                    run_noise_monte_carlo, PropagatorMap,
                     calibrate_lambda, build_sweep_echo_rx)
 from .twoqubit import (TwoQubitLayout, CphaseReport, dipole_coupling_strength,
                        cphase_angle, simulate_two_qubit, cz_duration_search)

@@ -11,11 +11,11 @@ All 2x2 gates use the (up~, dn~) ordering with sigma_z = diag(+1, -1) and
 Rz(th) = exp(-i th sigma_z / 2), Rx(th) = exp(-i th sigma_x / 2).
 
 A calibration and the gates built on it evolve each distinct segment
-once: they compose every sequence they read from one `_propagators` map
-per (offsets, frame, dt), bit for bit the product a fresh evolve gives.
-One schedule per lambda, the zero-noise map and the map at
-SENSITIVITY_PROBES live with the lambda calibration; the Rz duration
-search hands back the schedule it simulated.
+once: they read every sequence through one `PropagatorMap` per (params,
+offsets, frame, dt), bit for bit the product a fresh evolve gives. One
+schedule per lambda, the zero-noise map and the map at SENSITIVITY_PROBES
+live with the lambda calibration; the Rz duration search hands back the
+schedule it simulated.
 """
 from __future__ import annotations
 
@@ -160,6 +160,97 @@ def _gate_from_block(block):
 
 
 # ---------------------------------------------------------------------------
+# propagator maps
+
+SENSITIVITY_PROBES = np.array([-40.0, -20.0, 0.0, 20.0, 40.0])
+
+
+@dataclass(frozen=True)
+class NoiseSensitivity:
+    theta_z1_prime: float
+    theta_z2_prime: float
+    theta_x_0: float
+    theta_x_prime: float
+
+
+class PropagatorMap:
+    """Map seg -> lab-frame, orbital-basis propagator of schedule `seg` at
+    the offsets noise_dE, in `frame` and at dt, evolving each schedule
+    object once. It keeps the schedules alive, so their ids stay theirs.
+    Its methods read schedule sequences through it, with the params and
+    frame it was built with."""
+
+    def __init__(self, params: SystemParams, noise_dE, frame: str, dt):
+        self.params, self.noise_dE, self.frame, self.dt = (params, noise_dE,
+                                                           frame, dt)
+        self._evolved = {}
+
+    def __call__(self, seg):
+        if id(seg) not in self._evolved:
+            res = evolve(self.params, seg, noise_dE=self.noise_dE,
+                         frame=self.frame, dt=self.dt)
+            self._evolved[id(seg)] = seg, to_lab_orbital(res, self.params)
+        return self._evolved[id(seg)][1]
+
+    def chain(self, segments):
+        """Ordered product of the segments' propagators."""
+        first = self(segments[0])
+        U = np.broadcast_to(np.eye(8, dtype=complex), first.shape).copy()
+        for seg in segments:
+            U = np.matmul(self(seg), U)
+        return U
+
+    def qubit_block(self, segments):
+        """Idle-frame qubit block(s) of a schedule sequence."""
+        U = self.chain(segments)
+        energies, basis = idle_qubit_frame(self.params, self.frame,
+                                           segments[0])
+        T = sum(seg.total_time for seg in segments)
+        return idle_frame_block(U, energies, basis, T)
+
+    def angles(self, segments) -> EulerAngles:
+        """Euler angles of a schedule sequence at this map's scalar offset;
+        raises ValueError when its qubit block leaks more than
+        MAX_LEAKAGE."""
+        gate, _ = _gate_from_block(self.qubit_block(segments))
+        return euler_decompose(gate)
+
+    def sensitivity(self, segments) -> NoiseSensitivity:
+        """Linear fit of a schedule sequence's Euler angles against this
+        map's offsets."""
+        angles = [euler_decompose(_gate_from_block(block)[0])
+                  for block in self.qubit_block(segments)]
+        cols = np.unwrap([(a.theta_z1, a.theta_x, a.theta_z2)
+                          for a in angles], axis=0).T          # z1, x, z2
+        (pz1, px, pz2) = [np.polyfit(self.noise_dE, col, 1) for col in cols]
+        return NoiseSensitivity(
+            theta_z1_prime=float(pz1[0]),
+            theta_z2_prime=float(pz2[0]),
+            theta_x_0=float(np.polyval(px, 0.0)),
+            theta_x_prime=float(px[0]),
+        )
+
+
+def evolve_segments(params: SystemParams, segments, noise_dE=0.0,
+                    frame: str = "effective", dt: float | None = None):
+    """Chained lab-frame, orbital-basis propagator of a schedule sequence.
+
+    Each segment is evolved in `frame` and converted to the lab orbital
+    basis; drive phases restart at each segment boundary. A schedule
+    object that appears more than once is evolved once; a build chains
+    from one `PropagatorMap` instead, so each of its segments is evolved
+    once however many of its sequences hold it.
+    """
+    return PropagatorMap(params, noise_dE, frame, dt).chain(segments)
+
+
+def composite_qubit_block(params: SystemParams, segments, noise_dE=0.0,
+                          frame: str = "effective", dt: float | None = None):
+    """Idle-frame qubit block(s) of a schedule sequence."""
+    return PropagatorMap(params, noise_dE, frame, dt).qubit_block(segments)
+
+
+# ---------------------------------------------------------------------------
 # root finding, window quadrature, Rz prediction and calibration
 
 def find_root(f, a: float, b: float, xtol: float) -> float:
@@ -251,9 +342,8 @@ def predict_rz_angle(params: SystemParams, T: float) -> float:
 
 def simulate_rz_angle(params: SystemParams, T: float) -> float:
     """Extracted Z angle (mod 2pi) of the Rz schedule of duration T."""
-    angles = _readout(params, [make_rz_schedule(params, T)],
-                      _propagators(params, 0.0, CALIBRATION_FRAME, None))
-    return angles.theta_z1 % (2 * np.pi)
+    return PropagatorMap(params, 0.0, CALIBRATION_FRAME, None).angles(
+        [make_rz_schedule(params, T)]).theta_z1 % (2 * np.pi)
 
 
 def rz_duration_for_angle(params: SystemParams, theta: float) -> float:
@@ -265,14 +355,14 @@ def rz_duration_for_angle(params: SystemParams, theta: float) -> float:
     above theta(T) at the search's lower end needs a shorter pulse than
     the search tries: it is one full turn, theta(T) = -2pi.
     """
-    return _rz_for_angle(params, theta, _propagators(
-        params, 0.0, CALIBRATION_FRAME, None)).total_time
+    return _rz_for_angle(PropagatorMap(params, 0.0, CALIBRATION_FRAME,
+                                       None), theta).total_time
 
 
-def _rz_for_angle(params: SystemParams, theta: float,
-                  propagator) -> PulseSchedule:
-    """rz_duration_for_angle's Rz schedule, simulated through the
+def _rz_for_angle(propagator: PropagatorMap, theta: float) -> PulseSchedule:
+    """rz_duration_for_angle's Rz schedule for the params of the
     zero-noise map `propagator`, which so holds its propagator."""
+    params = propagator.params
     target = theta % (2 * np.pi)
     lo, hi = 1e-11, RZ_T_MAX
     accumulated = target - 2 * np.pi
@@ -287,7 +377,7 @@ def _rz_for_angle(params: SystemParams, theta: float,
     T0 = find_root(f, lo, hi, 1e-15)
 
     def error(sched):
-        sim = _readout(params, [sched], propagator).theta_z1 % (2 * np.pi)
+        sim = propagator.angles([sched]).theta_z1 % (2 * np.pi)
         return (sim - target + np.pi) % (2 * np.pi) - np.pi
 
     # refine against the simulated angle with a secant step
@@ -327,69 +417,6 @@ class NoiseModel:
         return np.concatenate([base, -base])[: self.sample_count]
 
 
-def _propagators(params: SystemParams, noise_dE, frame: str, dt):
-    """Map seg -> lab-frame, orbital-basis propagator of schedule `seg` at
-    these offsets, frame and dt, evolving each schedule object once. It
-    keeps the schedules alive, so their ids stay theirs."""
-    evolved = {}
-
-    def propagator(seg):
-        if id(seg) not in evolved:
-            res = evolve(params, seg, noise_dE=noise_dE, frame=frame, dt=dt)
-            evolved[id(seg)] = seg, to_lab_orbital(res, params)
-        return evolved[id(seg)][1]
-
-    return propagator
-
-
-def _chain(segments, propagator):
-    """Ordered product of the segments' propagators from a map."""
-    first = propagator(segments[0])
-    U = np.broadcast_to(np.eye(8, dtype=complex), first.shape).copy()
-    for seg in segments:
-        U = np.matmul(propagator(seg), U)
-    return U
-
-
-def evolve_segments(params: SystemParams, segments, noise_dE=0.0,
-                    frame: str = "effective", dt: float | None = None):
-    """Chained lab-frame, orbital-basis propagator of a schedule sequence.
-
-    Each segment is evolved in `frame` and converted to the lab orbital
-    basis; drive phases restart at each segment boundary. A schedule
-    object that appears more than once is evolved once; a build chains
-    from one `_propagators` map instead, so each of its segments is
-    evolved once however many of its sequences hold it.
-    """
-    return _chain(segments, _propagators(params, noise_dE, frame, dt))
-
-
-def composite_qubit_block(params: SystemParams, segments, noise_dE=0.0,
-                          frame: str = "effective", dt: float | None = None):
-    """Idle-frame qubit block(s) of a schedule sequence."""
-    return _qubit_block(params, segments, frame,
-                        _propagators(params, noise_dE, frame, dt))
-
-
-def _qubit_block(params: SystemParams, segments, frame: str, propagator):
-    """Idle-frame qubit block(s) of a sequence chained from `propagator`,
-    a `_propagators` map in `frame`."""
-    U = _chain(segments, propagator)
-    energies, basis = idle_qubit_frame(params, frame, segments[0])
-    T = sum(seg.total_time for seg in segments)
-    return idle_frame_block(U, energies, basis, T)
-
-
-def _readout(params: SystemParams, segments, propagator) -> EulerAngles:
-    """Euler angles of a schedule sequence at zero noise in
-    CALIBRATION_FRAME, chained from the build's zero-noise map
-    `propagator`; raises ValueError when its qubit block leaks more than
-    MAX_LEAKAGE."""
-    gate, _ = _gate_from_block(_qubit_block(params, segments,
-                                            CALIBRATION_FRAME, propagator))
-    return euler_decompose(gate)
-
-
 @dataclass
 class MonteCarloResult:
     mean_infidelity: float
@@ -416,52 +443,13 @@ def run_noise_monte_carlo(params: SystemParams, segments, target: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# noise-sensitivity extraction
-
-SENSITIVITY_PROBES = np.array([-40.0, -20.0, 0.0, 20.0, 40.0])
-
-
-@dataclass(frozen=True)
-class NoiseSensitivity:
-    theta_z1_prime: float
-    theta_z2_prime: float
-    theta_x_0: float
-    theta_x_prime: float
-
-
-def noise_sensitivity(params: SystemParams, segments) -> NoiseSensitivity:
-    """Linear fit of the Euler angles against the quasi-static field
-    offsets SENSITIVITY_PROBES."""
-    return _sensitivity(params, segments, _propagators(
-        params, SENSITIVITY_PROBES, CALIBRATION_FRAME, None))
-
-
-def _sensitivity(params: SystemParams, segments,
-                 propagator) -> NoiseSensitivity:
-    """noise_sensitivity chained from a map at SENSITIVITY_PROBES."""
-    probes = SENSITIVITY_PROBES
-    blocks = _qubit_block(params, segments, CALIBRATION_FRAME, propagator)
-    decomposed = [euler_decompose(_gate_from_block(block)[0])
-                  for block in blocks]
-    raw = np.array([(a.theta_z1, a.theta_x, a.theta_z2) for a in decomposed])
-    cols = np.unwrap(raw, axis=0).T          # z1, x, z2
-    (pz1, px, pz2) = [np.polyfit(probes, col, 1) for col in cols]
-    return NoiseSensitivity(
-        theta_z1_prime=float(pz1[0]),
-        theta_z2_prime=float(pz2[0]),
-        theta_x_0=float(np.polyval(px, 0.0)),
-        theta_x_prime=float(px[0]),
-    )
-
-
-# ---------------------------------------------------------------------------
 # lambda calibration for the sweep and sweep-free X gates
 
 class LambdaCalibration:
     """Monotone lookup lambda -> theta_x simulated on n_points lambdas
     from 0 to 1, with what the gates built on it share: one schedule per
-    lambda of maker(params, lambda), the zero-noise map and the map at
-    SENSITIVITY_PROBES. So a gate needs the calibration's params.
+    lambda of maker(params, lambda) and the maps `propagator` at zero noise
+    and `probes` at SENSITIVITY_PROBES. So a gate needs its params.
 
     The table keeps the rising branch only: it stops before the first
     lambda whose theta_x falls below the entry before it, as for a drive
@@ -470,9 +458,9 @@ class LambdaCalibration:
 
     def __init__(self, params: SystemParams, maker, n_points: int):
         self.params, self.maker, self.made = params, maker, {}
-        self.propagator = _propagators(params, 0.0, CALIBRATION_FRAME, None)
-        self.probes = _propagators(params, SENSITIVITY_PROBES,
-                                   CALIBRATION_FRAME, None)
+        self.propagator = PropagatorMap(params, 0.0, CALIBRATION_FRAME, None)
+        self.probes = PropagatorMap(params, SENSITIVITY_PROBES,
+                                    CALIBRATION_FRAME, None)
         lams = np.linspace(0.0, 1.0, n_points)
         thetas = [0.0]
         for lam in lams[1:]:
@@ -489,8 +477,7 @@ class LambdaCalibration:
 
     def measure(self, lam) -> float:
         """Simulated theta_x of the schedule at lambda."""
-        return _readout(self.params, [self.schedule(lam)],
-                        self.propagator).theta_x
+        return self.propagator.angles([self.schedule(lam)]).theta_x
 
     def theta_max(self) -> float:
         return float(self.thetas[-1])
@@ -596,17 +583,17 @@ def _wrap_with_correctives(calibration, core_segments, theta_x, info):
     angles are refined against the realized sequence until the residual
     z-angles vanish. `info` gets the angles of the wrappers returned.
     """
-    params, propagator = calibration.params, calibration.propagator
-    ang = _readout(params, core_segments, propagator)
+    propagator = calibration.propagator
+    ang = propagator.angles(core_segments)
     info = dict(info, theta_z1=ang.theta_z1, theta_z2=ang.theta_z2,
                 theta_x_measured=ang.theta_x)
     c_pre, c_post = -ang.theta_z2, -ang.theta_z1
     for _ in range(CORRECTIVE_ITERATIONS):
-        segments = [_rz_for_angle(params, c_pre, propagator), *core_segments,
-                    _rz_for_angle(params, c_post, propagator)]
+        segments = [_rz_for_angle(propagator, c_pre), *core_segments,
+                    _rz_for_angle(propagator, c_post)]
         info["corrective_pre"] = c_pre % (2 * np.pi)
         info["corrective_post"] = c_post % (2 * np.pi)
-        res = _readout(params, segments, propagator)
+        res = propagator.angles(segments)
         r1 = (res.theta_z1 + np.pi) % (2 * np.pi) - np.pi
         r2 = (res.theta_z2 + np.pi) % (2 * np.pi) - np.pi
         if abs(r1) < CORRECTIVE_TOL and abs(r2) < CORRECTIVE_TOL:
@@ -625,8 +612,10 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
     schedules the gate uses. Angles beyond the calibration range are
     reached by chaining two equal segments around an Rz that cancels the
     first segment's trailing and the second's leading z-phases, so the
-    x-rotations add exactly.
+    x-rotations add exactly. `params` must be the calibration's.
     """
+    if params != calibration.params:
+        raise ValueError("params differ from the calibration's")
     if variant not in ("sweep", "naive"):
         raise ValueError("variant must be 'sweep' or 'naive'")
     info = {"variant": variant}
@@ -646,7 +635,7 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
         phi = theta_x / n_seg
         lam = calibration.lambda_for_theta(phi)
         seg = calibration.schedule(lam)
-        ang = _readout(params, [seg], calibration.propagator)
+        ang = calibration.propagator.angles([seg])
         # the x-rotations add exactly when each junction Rz cancels z2 of
         # the previous segment, z1 of the next, and the idle-frame phase
         # advanced over one (T_seg + t_mid) period; four passes of the
@@ -657,7 +646,7 @@ def build_corrected_rx(params: SystemParams, theta_x: float,
         for _ in range(4):
             beta = -(ang.theta_z1 + ang.theta_z2
                      + dq0 * (seg.total_time + t_mid))
-            mid = _rz_for_angle(params, beta, calibration.propagator)
+            mid = _rz_for_angle(calibration.propagator, beta)
             t_mid = mid.total_time
         core = [seg]
         for _ in range(n_seg - 1):
@@ -673,15 +662,18 @@ def build_sweep_echo_rx(params: SystemParams, theta_x: float,
     deterministic phases.
 
     Sequence (time order): corrRz, echo2, X, sweep(theta), X, echo1, corrRz;
-    the sweep and X (lambda = 1) are the sweep calibration's schedules.
+    the sweep and X (lambda = 1) are the sweep calibration's schedules,
+    and `params` must be the calibration's.
     """
+    if params != calibration.params:
+        raise ValueError("params differ from the calibration's")
     if not 0 < theta_x <= calibration.theta_max() + 1e-9:
         raise ValueError(
             f"theta_x must lie in (0, {calibration.theta_max():.4f}] "
             "(calibrated range)")
     lam = calibration.lambda_for_theta(theta_x)
     sweep = calibration.schedule(lam)
-    sens = _sensitivity(params, [sweep], calibration.probes)
+    sens = calibration.probes.sensitivity([sweep])
     x_gate = calibration.schedule(1.0)
 
     t1 = echo_flat_time_for_slope(params, sens.theta_z1_prime)
@@ -697,7 +689,7 @@ def build_sweep_echo_rx(params: SystemParams, theta_x: float,
     # one Newton step on the measured residual slopes of the composite:
     # its left z-slope is s1 - theta_z1' and its right one s2 - theta_z2'
     k0 = params.hyperfine_A * params.de_over_hbar / (4 * params.Vt)
-    sens_c = _sensitivity(params, core_for(t1, t2), calibration.probes)
+    sens_c = calibration.probes.sensitivity(core_for(t1, t2))
     t1 = max(0.0, t1 - sens_c.theta_z1_prime / k0)
     t2 = max(0.0, t2 - sens_c.theta_z2_prime / k0)
     info["residual_z_slopes"] = (sens_c.theta_z1_prime,

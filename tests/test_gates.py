@@ -18,7 +18,7 @@ from donorspin.gates import (QubitGate, EulerAngles, euler_decompose,
                              composite_qubit_block,
                              predict_rz_angle, simulate_rz_angle,
                              rz_duration_for_angle, NoiseModel,
-                             run_noise_monte_carlo, noise_sensitivity,
+                             run_noise_monte_carlo, PropagatorMap,
                              SENSITIVITY_PROBES, echo_slope,
                              echo_flat_time_for_slope,
                              build_corrected_rx, build_sweep_echo_rx,
@@ -337,12 +337,18 @@ class TestMonteCarlo:
             NoiseModel(1.0, 0)
 
 
+def probe_sensitivity(params, segments):
+    """Slope fit of a schedule sequence on a fresh map at the probes."""
+    return PropagatorMap(params, SENSITIVITY_PROBES, "effective",
+                         None).sensitivity(segments)
+
+
 class TestNoiseSensitivity:
     def test_sweep_fit_quality(self, params, sweep_calibration):
         # each Euler angle lies within 1e-3 rad of its line over the probes
         lam = sweep_calibration.lambda_for_theta(np.pi / 2)
         sweep = make_rx_sweep_schedule(params, lam)
-        sens = noise_sensitivity(params, [sweep])
+        sens = probe_sensitivity(params, [sweep])
         blocks = composite_qubit_block(params, [sweep], SENSITIVITY_PROBES)
         angles = [euler_decompose(QubitGate.from_block(b)) for b in blocks]
         cols = np.unwrap([(a.theta_z1, a.theta_x, a.theta_z2)
@@ -358,7 +364,7 @@ class TestNoiseSensitivity:
 
     def test_full_drive_slopes_equal_at_pi(self, params):
         # at theta_x = pi the two edge slopes coincide
-        sens = noise_sensitivity(params,
+        sens = probe_sensitivity(params,
                                  [make_rx_sweep_schedule(params, 1.0)])
         assert sens.theta_z1_prime == pytest.approx(sens.theta_z2_prime,
                                                     rel=0.15)
@@ -369,10 +375,10 @@ class TestNoiseSensitivity:
         theta = np.pi / 2
         lam_s = sweep_calibration.lambda_for_theta(theta)
         lam_n = naive_calibration.lambda_for_theta(theta)
-        s_sweep = noise_sensitivity(params,
+        s_sweep = probe_sensitivity(params,
                                     [make_rx_sweep_schedule(params, lam_s)])
         from donorspin.gates import naive_maker
-        s_naive = noise_sensitivity(params,
+        s_naive = probe_sensitivity(params,
                                     [naive_maker(params)(params, lam_n)])
         # the sweep construction pushes the x-angle slope toward zero;
         # measured suppression vs the parked gate is ~9x at this angle
@@ -388,7 +394,7 @@ class TestEcho:
     def test_echo_slope_matches_simulated_probes(self):
         # quadrature oracle vs simulated linear fit of the echo schedule
         sched = make_echo_rz_schedule(P, 20e-9)
-        sens = noise_sensitivity(P, [sched])
+        sens = probe_sensitivity(P, [sched])
         predicted = echo_slope(P, 20e-9)
         assert sens.theta_x_0 < 1e-3
         assert sens.theta_z1_prime == pytest.approx(predicted, rel=2e-2)
@@ -433,8 +439,8 @@ class TestComposites:
 
     def test_sweep_echo_cancels_slopes(self, params, composite_cache):
         gate = composite_cache(np.pi / 2)
-        sens = noise_sensitivity(params, gate.segments)
-        bare = noise_sensitivity(
+        sens = probe_sensitivity(params, gate.segments)
+        bare = probe_sensitivity(
             params, [make_rx_sweep_schedule(params, gate.info["lambda"])])
         total_bare = abs(bare.theta_z1_prime) + abs(bare.theta_z2_prime)
         total_comp = abs(sens.theta_z1_prime) + abs(sens.theta_z2_prime)
@@ -471,6 +477,16 @@ class TestComposites:
             build_sweep_echo_rx(params, 3.3, sweep_calibration)
         with pytest.raises(ValueError):
             build_sweep_echo_rx(params, -0.1, sweep_calibration)
+
+    def test_builders_take_the_calibration_params(self, sweep_calibration):
+        # a gate holds its calibration's schedules and propagators, so one
+        # built with other params would mix two devices (the echo idles at
+        # 12,000 V/m, the sweep and the corrective Rz at 10,000 V/m)
+        other = SystemParams(dE_idle=1.2e4)
+        with pytest.raises(ValueError, match="calibration"):
+            build_sweep_echo_rx(other, np.pi / 2, sweep_calibration)
+        with pytest.raises(ValueError, match="calibration"):
+            build_corrected_rx(other, np.pi / 2, sweep_calibration)
 
 
 # schedules are compared by their envelopes sampled on this grid
@@ -563,6 +579,27 @@ class TestBuildReuse:
         assert np.array_equal(
             composite_qubit_block(params, second.segments, 0.0),
             composite_qubit_block(params, fresh.segments, 0.0))
+
+    def test_gate_slopes_read_the_calibration_probe_map(self, params,
+                                                        monkeypatch):
+        # the calibration's probe map holds the gate's sweep and X gate, so
+        # a slope fit of the gate evolves only the two re-timed echoes and
+        # the two corrective Rz pulses, and equals a fit on a fresh map
+        cal = calibrate_lambda(params, make_rx_sweep_schedule, n_points=9)
+        gate = build_sweep_echo_rx(params, np.pi / 2, cal)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(gates_mod, "evolve", counted)
+        sens = cal.probes.sensitivity(gate.segments)
+        pre, echo2, _, _, _, echo1, post = gate.segments
+        assert len(calls) == 4
+        assert {id(seg) for seg in calls} == {
+            id(pre), id(echo2), id(echo1), id(post)}
+        assert sens == probe_sensitivity(params, gate.segments)
 
     def test_recorded_angles_are_the_wrappers_returned(
             self, params, sweep_calibration, monkeypatch):

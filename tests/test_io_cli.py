@@ -448,3 +448,14 @@ def test_shipped_manifest_validates(path, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["validate", str(path)]) == 0
     assert "manifest is valid" in capsys.readouterr().out
+
+
+def test_every_field_is_set_by_a_shipped_manifest():
+    # a field that only tests set is surface no shipped experiment uses
+    set_fields = {kind: set() for kind in EXPERIMENTS}
+    for path in MANIFESTS:
+        raw = parse_keyvalues(path.read_text())
+        set_fields[raw["kind"]].update(raw)
+    unset = {kind: [key for key in fields if key not in set_fields[kind]]
+             for kind, (_, fields) in EXPERIMENTS.items()}
+    assert unset == {kind: [] for kind in EXPERIMENTS}
