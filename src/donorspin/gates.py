@@ -181,8 +181,8 @@ class PropagatorMap:
     frame it was built with."""
 
     def __init__(self, params: SystemParams, noise_dE, frame: str, dt):
-        self.params, self.noise_dE, self.frame, self.dt = (params, noise_dE,
-                                                           frame, dt)
+        self.params, self.noise_dE = params, noise_dE
+        self.frame, self.dt = frame, dt
         self._evolved = {}
 
     def __call__(self, seg):
